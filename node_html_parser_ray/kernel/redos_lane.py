@@ -14,11 +14,14 @@ inherited locks), the startup cost (~0.1 s; this module's transitive
 imports are pure stdlib) is amortized across every flagged document the
 worker ever sees, and a timeout kills + respawns the sidecar.
 
-The protocol is generic — a request is ``(module, func, args)`` resolved by
-import in the child — so every stage that parses whole documents
-(extraction, selector, boilerplate classifier) shares ONE sidecar and one
-degraded-mode policy.  The sidecar runs the SAME kernels the stages run, so
-prescan false positives come back bit-identical (tests/test_redos.py).
+Stages never call the sidecar directly: the single entry point is
+``stages.extract_stage.bounded_lane``, which prescans a batch once and sends
+each flagged document's module-level per-doc function here.  The protocol is
+generic — :meth:`RedosSidecar.call` takes the function object, and the child
+re-imports it by the module and name read off that object — so every stage
+that parses whole documents shares ONE sidecar and one degraded-mode policy.
+The sidecar runs the SAME kernels the stages run, so prescan false positives
+come back bit-identical (tests/test_redos.py).
 """
 from __future__ import annotations
 
@@ -52,8 +55,23 @@ def kernel_extract(html: str, media_map: Optional[dict], options: Optional[dict]
     )
 
 
-def _resolve(module: str, func: str):
-    return getattr(importlib.import_module(module), func)
+def _resolve(module: str, name: str):
+    return getattr(importlib.import_module(module), name)
+
+
+def _ref(fn) -> tuple[str, str]:
+    """``(module, name)`` under which the child re-imports ``fn``.  Raises
+    TypeError for anything that is not a module-level function (lambda,
+    closure, bound method): such a request could never resolve in the
+    child, and every document sent with it would be dropped silently."""
+    module = getattr(fn, "__module__", None)
+    name = getattr(fn, "__qualname__", None)
+    try:
+        if _resolve(module, name) is fn:
+            return module, name
+    except (AttributeError, ImportError, TypeError, ValueError):
+        pass
+    raise TypeError(f"sidecar function must be module-level: {fn!r}")
 
 
 # modules the sidecar pre-imports BEFORE the readiness handshake (lazy
@@ -101,20 +119,17 @@ def _sidecar_loop(conn) -> None:
         if msg is None:
             conn.close()
             return
-        module, func, args = msg
+        module, name, args = msg
         try:
-            conn.send(("ok", _resolve(module, func)(*args)))
+            conn.send(("ok", _resolve(module, name)(*args)))
         except Exception as ex:  # noqa: BLE001 — envelope, None in parent
             conn.send(("err", repr(ex)))
-
-
-_EXTRACT_MOD = "node_html_parser_ray.kernel.redos_lane"
 
 
 class RedosSidecar:
     """Lazily-started persistent subprocess running stage kernels.
 
-    ``call(module, func, args, timeout)`` returns the function result, or
+    ``call(fn, args, timeout)`` returns ``fn(*args)``, or
     ``None`` when the wall bound expires (the sidecar is then killed and
     will respawn on the next call) OR when the function raised in the
     child (bounded drop of that one doc, never a whole-batch failure).
@@ -171,8 +186,9 @@ class RedosSidecar:
             self._proc.join()
         self._proc = self._conn = None
 
-    def call(self, module: str, func: str, args: tuple, timeout: float):
-        """Bounded run of ``module.func(*args)``; ``None`` on timeout,
+    def call(self, fn, args: tuple, timeout: float):
+        """Bounded run of ``fn(*args)`` — ``fn`` a module-level function,
+        re-imported in the child by its module and name; ``None`` on timeout,
         child crash, or child-raised exception (caller records the doc as
         dropped/bounded-out).
 
@@ -186,10 +202,11 @@ class RedosSidecar:
         support) fall back to the unbounded in-process function — reference
         behavior, and benign prescan FPs must not become dropped docs
         there."""
+        request = (*_ref(fn), args)
         with self._lock:
             try:
                 self._ensure()
-                self._conn.send((module, func, args))
+                self._conn.send(request)
             except Exception:
                 self._close()
                 if self._spawn_ok:
@@ -201,12 +218,12 @@ class RedosSidecar:
                     # pressure — bounded drop.
                     try:
                         self._ensure()
-                        self._conn.send((module, func, args))
+                        self._conn.send(request)
                     except Exception:
                         self._close()
                         return None
                 else:
-                    return _resolve(module, func)(*args)
+                    return fn(*args)
             if self._conn.poll(timeout):
                 try:
                     status, payload = self._conn.recv()
@@ -225,9 +242,3 @@ class RedosSidecar:
             # behavior on platforms without spawn).
             return None
         return payload
-
-    def extract(self, html, media_map, options, timeout):
-        """Bounded parse via the shared protocol; see :meth:`call`."""
-        return self.call(
-            _EXTRACT_MOD, "kernel_extract", (html, media_map, options), timeout
-        )

@@ -1566,18 +1566,12 @@ def q_dom_api(sf_dir: str):
     removeWhitespace/trimRight effects (rows-only determinism check).
 
     Corpus text embeds RAW in the synthesized html, so a wild document
-    could smuggle a ReDoS shape — the per-doc sweep routes through the
-    shared prescan + sidecar lane like every other whole-document parse
-    (round-4 review); a bounded-out doc emits (-1, -1, -1) sentinels
-    (the reference would never terminate on it; no sf corpus doc flags)."""
+    could smuggle a ReDoS shape: the sweep runs through the bounded lane
+    like every other whole-document parse, and a bounded-out doc emits
+    (-1, -1, -1) sentinels (no sf corpus doc flags)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        from ..stages.extract_stage import (
-            SIDECAR,
-            dom_api_document,
-            parse_timeout,
-            prescan_flags,
-        )
+        from ..stages.extract_stage import bounded_lane, dom_api_document
 
         doc_ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
@@ -1585,20 +1579,13 @@ def q_dom_api(sf_dir: str):
             f'<div id="d{d}" class="a b"> {t or ""} <span>x</span> <!--c--> </div>'
             for d, t in zip(doc_ids, texts)
         ]
-        timeout = parse_timeout()
-        flagged = prescan_flags(htmls, timeout)
+        lane = bounded_lane(htmls, dom_api_document)
         n_struct_lines = []
         n_json_children = []
         n_after_ws = []
         for r, html in enumerate(htmls):
-            if flagged is not None and flagged[r]:
-                res = SIDECAR.call(
-                    "node_html_parser_ray.stages.extract_stage",
-                    "dom_api_document", (html,), timeout,
-                )
-                ns, nj, na = res if res is not None else (-1, -1, -1)
-            else:
-                ns, nj, na = dom_api_document(html)
+            res = lane[r] if r in lane else dom_api_document(html)
+            ns, nj, na = res if res is not None else (-1, -1, -1)
             n_struct_lines.append(ns)
             n_json_children.append(nj)
             n_after_ws.append(na)

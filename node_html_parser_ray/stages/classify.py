@@ -18,7 +18,7 @@ import pyarrow as pa
 
 from ..kernel.dom import ELEMENT_NODE, HTMLElement, is_block
 from ..kernel.parser import parse
-from .extract_stage import SIDECAR, parse_timeout, htmls_from_batch, prescan_flags
+from .extract_stage import bounded_lane, htmls_from_batch
 
 __all__ = ["BoilerplateClassifier", "CLASSIFY_OUTPUT_SCHEMA", "classify_document"]
 
@@ -114,8 +114,8 @@ def _classify_tree(
 
 
 def classify_document(html, options, min_text_len, max_link_density):
-    """ONE document through parse + classify — the sidecar entry point for
-    prescan-flagged docs (kernel/redos_lane.py): pure args in, plain tuple
+    """ONE document through parse + classify — run in-process, or by the
+    bounded lane for prescan-flagged docs: pure args in, plain tuple
     ``(main_text, n_content, n_boiler)`` out."""
     return _classify_tree(parse(html, options), min_text_len, max_link_density)
 
@@ -133,39 +133,18 @@ class BoilerplateClassifier:
         self.max_link_density = max_link_density
         self.options = options
 
-    def _classify_doc(self, root: HTMLElement) -> tuple[str, int, int]:
-        return _classify_tree(
-            root, self.min_text_len, self.max_link_density
-        )
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
         htmls = htmls_from_batch(batch)
-        # bounded ReDoS lane (shared with extract_batch): flagged docs parse
-        # in the spawn sidecar; a timeout yields the bounded-out sentinel
-        # ("", -1, 0) — n_content_blocks=-1 marks the drop out-of-band so
-        # lineage can count dropped docs (consistent with the selector
-        # lane's n_matches=-1 and the extract lane's valid=False; round-4
-        # ADVICE), never a worker hang
-        timeout = parse_timeout()
-        flagged = prescan_flags(htmls, timeout)
+        args = (self.options, self.min_text_len, self.max_link_density)
+        lane = bounded_lane(htmls, classify_document, *args)
         out_text: list[str] = []
         out_nc: list[int] = []
         out_nb: list[int] = []
         out_ratio: list[float] = []
         for r, html in enumerate(htmls):
-            if flagged is not None and flagged[r]:
-                res = SIDECAR.call(
-                    "node_html_parser_ray.stages.classify",
-                    "classify_document",
-                    (html, self.options, self.min_text_len,
-                     self.max_link_density),
-                    timeout,
-                )
-                main_text, n_content, n_boiler = res or ("", -1, 0)
-            else:
-                root = parse(html, self.options)
-                main_text, n_content, n_boiler = self._classify_doc(root)
+            res = lane[r] if r in lane else classify_document(html, *args)
+            main_text, n_content, n_boiler = res or ("", -1, 0)
             out_text.append(main_text)
             out_nc.append(n_content)
             out_nb.append(n_boiler)

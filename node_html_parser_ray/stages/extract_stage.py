@@ -25,7 +25,7 @@ import pyarrow as pa
 from ..kernel.extract import assemble_document
 from ..kernel.fast_extract import extract_spans_into
 from ..kernel.parser import ParseMetrics, is_pathological
-from ..kernel.redos_lane import RedosSidecar
+from ..kernel.redos_lane import RedosSidecar, kernel_extract
 
 __all__ = [
     "OUT_SPAN_STRUCT",
@@ -39,6 +39,7 @@ __all__ = [
     "prescan_flags",
     "parse_timeout",
     "SIDECAR",
+    "bounded_lane",
     "dom_api_document",
 ]
 
@@ -155,8 +156,8 @@ def prescan_flags(htmls: list[str], timeout: float):
     measured 2 µs/doc vs 38 µs/doc for the Python engine on the bench
     corpus (~8% of total extraction cost).  Only the rare stage-1 hits pay
     the per-doc Python refinement (is_pathological: raw-text/comment
-    '<>'-sentinel strip + re-test).  Shared by every stage that parses
-    whole documents (extraction, selector, boilerplate classifier)."""
+    '<>'-sentinel strip + re-test).  Run once per batch by
+    :func:`bounded_lane`."""
     if timeout <= 0 or not htmls:
         return None
     import pyarrow.compute as pc
@@ -181,9 +182,43 @@ def prescan_flags(htmls: list[str], timeout: float):
 SIDECAR = RedosSidecar()
 
 
+def bounded_lane(htmls: list[str], fn, *args, per_row=None) -> dict:
+    """The bounded ReDoS lane for one batch of whole-document parses —
+    the ONE place that reads :func:`parse_timeout`, runs
+    :func:`prescan_flags` and calls the sidecar.
+
+    Each prescan-flagged row ``r`` runs ``fn(htmls[r], *args)`` in the
+    persistent spawn sidecar under the ``NHPR_PARSE_TIMEOUT`` wall bound
+    (CPython's regex engine cannot be interrupted mid-match, so a kill-able
+    process is the only hard bound).  ``per_row`` is a sequence aligned
+    with ``htmls`` whose ``r``-th item goes right after the document
+    (extraction's media maps).  ``fn`` must be the module-level per-doc
+    function the caller runs in-process for unflagged rows, so prescan
+    false positives come back bit-identical, only paying IPC latency.
+
+    Returns ``{r: result}`` for the flagged rows only — callers run
+    ``lane[r] if r in lane else <in-process fn>``.  A ``None`` result
+    means bounded out (timeout, child crash or child exception): the
+    caller emits its stage's out-of-band sentinel instead of hanging the
+    worker — ``valid=False`` with no spans (extraction), ``n_matches=-1``
+    (selector), ``("", -1, 0)`` (classifier), no node rows (columnar
+    explode), ``(-1, -1, -1)`` (dom_api).  Empty when nothing is flagged
+    or the lane is disabled (``NHPR_PARSE_TIMEOUT<=0``: flagged docs then
+    parse in-process, reference behavior)."""
+    timeout = parse_timeout()
+    flags = prescan_flags(htmls, timeout)
+    if flags is None:
+        return {}
+    lane = {}
+    for r in np.flatnonzero(flags).tolist():
+        row = (htmls[r],) if per_row is None else (htmls[r], per_row[r])
+        lane[r] = SIDECAR.call(fn, (*row, *args), timeout)
+    return lane
+
+
 def dom_api_document(html: str) -> tuple[int, int, int]:
-    """ONE document through the q_dom_api operator sweep — the sidecar
-    entry point for prescan-flagged docs (kernel/redos_lane.py): pure args
+    """ONE document through the q_dom_api operator sweep — also the
+    bounded lane's per-doc function for prescan-flagged docs: pure args
     in, plain ints out.  Returns ``(n_structure_lines, n_json_children,
     n_children_after_rw)``; parses twice like the in-process path so the
     removeWhitespace/trimRight mutations never affect the first two
@@ -199,26 +234,14 @@ def dom_api_document(html: str) -> tuple[int, int, int]:
     return n_struct, n_json, len(clone.first_child.child_nodes)
 
 
-def _bounded_extract(html, media_map, options, timeout):
-    """Run the SAME extraction kernel in the sidecar subprocess with a
-    hard wall bound (the ReDoS lane — SCALE.md known-limitation, round-3
-    verdict #6).  CPython's regex engine cannot be interrupted by signals
-    mid-match, so a kill-able process is the only hard bound.  Returns the
-    kernel result tuple, or None on timeout/crash.  Prescan false
-    positives come back bit-identical, just paying IPC latency."""
-    return SIDECAR.extract(html, media_map, options, timeout)
-
-
 def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
     """Parse + extract every document in an Arrow batch.
 
     Accepts either the interleaved input schema (doc_id, spans) or a plain
     (doc_id, html) schema where the whole payload is one html span.
 
-    Documents flagged by the linear-time ReDoS prescan
-    (``kernel.parser.is_pathological``) parse in the persistent spawn
-    sidecar under
-    ``NHPR_PARSE_TIMEOUT`` seconds; on timeout they yield zero spans with
+    Documents flagged by the linear-time ReDoS prescan run through
+    :func:`bounded_lane`; a bounded-out doc yields zero spans with
     ``valid=False`` and ``n_bytes=len(html)`` (a dropped truncated crawl
     page, recorded in lineage like any other invalid doc).
     """
@@ -243,7 +266,6 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
 
     metrics = ParseMetrics()
     total_spans = 0
-    timeout = parse_timeout()
 
     htmls: list[str] = []
     media_maps: list[dict] = []
@@ -255,7 +277,7 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
         htmls.append(html)
         media_maps.append(media_map)
 
-    flagged = prescan_flags(htmls, timeout)
+    lane = bounded_lane(htmls, kernel_extract, options, per_row=media_maps)
 
     for r in range(len(doc_ids)):
         html, media_map = htmls[r], media_maps[r]
@@ -265,10 +287,9 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
         # doc through the whole loop (round-4 ADVICE memory note; the
         # multiplier is documented next to DEFAULT_BATCH_SIZE)
         htmls[r] = media_maps[r] = None
-        if flagged is not None and flagged[r]:
-            # bounded ReDoS lane: same kernel, spawn sidecar, hard wall bound
-            res = _bounded_extract(html, media_map, options, timeout)
-            if res is None:  # timed out: dropped invalid doc
+        if r in lane:
+            res = lane[r]
+            if res is None:
                 n_spans, valid = 0, False
                 mt = (0, 0, 0, 0, 0, len(html))
             else:

@@ -28,13 +28,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernel.jsregex import S as _JS_WS_CLASS
-from .extract_stage import htmls_from_batch
+from .extract_stage import bounded_lane, htmls_from_batch
 from ..kernel.parser import parse
 from ..kernel.selector import _ATTR_SELECTOR_RE, _SELECTOR_PART_RE
 
 __all__ = [
     "explode_nodes_batch",
     "explode_document",
+    "node_table",
     "columnar_part_mask",
     "columnar_select_mask",
     "selector_counts",
@@ -118,9 +119,9 @@ def _attr_op_mask(col, key: str, op: str, value: str):
 def explode_document(html: str):
     """ONE document's flattened node rows — parse + pre-order walk (same
     ids as flatten_tree but with id/class materialised for columnar
-    checks).  Module-level so the ReDoS sidecar can run it for
-    prescan-flagged docs (kernel/redos_lane.py): pure args in, plain
-    lists ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
+    checks).  Module-level so the bounded lane can run it for
+    prescan-flagged docs: pure args in, plain lists
+    ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
     out_nid: list[int] = []
     out_pid: list[int] = []
     out_kind: list[int] = []
@@ -154,60 +155,35 @@ def explode_document(html: str):
     return out_nid, out_pid, out_kind, out_tag, out_id, out_cls, out_attrs
 
 
-def explode_nodes_batch(batch: pa.Table) -> pa.Table:
-    """Parse each document and emit its flattened nodes as table rows.
-
-    Prescan-flagged docs run in the bounded ReDoS sidecar (shared lane —
-    round-4 review closed this last unbounded parse path); a bounded-out
-    doc contributes NO node rows, i.e. it matches nothing, mirroring the
-    selector automaton lane's -1 sentinel semantics at this layer."""
-    from .extract_stage import SIDECAR, parse_timeout, prescan_flags
-
-    doc_ids = batch.column("doc_id").to_pylist()
-    htmls = htmls_from_batch(batch)
-    timeout = parse_timeout()
-    flagged = prescan_flags(htmls, timeout)
-
-    out_doc: list[str] = []
-    out_nid: list[int] = []
-    out_pid: list[int] = []
-    out_kind: list[int] = []
-    out_tag: list[str] = []
-    out_id: list[str] = []
-    out_cls: list[str] = []
-    out_attrs: list[str] = []
-    for r, (doc_id, html) in enumerate(zip(doc_ids, htmls)):
-        if flagged is not None and flagged[r]:
-            res = SIDECAR.call(
-                "node_html_parser_ray.stages.flat_select",
-                "explode_document", (html,), timeout,
-            )
-            if res is None:  # wall bound expired: bounded-out doc
-                continue
-        else:
-            res = explode_document(html)
-        nid_l, pid_l, kind_l, tag_l, id_l, cls_l, attrs_l = res
-        out_doc.extend([str(doc_id)] * len(nid_l))
-        out_nid.extend(nid_l)
-        out_pid.extend(pid_l)
-        out_kind.extend(kind_l)
-        out_tag.extend(tag_l)
-        out_id.extend(id_l)
-        out_cls.extend(cls_l)
-        out_attrs.extend(attrs_l)
+def node_table(doc_ids: list[str], docs: list[tuple]) -> pa.Table:
+    """Node table from :func:`explode_document` results; ``doc_ids[i]``
+    labels the rows of ``docs[i]``."""
+    cols: list[list] = [[] for _ in NODE_TABLE_SCHEMA]
+    for doc_id, doc in zip(doc_ids, docs):
+        cols[0].extend([doc_id] * len(doc[0]))
+        for col, vals in zip(cols[1:], doc):
+            col.extend(vals)
     return pa.Table.from_arrays(
-        [
-            pa.array(out_doc, pa.string()),
-            pa.array(out_nid, pa.int32()),
-            pa.array(out_pid, pa.int32()),
-            pa.array(out_kind, pa.int8()),
-            pa.array(out_tag, pa.string()),
-            pa.array(out_id, pa.string()),
-            pa.array(out_cls, pa.string()),
-            pa.array(out_attrs, pa.string()),
-        ],
+        [pa.array(col, f.type) for col, f in zip(cols, NODE_TABLE_SCHEMA)],
         schema=NODE_TABLE_SCHEMA,
     )
+
+
+def explode_nodes_batch(batch: pa.Table) -> pa.Table:
+    """Parse each document and emit its flattened nodes as table rows.
+    A document the bounded lane drops contributes NO node rows, i.e. it
+    matches nothing."""
+    doc_ids = batch.column("doc_id").to_pylist()
+    htmls = htmls_from_batch(batch)
+    lane = bounded_lane(htmls, explode_document)
+    kept: list[str] = []
+    docs: list[tuple] = []
+    for r, html in enumerate(htmls):
+        doc = lane[r] if r in lane else explode_document(html)
+        if doc is not None:
+            kept.append(str(doc_ids[r]))
+            docs.append(doc)
+    return node_table(kept, docs)
 
 
 def columnar_part_mask(nodes: pa.Table, part: str) -> pa.ChunkedArray:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
 import pyarrow as pa
 
-from .extract_stage import SIDECAR, parse_timeout, htmls_from_batch, prescan_flags
+from .extract_stage import bounded_lane, htmls_from_batch
 from ..kernel.parser import parse
 from ..kernel.selector import Matcher, _explore_all
 
@@ -47,9 +48,9 @@ def select_all(root, parts: list[Matcher]):
 
 
 def select_document(html, selectors, options, emit_text):
-    """ONE document through parse + the whole selector set — the sidecar
-    entry point for prescan-flagged docs (kernel/redos_lane.py), so the
-    result is pure args in / plain lists out.  Compiles matchers per call:
+    """ONE document through parse + the whole selector set — the bounded
+    lane's per-doc function for prescan-flagged docs, so the result is
+    pure args in / plain lists out.  Compiles matchers per call:
     only the rare flagged documents pay that.
 
     Returns ``[(n_matches, texts), ...]`` aligned with ``selectors``."""
@@ -102,18 +103,13 @@ class SelectorStage:
                 except ValueError:
                     pass
 
-    def _select_all(self, root, parts: list[Matcher]):
-        return select_all(root, parts)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
         htmls = htmls_from_batch(batch)
-
-        # bounded ReDoS lane (shared with extract_batch): flagged docs
-        # never reach explode_nodes_batch or parse() in-process — they run
-        # in the spawn sidecar; a timeout emits n_matches=-1 rows
-        timeout = parse_timeout()
-        flagged = prescan_flags(htmls, timeout)
+        lane = bounded_lane(
+            htmls, select_document, self.selectors, self.options,
+            self.emit_text,
+        )
 
         out_doc: list[str] = []
         out_sel: list[str] = []
@@ -121,48 +117,39 @@ class SelectorStage:
         flat_matches: list[str] = []
         offsets: list[int] = [0]
 
-        col_counts: dict[tuple[str, str], int] = {}
+        # per-row match counts of each columnar selector, from one node
+        # table over the batch's unflagged docs
+        col_counts: dict[str, np.ndarray] = {}
         if self.columnar:
-            import numpy as np
-
-            from .flat_select import columnar_select_mask, explode_nodes_batch
-
-            keep = [
-                r for r in range(len(doc_ids))
-                if flagged is None or not flagged[r]
-            ]
-            nodes = explode_nodes_batch(
-                pa.Table.from_arrays(
-                    [pa.array([str(doc_ids[r]) for r in keep], pa.string()),
-                     pa.array([htmls[r] for r in keep], pa.large_string())],
-                    names=["doc_id", "html"],
-                )
+            from .flat_select import (
+                columnar_select_mask,
+                explode_document,
+                node_table,
             )
-            node_docs = np.asarray(nodes.column("doc_id").to_pylist())
+
+            keep = [r for r in range(len(htmls)) if r not in lane]
+            docs = [explode_document(htmls[r]) for r in keep]
+            nodes = node_table([str(doc_ids[r]) for r in keep], docs)
+            node_row = np.repeat(
+                np.asarray(keep, np.int64), [len(d[0]) for d in docs]
+            )
             for sel in self.columnar:
                 mask = columnar_select_mask(nodes, sel)
-                for r in keep:
-                    col_counts[(str(doc_ids[r]), sel)] = 0
-                hit_docs, hit_n = np.unique(node_docs[mask], return_counts=True)
-                for d, c in zip(hit_docs, hit_n):
-                    col_counts[(str(d), sel)] = int(c)
+                col_counts[sel] = np.bincount(
+                    node_row[mask], minlength=len(htmls)
+                )
 
         automaton = [
             (sel, parts) for sel, parts in self.compiled
             if sel not in self.columnar
         ]
         for r, (doc_id, html) in enumerate(zip(doc_ids, htmls)):
-            if flagged is not None and flagged[r]:
-                res = SIDECAR.call(
-                    "node_html_parser_ray.stages.selector_stage",
-                    "select_document",
-                    (html, self.selectors, self.options, self.emit_text),
-                    timeout,
-                )
-                for i, (sel, _parts) in enumerate(self.compiled):
+            if r in lane:
+                res = lane[r]
+                for i, sel in enumerate(self.selectors):
                     out_doc.append(doc_id)
                     out_sel.append(sel)
-                    if res is None:  # wall bound expired: bounded-out doc
+                    if res is None:
                         out_n.append(-1)
                     else:
                         n, txts = res[i]
@@ -175,9 +162,9 @@ class SelectorStage:
                 out_doc.append(doc_id)
                 out_sel.append(sel)
                 if sel in self.columnar:
-                    out_n.append(col_counts[(str(doc_id), sel)])
+                    out_n.append(int(col_counts[sel][r]))
                 else:
-                    found = self._select_all(root, parts)
+                    found = select_all(root, parts)
                     out_n.append(len(found))
                     if self.emit_text:
                         flat_matches.extend(el.text for el in found)

@@ -6,6 +6,9 @@ import os
 import pytest
 
 FIXTURE_DIR = "/root/reference/test/html"
+# small in-repo pages: the same parse-validity properties as the reference
+# fixtures, checked wherever the suite runs
+PAGES_DIR = os.path.join(os.path.dirname(__file__), "data")
 SF_SMOKE = "/root/testdata/sf0.001"
 SF_CORRECT = "/root/testdata/sf0.01"
 
@@ -36,4 +39,14 @@ def fixture_html():
                 os.path.join(FIXTURE_DIR, name), encoding="utf-8", errors="replace"
             ) as f:
                 out[name] = f.read()
+    return out
+
+
+@pytest.fixture(scope="session")
+def page_html():
+    """In-repo test pages (tests/data), keyed by file name."""
+    out = {}
+    for name in os.listdir(PAGES_DIR):
+        with open(os.path.join(PAGES_DIR, name), encoding="utf-8") as f:
+            out[name] = f.read()
     return out

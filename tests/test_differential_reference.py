@@ -419,9 +419,9 @@ class TestTargetedParity:
     # kernel regression in the raw-text fast-forward scan cannot land silently
     RAW_TEXT_CLOSERS = [
         "<script>var a = '</div>';</script>after",
-        "<script>x</script >tail",          # space before >
-        "<script>x</SCRIPT>tail",           # case-insensitive closer
-        "<script>x</script x y=1>tail",     # attributes on the closer
+        "<script>x</script >tail",          # probed non-closer: raw text runs to EOF
+        "<script>x</SCRIPT>tail",           # probed non-closer: raw text runs to EOF
+        "<script>x</script x y=1>tail",     # probed non-closer: raw text runs to EOF
         "<script>x</ script>tail",          # space after </ (NOT a closer)
         "<script>never closed <div> <b>",   # EOF-unterminated raw text
         "<style>p{content:'</style'}</style>done",  # partial closer in value

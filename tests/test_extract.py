@@ -9,10 +9,31 @@ from node_html_parser_ray.kernel import (
     parse_and_extract,
     unflatten_tree,
 )
+from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
 
 
 def spans_of(html, media_map=None):
     return extract_spans(parse(html), media_map)
+
+
+def _assert_spans_follow_structured_text(html, name):
+    # For media-free extraction, '\n'.join(text spans) must equal
+    # structuredText when no empty-normalised blocks occur.
+    root = parse(html)
+    st = root.structured_text
+    spans = extract_spans(root)
+    text_only = "\n".join(s[1] for s in spans if s[0] == "text")
+    # img elements split blocks; compare ignoring block splits:
+    assert text_only.replace("\n", " ") != ""  # sanity: non-trivial
+    # every text span appears, in order, within structuredText
+    pos = 0
+    for s in spans:
+        if s[0] != "text":
+            continue
+        for piece in s[1].split("\n"):
+            idx = st.find(piece, pos)
+            assert idx >= 0, (name, piece[:60])
+            pos = idx
 
 
 class TestExtractSpans:
@@ -59,24 +80,17 @@ class TestExtractSpans:
         assert spans[0][2] == "a&b.png"
 
     def test_structured_text_parity_on_fixtures(self, fixture_html):
-        # For media-free extraction, '\n'.join(text spans) must equal
-        # structuredText when no empty-normalised blocks occur.
         for name in ["nice.html", "google.html", "hillcrestpartyrentals.html"]:
-            root = parse(fixture_html[name])
-            st = root.structured_text
-            spans = extract_spans(root)
-            text_only = "\n".join(s[1] for s in spans if s[0] == "text")
-            # img elements split blocks; compare ignoring block splits:
-            assert text_only.replace("\n", " ") != ""  # sanity: non-trivial
-            # every text span appears, in order, within structuredText
-            pos = 0
-            for s in spans:
-                if s[0] != "text":
-                    continue
-                for piece in s[1].split("\n"):
-                    idx = st.find(piece, pos)
-                    assert idx >= 0, (name, piece[:60])
-                    pos = idx
+            _assert_spans_follow_structured_text(fixture_html[name], name)
+
+    def test_structured_text_parity_on_pages(self, page_html):
+        for name in ["article.html", "forum.html"]:
+            html = page_html[name]
+            _assert_spans_follow_structured_text(html, name)
+            # the flat-array kernel emits the object path's spans
+            assert extract_spans_fast(html) == (
+                extract_spans(parse(html)), True
+            )
 
 
 class TestAssembleDocument:

@@ -118,6 +118,14 @@ class TestParse:
     def test_incomplete_script_fixture(self, fixture_html):
         parse(fixture_html["incomplete-script"], {"script": True})
 
+    def test_incomplete_script_page(self, page_html):
+        # an unterminated <script> parses; its raw text runs to EOF
+        root = parse(page_html["incomplete_script.html"], {"script": True})
+        assert root.valid is False
+        assert """document.write("<div class='late'>late</div>");""" in (
+            root.to_string()
+        )
+
     def test_namespaces(self):
         s = "<ns:identifier>content</ns:identifier>"
         assert parse(s).to_string() == s
@@ -274,6 +282,15 @@ class TestParseValidation:
     @pytest.mark.parametrize("name", ["gmail.html", "nice.html"])
     def test_corrupted_fixture_invalid(self, fixture_html, name):
         data = re.sub("</", "<", fixture_html[name], flags=re.I)
+        assert parse(data).valid is False
+
+    @pytest.mark.parametrize("name", ["article.html", "forum.html"])
+    def test_page_valid(self, page_html, name):
+        assert parse(page_html[name]).valid is True
+
+    @pytest.mark.parametrize("name", ["article.html", "forum.html"])
+    def test_corrupted_page_invalid(self, page_html, name):
+        data = re.sub("</", "<", page_html[name], flags=re.I)
         assert parse(data).valid is False
 
 

@@ -1943,6 +1943,10 @@ class TestCrashRecovery:
         )
         rows = ds.take_all()
         assert os.path.exists(flag), "the planted worker death never fired"
+        # a duplicated row would collapse in the dict below: check the
+        # row multiset first
+        assert len(rows) == 200
+        assert sorted(row["doc_id"] for row in rows) == sorted(golden)
 
         result = {}
         for row in rows:

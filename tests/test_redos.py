@@ -259,12 +259,14 @@ class TestBoundedLane:
 
         sc = RedosSidecar()
         try:
-            assert sc.extract(ADVERSARIAL, None, None, 0.5) is None
+            assert sc.call(
+                kernel_extract, (ADVERSARIAL, None, None), 0.5
+            ) is None
             assert sc._proc is None  # killed, not lingering
             html = "<p>hello <b>world</b></p>"
-            assert sc.extract(html, None, None, 30.0) == kernel_extract(
-                html, None, None
-            )
+            assert sc.call(
+                kernel_extract, (html, None, None), 30.0
+            ) == kernel_extract(html, None, None)
         finally:
             sc._close()
 
@@ -337,15 +339,17 @@ class TestBoundedLane:
         sc = RedosSidecar()
         try:
             html = "<p>hello</p>"
-            assert sc.extract(html, None, None, 30.0) == kernel_extract(
-                html, None, None
-            )
+            assert sc.call(
+                kernel_extract, (html, None, None), 30.0
+            ) == kernel_extract(html, None, None)
             assert sc._spawn_ok
             monkeypatch.setattr(
                 sc, "_ensure",
                 lambda: (_ for _ in ()).throw(OSError("EAGAIN")),
             )
-            assert sc.extract(ADVERSARIAL, None, None, 1.0) is None
+            assert sc.call(
+                kernel_extract, (ADVERSARIAL, None, None), 1.0
+            ) is None
         finally:
             sc._close()
 
@@ -362,9 +366,9 @@ class TestBoundedLane:
         sc = RedosSidecar()
         try:
             html = "<p>hello respawn</p>"
-            assert sc.extract(html, None, None, 30.0) == kernel_extract(
-                html, None, None
-            )
+            assert sc.call(
+                kernel_extract, (html, None, None), 30.0
+            ) == kernel_extract(html, None, None)
             assert sc._spawn_ok
             # first _ensure/send attempt fails (child OOM-killed between
             # requests), the retry goes through the real spawn path
@@ -378,9 +382,9 @@ class TestBoundedLane:
                 real_ensure()
 
             sc._ensure = flaky_ensure
-            assert sc.extract(html, None, None, 30.0) == kernel_extract(
-                html, None, None
-            )
+            assert sc.call(
+                kernel_extract, (html, None, None), 30.0
+            ) == kernel_extract(html, None, None)
             assert calls["n"] == 2
         finally:
             sc._close()
@@ -400,9 +404,9 @@ class TestBoundedLane:
             lambda: (_ for _ in ()).throw(OSError("no spawn support")),
         )
         html = "<p>benign false positive</p>"
-        assert sc.extract(html, None, None, 1.0) == kernel_extract(
-            html, None, None
-        )
+        assert sc.call(
+            kernel_extract, (html, None, None), 1.0
+        ) == kernel_extract(html, None, None)
         assert not sc._spawn_ok
 
 
@@ -457,6 +461,53 @@ class TestBoundedSelectorClassifier:
         got = [(r["n_matches"], list(r["matches"])) for r in out.to_pylist()]
         assert got == [(n, txts) for n, txts in direct]
         assert got[0] == (2, ["before", "real text here"])
+
+    def test_selector_stage_count_only_flagged_docs(self, monkeypatch):
+        """Count-only SelectorStage (the columnar node-table path) over a
+        batch holding a plain doc, a prescan false positive and an
+        adversarial doc: the first two count exactly like select_document,
+        the third is bounded out (-1 per selector), and the batch is
+        prescanned once."""
+        from node_html_parser_ray.stages import extract_stage
+        from node_html_parser_ray.stages.selector_stage import (
+            SelectorStage,
+            select_document,
+        )
+
+        real_prescan = extract_stage.prescan_flags
+        calls = []
+
+        def counting_prescan(htmls, timeout):
+            calls.append(len(htmls))
+            return real_prescan(htmls, timeout)
+
+        monkeypatch.setattr(extract_stage, "prescan_flags", counting_prescan)
+        # long enough for the false positive's sidecar parse on a loaded
+        # host; the adversarial doc pays the whole bound
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "5.0")
+        sels = ["p", "div.c"]
+        plain = "<div class='c'><p>hi</p><p>yo</p></div><p>z</p>"
+        batch = pa.Table.from_pylist(
+            [
+                _spans_row("plain-1", plain),
+                _spans_row("fp-1", FLAGGED_FAST),
+                _spans_row("bad-1", ADVERSARIAL),
+            ],
+            schema=INPUT_SCHEMA,
+        )
+        stage = SelectorStage(sels, emit_text=False)
+        assert stage.columnar == set(sels)
+        out = stage(batch)
+        assert calls == [3]
+        got: dict[str, list[int]] = {}
+        for r in out.to_pylist():
+            got.setdefault(r["doc_id"], []).append(r["n_matches"])
+        for doc_id, html in (("plain-1", plain), ("fp-1", FLAGGED_FAST)):
+            direct = select_document(html, sels, None, False)
+            assert got[doc_id] == [n for n, _ in direct]
+        assert got["plain-1"] == [3, 1]
+        assert got["fp-1"] == [2, 1]
+        assert got["bad-1"] == [-1, -1]
 
     def test_classifier_bounds_adversarial(self, monkeypatch):
         from node_html_parser_ray.stages.classify import BoilerplateClassifier
@@ -520,32 +571,24 @@ class TestBoundedSelectorClassifier:
 
     def test_dom_api_query_bounds_adversarial(self, monkeypatch):
         """q_dom_api embeds corpus text raw in its synthesized html
-        (review finding) — flagged docs route through the lane; a
-        bounded-out doc emits (-1,-1,-1) sentinels."""
-        import numpy as np
-
+        (review finding) — flagged docs route through the lane, with the
+        same bounded_lane call q_dom_api makes; a bounded-out doc comes
+        back None (q_dom_api emits its (-1,-1,-1) sentinels for it)."""
         from node_html_parser_ray.stages.extract_stage import (
-            SIDECAR,
+            bounded_lane,
             dom_api_document,
-            prescan_flags,
         )
 
         text = "<a " + "a" * 40  # wild corpus text smuggling the shape
         html = f'<div id="d1" class="a b"> {text} <span>x</span> <!--c--> </div>'
-        flags = prescan_flags([html], 1.0)
-        assert flags is not None and bool(flags[0])
-        assert SIDECAR.call(
-            "node_html_parser_ray.stages.extract_stage",
-            "dom_api_document", (html,), 1.0,
-        ) is None
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
+        assert bounded_lane([html], dom_api_document) == {0: None}
         # FP parity: a benign flagged doc returns real values via the lane
         fp = f'<div id="d1" class="a b"> {FLAGGED_FAST} <span>x</span> <!--c--> </div>'
-        assert prescan_flags([fp], 1.0) is not None
-        res = SIDECAR.call(
-            "node_html_parser_ray.stages.extract_stage",
-            "dom_api_document", (fp,), 30.0,
-        )
-        assert res == tuple(dom_api_document(fp))
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
+        lane = bounded_lane([fp], dom_api_document)
+        assert list(lane) == [0]  # flagged, so it ran in the sidecar
+        assert lane[0] == tuple(dom_api_document(fp))
 
     def test_sidecar_child_exception_is_bounded_drop(self):
         """A function raising in the child returns None (this one doc is
@@ -555,9 +598,23 @@ class TestBoundedSelectorClassifier:
 
         sc = RedosSidecar()
         try:
-            assert sc.call("builtins", "int", ("not-a-number",), 30.0) is None
+            assert sc.call(int, ("not-a-number",), 30.0) is None
             # the sidecar survives the exception and still serves requests
-            assert sc.call("builtins", "int", ("17",), 30.0) == 17
+            assert sc.call(int, ("17",), 30.0) == 17
+        finally:
+            sc._close()
+
+    def test_sidecar_refuses_non_module_level_function(self):
+        """The child re-imports the function by its module and name, so a
+        function it could never resolve (lambda, closure) is refused in
+        the parent with TypeError — never sent, never a silent drop."""
+        from node_html_parser_ray.kernel.redos_lane import RedosSidecar
+
+        sc = RedosSidecar()
+        try:
+            with pytest.raises(TypeError):
+                sc.call(lambda html: html, ("<p>x</p>",), 30.0)
+            assert sc._proc is None  # refused before any spawn
         finally:
             sc._close()
 
