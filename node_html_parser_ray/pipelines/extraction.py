@@ -4,12 +4,13 @@ Target equivalent of SURVEY.md §3.1: ``read_parquet`` (Lance in prod) ->
 ``map_batches(extract_batch, batch_format="pyarrow")`` -> partitioned write
 with shard-granular checkpointing (state/manifest.py) and per-partition
 metrics.  The pipeline is shuffle-free: spans are ordered *within* each row
-(list column), so no sort/groupby touches the document stream; only the tiny
-per-shard metrics aggregate reads written data (column-pruned).
+(list column), so no sort/groupby touches the document stream; a shard's
+metrics are summed from its write tasks' returns, never read back.
 """
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Optional
 
 from ..sources import lance_io
@@ -54,45 +55,6 @@ def build_extraction_dataset(
     return ds
 
 
-_METRIC_FIELDS = ("n_nodes", "n_fixups", "n_bytes", "n_spans")
-
-
-def _aggregate_shard_metrics(shard_out_dir: str) -> dict:
-    """Column-pruned, DISTRIBUTED metrics rollup of a written shard.
-
-    Per-batch partial sums stream through ``map_batches``; the driver only
-    collects one tiny row per block.  (A direct table read would
-    materialize the shard's rows on the driver — O(corpus/shard_count) at
-    the 10^12-doc target, a driver OOM before the shard could commit.)
-    ``read_documents`` routes Lance datasets through ``read_lance`` when
-    the wheel is present and falls back to parquet otherwise.
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    ds = lance_io.read_documents(shard_out_dir, columns=["valid", "metrics"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        m = batch.column("metrics").combine_chunks()
-        row = {
-            "n_docs": [len(batch)],
-            "n_valid": [
-                pc.sum(pc.cast(batch.column("valid"), "int64")).as_py() or 0
-            ],
-        }
-        for f in _METRIC_FIELDS:
-            row[f] = [pc.sum(m.field(f)).as_py() or 0]
-        return pa.Table.from_pydict(row)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    tot = {
-        k: sum(int(r[k]) for r in parts)
-        for k in ("n_docs", "n_valid", *_METRIC_FIELDS)
-    }
-    tot["n_invalid"] = tot["n_docs"] - tot["n_valid"]
-    return tot
-
-
 def run_checkpointed(
     input_files: list[str],
     out_dir: str,
@@ -114,8 +76,6 @@ def run_checkpointed(
     ``partition_id=N/`` hive directories, giant documents routed to the
     dedicated salt range — see extract_stage.add_partition_column).
     """
-    import ray
-
     manifest = ShardManifest(out_dir)
     shards: list[list[str]] = [[] for _ in range(shard_count)]
     for i, path in enumerate(sorted(input_files)):
@@ -153,14 +113,12 @@ def run_checkpointed(
         )
         # overwrite any partial output from a crashed run (idempotent commit)
         if os.path.isdir(shard_out):
-            import shutil
-
             shutil.rmtree(shard_out)
-        backend = lance_io.write_output(
+        backend, metrics = lance_io.write_output(
             ds, shard_out,
             partition_cols=["partition_id"] if partition_output else None,
         )
-        metrics = _aggregate_shard_metrics(shard_out)
+        metrics["n_invalid"] = metrics["n_docs"] - metrics["n_valid"]
         manifest.commit(
             shard_id, files, metrics["n_docs"], metrics,
             fragments=lance_io.output_fragments(shard_out, backend),

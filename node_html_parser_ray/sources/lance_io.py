@@ -3,7 +3,7 @@
 BASELINE.json's ``input_hint`` names Lance tables as the production storage
 format; this container ships no ``lance`` wheel, so every entry point probes
 the import once and falls back to parquet.  The Lance code path is real —
-``ray.data.read_lance`` / ``Dataset.write_lance`` — and fragment ids are
+``ray.data.read_lance`` / Ray's ``LanceDatasink`` — and fragment ids are
 surfaced either way so :class:`~node_html_parser_ray.state.manifest.ShardManifest`
 can record per-shard lineage at fragment granularity (north_rule: "resumable
 from checkpoint with per-partition lineage").
@@ -14,13 +14,20 @@ At 10^12 docs the Lance advantages this module is shaped around:
   parquet's equivalent being file-granular input lists (what the fallback
   uses);
 * zero-copy Arrow batches out of ``read_lance`` (same contract as
-  ``read_parquet`` with ``batch_format="pyarrow"`` downstream);
-* column projection pushdown via ``columns=[...]`` in both backends.
+  ``read_parquet`` with ``batch_format="pyarrow"`` downstream).
 """
 from __future__ import annotations
 
 import os
 from typing import Optional, Sequence, Union
+
+import pyarrow.compute as pc
+import ray
+from ray.data import Datasink
+from ray.data._internal.datasource.lance_datasink import LanceDatasink
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import BlockAccessor
+from ray.data.datasource import WriteResult
 
 try:  # pragma: no cover - exercised only where the wheel exists
     import lance  # type: ignore
@@ -48,26 +55,16 @@ def is_lance_dataset(path: Union[str, Sequence[str]]) -> bool:
     )
 
 
-def read_documents(
-    path: Union[str, Sequence[str]],
-    *,
-    columns: Optional[list[str]] = None,
-    override_num_blocks: Optional[int] = None,
-):
+def read_documents(path: Union[str, Sequence[str]]):
     """``ray.data.read_lance`` when available and the path is Lance, else
-    ``read_parquet`` (column projection pushes down in both)."""
-    import ray
-
+    ``read_parquet``."""
     # a single-element file list may carry a Lance dataset dir (extract_job
     # passes the dataset through as one shard) — unwrap for detection
     if not isinstance(path, str) and len(path) == 1:
         path = path[0]
-    kwargs = {}
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
     if is_lance_dataset(path):
         if HAS_LANCE:
-            return ray.data.read_lance(path, columns=columns, **kwargs)
+            return ray.data.read_lance(path)
         # round-4 review: silently falling through scanned the .lance data
         # files as parquet and died with a cryptic Arrow error — name the
         # actual problem instead
@@ -76,14 +73,64 @@ def read_documents(
             "the lance wheel is not installed; install pylance or provide "
             "parquet input"
         )
-    return ray.data.read_parquet(path, columns=columns, **kwargs)
+    return ray.data.read_parquet(path)
 
 
-def write_output(
-    ds, out_dir: str, *, prefer_lance: bool = True,
-    partition_cols: Optional[list] = None,
-) -> str:
-    """Write a Dataset shard; returns the backend used ("lance"/"parquet").
+METRIC_KEYS = ("n_docs", "n_valid", "n_nodes", "n_fixups", "n_bytes", "n_spans")
+
+
+def _partial_sums(blocks) -> dict:
+    """Metric sums of one write task's extracted rows."""
+    out = dict.fromkeys(METRIC_KEYS, 0)
+    for block in blocks:
+        t = BlockAccessor.for_block(block).to_arrow()
+        if not t.num_rows:
+            continue  # an empty input file's block keeps the input schema
+        m = t.column("metrics").combine_chunks()
+        out["n_docs"] += t.num_rows
+        out["n_valid"] += pc.sum(pc.cast(t.column("valid"), "int64")).as_py() or 0
+        for f in METRIC_KEYS[2:]:  # fields of the per-doc metrics struct
+            out[f] += pc.sum(m.field(f)).as_py() or 0
+    return out
+
+
+class MetricsSink(Datasink):
+    """Wraps the backend's own sink: each write task also returns its rows'
+    metric sums, totalled into ``totals``.  Ray keeps the returns of
+    successful tasks only, so a retried task counts once."""
+
+    def __init__(self, inner: Datasink) -> None:
+        self.inner = inner
+        self.totals: Optional[dict] = None
+
+    def on_write_start(self) -> None:
+        self.inner.on_write_start()
+
+    def write(self, blocks, ctx):
+        blocks = list(blocks)  # the Lance sink calls next() on its input
+        return self.inner.write(iter(blocks), ctx), _partial_sums(blocks)
+
+    def on_write_complete(self, res: WriteResult) -> None:
+        self.inner.on_write_complete(WriteResult(
+            res.num_rows, res.size_bytes, [r for r, _ in res.write_returns]))
+        self.totals = {k: sum(p[k] for _, p in res.write_returns) for k in METRIC_KEYS}
+
+    def get_name(self) -> str:
+        return self.inner.get_name()
+
+    @property
+    def supports_distributed_writes(self) -> bool:
+        return self.inner.supports_distributed_writes
+
+    @property
+    def min_rows_per_write(self) -> Optional[int]:
+        return self.inner.min_rows_per_write
+
+
+def write_output(ds, out_dir: str, *,
+                 partition_cols: Optional[list] = None) -> tuple[str, dict]:
+    """Write a Dataset shard in one execution; returns the backend used
+    ("lance"/"parquet") and the shard's metric totals (``METRIC_KEYS``).
 
     ``partition_cols`` hive-partitions the parquet fallback (north_rule:
     per-partition output directories keyed on the salted doc_id hash); the
@@ -91,33 +138,28 @@ def write_output(
     Parquet writes disable dictionary encoding: mostly-unique text pages
     decode ~40x slower with it (measured round 1).
     """
-    if HAS_LANCE and prefer_lance:
-        ds.write_lance(out_dir)
-        return "lance"
-    if partition_cols:
-        ds.write_parquet(out_dir, partition_cols=partition_cols,
-                         use_dictionary=False)
-    else:
-        ds.write_parquet(out_dir, use_dictionary=False)
-    return "parquet"
+    if HAS_LANCE:
+        backend, inner = "lance", LanceDatasink(out_dir)
+    else:  # the sink Dataset.write_parquet builds, with its file names
+        backend, inner = "parquet", ParquetDatasink(
+            out_dir, partition_cols=partition_cols, dataset_uuid=ds._get_uuid(),
+            arrow_parquet_args={"use_dictionary": False})
+    ds.write_datasink(sink := MetricsSink(inner))
+    return backend, sink.totals
 
 
 def output_fragments(out_dir: str, backend: str) -> list[str]:
     """Fragment lineage of a written shard.
 
     Lance: real fragment ids from the dataset manifest.  Parquet: the
-    written file names (file == fragment at this granularity).
+    written file names (file == fragment at this granularity).  A zero-row
+    shard has no Lance commit, and Ray removes its empty parquet dir: [].
     """
-    if backend == "lance" and HAS_LANCE:
+    if backend == "lance" and HAS_LANCE and is_lance_dataset(out_dir):
         dataset = lance.dataset(out_dir)
         return [f"fragment:{frag.fragment_id}" for frag in dataset.get_fragments()]
-    if os.path.isdir(out_dir):
-        # walk: hive-partitioned shards keep files under partition_id=N/
-        out = []
-        for root, _, names in os.walk(out_dir):
-            rel = os.path.relpath(root, out_dir)
-            for f in names:
-                if f.endswith((".parquet", ".lance")):
-                    out.append(f if rel == "." else os.path.join(rel, f))
-        return sorted(out)
-    return []
+    # walk: hive-partitioned shards keep files under partition_id=N/
+    return sorted(
+        os.path.relpath(os.path.join(root, f), out_dir)
+        for root, _, names in os.walk(out_dir)
+        for f in names if f.endswith((".parquet", ".lance")))

@@ -27,6 +27,51 @@ def golden_spans(table: pa.Table) -> dict:
     return out
 
 
+def metrics_of(table: pa.Table) -> dict:
+    """A shard's lineage metrics, summed row by row from extracted output."""
+    rows = table.select(["valid", "metrics"]).to_pylist()
+    out = {"n_docs": len(rows), "n_valid": sum(r["valid"] for r in rows)}
+    for f in ("n_nodes", "n_fixups", "n_bytes", "n_spans"):
+        out[f] = sum(r["metrics"][f] for r in rows)
+    out["n_invalid"] = out["n_docs"] - out["n_valid"]
+    return out
+
+
+def use_fake_lance(monkeypatch) -> None:
+    """Run the Lance backend's code paths without the wheel: parquet files
+    on disk behind the same ``MetricsSink`` the Lance path uses, a
+    ``_versions/`` dir where Lance would commit (a write with rows), and a
+    mocked ``lance.dataset`` listing two fragments."""
+    from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+
+    from node_html_parser_ray.sources import lance_io
+
+    class _FakeFragment:
+        def __init__(self, i):
+            self.fragment_id = i
+
+    class _FakeLanceDataset:
+        def __init__(self, path):
+            self.path = path
+
+        def get_fragments(self):
+            return [_FakeFragment(0), _FakeFragment(1)]
+
+    class _FakeLance:
+        dataset = staticmethod(_FakeLanceDataset)
+
+    def fake_write(ds, out_dir, *, partition_cols=None):
+        sink = lance_io.MetricsSink(ParquetDatasink(out_dir))
+        ds.write_datasink(sink)
+        if sink.totals["n_docs"]:
+            os.makedirs(os.path.join(out_dir, "_versions"))
+        return "lance", sink.totals
+
+    monkeypatch.setattr(lance_io, "HAS_LANCE", True)
+    monkeypatch.setattr(lance_io, "lance", _FakeLance, raising=False)
+    monkeypatch.setattr(lance_io, "write_output", fake_write)
+
+
 class TestSpanEquality:
     def test_pipeline_matches_single_process(self, ray_session, tmp_path):
         """Span-sequence equality (kind, text, media_ref, order) per doc."""
@@ -271,7 +316,6 @@ class TestCheckpointResume:
         shards are skipped untouched, new shards commit with backend=lance
         and fragment-id lineage, and mixed-backend totals aggregate."""
         from node_html_parser_ray.pipelines.extraction import run_checkpointed
-        from node_html_parser_ray.sources import lance_io
         from node_html_parser_ray.state.manifest import ShardManifest
 
         src = str(tmp_path / "in")
@@ -281,33 +325,7 @@ class TestCheckpointResume:
         run_checkpointed(files[0::4], out, shard_count=1)
         assert ShardManifest(out).read(0)["backend"] == "parquet"
 
-        class _FakeFragment:
-            def __init__(self, i):
-                self.fragment_id = i
-
-        class _FakeLanceDataset:
-            def __init__(self, path):
-                self.path = path
-
-            def to_table(self, columns=None):
-                import pyarrow.parquet as pq
-
-                return pq.read_table(self.path, columns=columns)
-
-            def get_fragments(self):
-                return [_FakeFragment(0), _FakeFragment(1)]
-
-        class _FakeLance:
-            dataset = staticmethod(_FakeLanceDataset)
-
-        monkeypatch.setattr(lance_io, "HAS_LANCE", True)
-        monkeypatch.setattr(lance_io, "lance", _FakeLance, raising=False)
-
-        def fake_write(ds, out_dir, *, prefer_lance=True, partition_cols=None):
-            ds.write_parquet(out_dir, use_dictionary=False)
-            return "lance"
-
-        monkeypatch.setattr(lance_io, "write_output", fake_write)
+        use_fake_lance(monkeypatch)
 
         result = run_checkpointed(files, out, shard_count=4)
         assert 0 in result["skipped"]
@@ -319,6 +337,141 @@ class TestCheckpointResume:
         for r in ShardManifest(out).lineage():
             if r["backend"] == "lance":
                 assert all(f.startswith("fragment:") for f in r["fragments"])
+
+    @pytest.mark.parametrize("backend", ["parquet", "lance"])
+    def test_zero_row_shard_commits(self, ray_session, tmp_path, monkeypatch, backend):
+        """A shard whose input files hold no rows commits an empty record
+        (Ray removes its empty parquet dir; Lance commits nothing) instead
+        of crashing the run, and a second run skips it like any committed
+        shard."""
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+        from node_html_parser_ray.state.manifest import ShardManifest
+
+        if backend == "lance":
+            use_fake_lance(monkeypatch)
+        corpus = generate_documents(10, seed=12)
+        os.makedirs(tmp_path / "in")
+        files = [str(tmp_path / "in" / "a.parquet"), str(tmp_path / "in" / "b.parquet")]
+        pq.write_table(corpus, files[0])
+        pq.write_table(corpus.slice(0, 0), files[1])
+        out = str(tmp_path / "out")
+
+        first = run_checkpointed(files, out, shard_count=2)
+        assert sorted(first["ran"]) == [0, 1]
+        assert first["totals"]["n_docs"] == 10
+        empty = ShardManifest(out).read(1)
+        assert empty["input_files"] == [files[1]]
+        assert empty["row_count"] == 0
+        assert empty["metrics"] == dict.fromkeys(
+            ("n_docs", "n_valid", "n_nodes", "n_fixups", "n_bytes", "n_spans",
+             "n_invalid"), 0)
+        assert empty["fragments"] == []
+        assert empty["backend"] == backend
+        assert ShardManifest(out).read(0)["row_count"] == 10
+        if backend == "lance":
+            assert ShardManifest(out).read(0)["fragments"] == ["fragment:0", "fragment:1"]
+
+        second = run_checkpointed(files, out, shard_count=2)
+        assert second["ran"] == [] and sorted(second["skipped"]) == [0, 1]
+
+    @pytest.mark.parametrize("partition_output", [False, True])
+    def test_one_execution_per_shard_exact_metrics(
+        self, ray_session, tmp_path, monkeypatch, partition_output
+    ):
+        """Each shard is one dataset execution (one source read, none to
+        read the output back), and its committed metrics equal sums taken
+        from the rows it wrote."""
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+        from node_html_parser_ray.sources import lance_io
+
+        files = write_corpus(str(tmp_path / "in"), n_docs=90, seed=13, rows_per_file=15)
+        out = str(tmp_path / "out")
+        reads = []
+        real_read = lance_io.read_documents
+
+        def counting_read(*args, **kwargs):
+            reads.append(args)
+            return real_read(*args, **kwargs)
+
+        monkeypatch.setattr(lance_io, "read_documents", counting_read)
+        result = run_checkpointed(files, out, shard_count=3,
+                                  partition_output=partition_output,
+                                  num_partitions=8)
+        assert sorted(result["ran"]) == [0, 1, 2]
+        assert len(reads) == 3
+        assert result["totals"]["n_docs"] == 90
+        for rec in result["lineage"]:
+            shard_out = os.path.join(out, f"shard={rec['shard_id']:06d}")
+            want = metrics_of(pq.read_table(shard_out))
+            assert rec["metrics"] == want
+            assert rec["row_count"] == want["n_docs"] == 30
+
+    def test_metrics_sink_forwards_inner_sink_contract(self, ray_session):
+        """``MetricsSink`` around a sink standing in for Ray's Lance sink:
+        the inner ``on_write_complete`` receives exactly the inner write
+        returns, in task order, and the totals are the tasks' partial sums
+        (an empty input-schema block, as a 0-row file yields, counts 0)."""
+        import ray
+        from ray.data import Datasink
+        from ray.data.datasource import WriteResult
+
+        from node_html_parser_ray.sources import lance_io
+
+        class FakeInner(Datasink):
+            def __init__(self):
+                self.started, self.result = False, None
+
+            def on_write_start(self):
+                self.started = True
+
+            def write(self, blocks, ctx):
+                first = next(blocks)  # as Ray's Lance sink reads its input
+                return [("sentinel", len(first) + sum(len(b) for b in blocks))]
+
+            def on_write_complete(self, result):
+                self.result = result
+
+            def get_name(self):
+                return "Fake"
+
+            @property
+            def supports_distributed_writes(self):
+                return False
+
+            @property
+            def min_rows_per_write(self):
+                return 7
+
+        docs = generate_documents(30, seed=14)
+        table = extract_batch(docs)
+        tasks = [[table.slice(0, 10), table.slice(10, 5)],
+                 [docs.slice(0, 0)], [table.slice(15)]]
+        inner = FakeInner()
+        sink = lance_io.MetricsSink(inner)
+        assert sink.min_rows_per_write == 7
+        assert sink.get_name() == "Fake" and not sink.supports_distributed_writes
+        sink.on_write_start()
+        returns = [sink.write(iter(blocks), None) for blocks in tasks]
+        sink.on_write_complete(WriteResult(30, 1234, returns))
+        assert inner.started
+        assert inner.result.write_returns == [
+            [("sentinel", 15)], [("sentinel", 0)], [("sentinel", 15)]]
+        assert (inner.result.num_rows, inner.result.size_bytes) == (30, 1234)
+        want = metrics_of(table)
+        del want["n_invalid"]
+        assert sink.totals == want
+
+        # through Ray: the returns survive the write tasks' result blocks
+        inner = FakeInner()
+        sink = lance_io.MetricsSink(inner)
+        ray.data.from_arrow([table.slice(0, 12), table.slice(12)]).write_datasink(sink)
+        assert sorted(inner.result.write_returns) == [
+            [("sentinel", 12)], [("sentinel", 18)]]
+        assert sink.totals == want
 
 
 class TestPartitioning:
@@ -1956,6 +2109,37 @@ class TestCrashRecovery:
             ]
             result[row["doc_id"]] = (spans, row["valid"])
         assert result == golden
+
+    def test_write_path_worker_death_counted_once(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """A worker dying inside a checkpointed shard's write task: the
+        retried task's metrics come back once, so the committed metrics
+        equal a run without the crash."""
+        from node_html_parser_ray.pipelines import extraction
+
+        files = write_corpus(str(tmp_path / "in"), n_docs=120, seed=15, rows_per_file=30)
+        clean = extraction.run_checkpointed(files, str(tmp_path / "clean"), shard_count=2)
+
+        flag = str(tmp_path / "crashed_once")
+
+        def crash_once_then_extract(batch: pa.Table) -> pa.Table:
+            try:
+                fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return extract_batch(batch)
+            os.close(fd)
+            os._exit(1)  # hard process death, not a catchable exception
+
+        monkeypatch.setattr(extraction, "make_extract_batch",
+                            lambda options=None: crash_once_then_extract)
+        crashed = extraction.run_checkpointed(files, str(tmp_path / "out"), shard_count=2)
+        assert os.path.exists(flag), "the planted worker death never fired"
+        assert crashed["totals"]["n_docs"] == 120
+        assert crashed["totals"] == clean["totals"]
+        assert [r["metrics"] for r in crashed["lineage"]] == [
+            r["metrics"] for r in clean["lineage"]]
+        assert [r["row_count"] for r in crashed["lineage"]] == [60, 60]
 
     def test_actor_pool_death_restarted_exactly_once(
         self, ray_session, tmp_path
