@@ -6,12 +6,25 @@ with shard-granular checkpointing (state/manifest.py) and per-partition
 metrics.  The pipeline is shuffle-free: spans are ordered *within* each row
 (list column), so no sort/groupby touches the document stream; a shard's
 metrics are summed from its write tasks' returns, never read back.
+
+Shards run concurrently: a window of at most one shard execution per
+cluster CPU keeps the cluster busy while a shard finishes its last, slowest
+tasks.  Each shard commits its own manifest record as soon as its write
+returns, so commits land in completion order and a crash loses only the
+shards still in flight.  Windows were measured up to 4 (8 shards,
+``num_cpus=4`` on a 4-vCPU VM: window 4 beat window 2 in 12 of 12 paired
+runs, peak memory within 1%).  Larger windows are unmeasured: each
+execution budgets CPUs and object-store memory as if it had the cluster to
+itself.
 """
 from __future__ import annotations
 
 import os
 import shutil
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Optional
+
+import ray
 
 from ..sources import lance_io
 from ..stages.extract_stage import add_partition_column, make_extract_batch
@@ -66,10 +79,17 @@ def run_checkpointed(
 ) -> dict:
     """Run the extraction over input files with shard-granular resume.
 
-    Input files are grouped into ``shard_count`` shards; each shard streams
-    through the pipeline and commits a manifest entry with lineage metrics.
-    Already-committed shards are skipped at the source scan.  Returns the
-    run summary (shards run/skipped + aggregate metrics).
+    Input files are grouped into ``shard_count`` shards.  Every committed
+    shard's record is checked against its current files before any shard
+    runs, then the pending shards run concurrently, at most one per cluster
+    CPU at a time (one at a time on a cluster that reports less than one
+    CPU).  Each shard is one dataset execution that commits its
+    manifest entry with lineage metrics as soon as its write returns, so
+    commits land in completion order.  If a shard fails, no further shard
+    starts, the running ones finish and commit, and the first failure (in
+    shard order) is raised.  Already-committed shards are skipped at the
+    source scan.  Returns the run summary (shards run/skipped, in shard
+    order, and aggregate metrics).
 
     ``partition_output=True`` additionally hash-partitions each shard's
     parquet output by the salted doc_id partition (north_rule clause:
@@ -81,7 +101,7 @@ def run_checkpointed(
     for i, path in enumerate(sorted(input_files)):
         shards[i % shard_count].append(path)
 
-    ran, skipped = [], []
+    skipped, pending = [], []
     for shard_id, files in enumerate(shards):
         # the completeness check runs BEFORE the empty-shard skip: a shard
         # that committed files which are no longer in the input set maps to
@@ -93,7 +113,8 @@ def run_checkpointed(
             if sorted(committed) != sorted(files):
                 # the input set or shard_count changed since the committed
                 # run: skipping by id would silently drop the files now in
-                # this shard (and double-process others) — refuse instead
+                # this shard (and double-process others) — refuse instead,
+                # before any shard runs
                 raise ValueError(
                     f"resume mismatch for shard {shard_id}: the committed "
                     f"record covers {len(committed)} input file(s) that "
@@ -103,12 +124,13 @@ def run_checkpointed(
                     "re-sharded run."
                 )
             skipped.append(shard_id)
-            continue
-        if not files:
-            continue
+        elif files:
+            pending.append(shard_id)
+
+    def run_shard(shard_id: int) -> None:
         shard_out = os.path.join(out_dir, f"shard={shard_id:06d}")
         ds = build_extraction_dataset(
-            files, options, batch_size, num_partitions,
+            shards[shard_id], options, batch_size, num_partitions,
             with_partition_column=partition_output,
         )
         # overwrite any partial output from a crashed run (idempotent commit)
@@ -120,15 +142,28 @@ def run_checkpointed(
         )
         metrics["n_invalid"] = metrics["n_docs"] - metrics["n_valid"]
         manifest.commit(
-            shard_id, files, metrics["n_docs"], metrics,
+            shard_id, shards[shard_id], metrics["n_docs"], metrics,
             fragments=lance_io.output_fragments(shard_out, backend),
             backend=backend,
         )
-        ran.append(shard_id)
+
+    if pending:
+        # a cluster may report no CPU yet (an autoscaling head with
+        # num-cpus=0) or a fraction of one: the window is then 1
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        window = min(len(pending), max(1, cpus))
+        with ThreadPoolExecutor(window) as pool:
+            futures = [pool.submit(run_shard, s) for s in pending]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for f in futures:  # after a failure, start no further shard
+                f.cancel()
+        for f in futures:  # raises the first failure in shard order
+            if not f.cancelled():
+                f.result()
 
     lineage = manifest.lineage()
     total = {
         k: sum(r["metrics"].get(k, 0) for r in lineage)
         for k in ("n_docs", "n_valid", "n_invalid", "n_nodes", "n_fixups", "n_bytes", "n_spans")
     }
-    return {"ran": ran, "skipped": skipped, "totals": total, "lineage": lineage}
+    return {"ran": pending, "skipped": skipped, "totals": total, "lineage": lineage}

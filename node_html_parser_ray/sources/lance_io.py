@@ -19,6 +19,7 @@ At 10^12 docs the Lance advantages this module is shaped around:
 from __future__ import annotations
 
 import os
+import threading
 from typing import Optional, Sequence, Union
 
 import pyarrow.compute as pc
@@ -55,16 +56,26 @@ def is_lance_dataset(path: Union[str, Sequence[str]]) -> bool:
     )
 
 
+# Path-resolution race: building a reader or a sink resolves its path, and
+# without aiohttp Ray retries ``from fsspec.implementations.http import
+# HTTPFileSystem`` on every resolution.  Two threads retrying at once can see
+# the half-imported module and get ``ImportError``, which Ray does not catch
+# (it catches only ``ModuleNotFoundError``).  Shards are built and written
+# from several threads, so every reader and sink is built under this lock.
+_PATH_LOCK = threading.Lock()
+
+
 def read_documents(path: Union[str, Sequence[str]]):
     """``ray.data.read_lance`` when available and the path is Lance, else
-    ``read_parquet``."""
+    ``read_parquet``.  Safe to call from several threads at once."""
     # a single-element file list may carry a Lance dataset dir (extract_job
     # passes the dataset through as one shard) — unwrap for detection
     if not isinstance(path, str) and len(path) == 1:
         path = path[0]
     if is_lance_dataset(path):
         if HAS_LANCE:
-            return ray.data.read_lance(path)
+            with _PATH_LOCK:
+                return ray.data.read_lance(path)
         # round-4 review: silently falling through scanned the .lance data
         # files as parquet and died with a cryptic Arrow error — name the
         # actual problem instead
@@ -73,7 +84,8 @@ def read_documents(path: Union[str, Sequence[str]]):
             "the lance wheel is not installed; install pylance or provide "
             "parquet input"
         )
-    return ray.data.read_parquet(path)
+    with _PATH_LOCK:
+        return ray.data.read_parquet(path)
 
 
 METRIC_KEYS = ("n_docs", "n_valid", "n_nodes", "n_fixups", "n_bytes", "n_spans")
@@ -131,6 +143,7 @@ def write_output(ds, out_dir: str, *,
                  partition_cols: Optional[list] = None) -> tuple[str, dict]:
     """Write a Dataset shard in one execution; returns the backend used
     ("lance"/"parquet") and the shard's metric totals (``METRIC_KEYS``).
+    Safe to call from several threads at once.
 
     ``partition_cols`` hive-partitions the parquet fallback (north_rule:
     per-partition output directories keyed on the salted doc_id hash); the
@@ -138,12 +151,13 @@ def write_output(ds, out_dir: str, *,
     Parquet writes disable dictionary encoding: mostly-unique text pages
     decode ~40x slower with it (measured round 1).
     """
-    if HAS_LANCE:
-        backend, inner = "lance", LanceDatasink(out_dir)
-    else:  # the sink Dataset.write_parquet builds, with its file names
-        backend, inner = "parquet", ParquetDatasink(
-            out_dir, partition_cols=partition_cols, dataset_uuid=ds._get_uuid(),
-            arrow_parquet_args={"use_dictionary": False})
+    with _PATH_LOCK:
+        if HAS_LANCE:
+            backend, inner = "lance", LanceDatasink(out_dir)
+        else:  # the sink Dataset.write_parquet builds, with its file names
+            backend, inner = "parquet", ParquetDatasink(
+                out_dir, partition_cols=partition_cols, dataset_uuid=ds._get_uuid(),
+                arrow_parquet_args={"use_dictionary": False})
     ds.write_datasink(sink := MetricsSink(inner))
     return backend, sink.totals
 

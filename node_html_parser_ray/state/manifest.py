@@ -91,6 +91,10 @@ class ShardManifest:
         prod, written file names on the parquet fallback) so a reader can
         map any output fragment back to the exact input files that produced
         it (north_rule per-partition lineage clause).
+
+        Shards commit from several threads at once (``run_checkpointed``):
+        each commit writes its own ``mkstemp`` file and renames it onto its
+        own shard's record, so concurrent commits need no lock.
         """
         record = {
             "shard_id": shard_id,

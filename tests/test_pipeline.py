@@ -61,7 +61,9 @@ def use_fake_lance(monkeypatch) -> None:
         dataset = staticmethod(_FakeLanceDataset)
 
     def fake_write(ds, out_dir, *, partition_cols=None):
-        sink = lance_io.MetricsSink(ParquetDatasink(out_dir))
+        with lance_io._PATH_LOCK:  # shards write from several threads
+            inner = ParquetDatasink(out_dir)
+        sink = lance_io.MetricsSink(inner)
         ds.write_datasink(sink)
         if sink.totals["n_docs"]:
             os.makedirs(os.path.join(out_dir, "_versions"))
@@ -226,6 +228,24 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="resume mismatch"):
             run_checkpointed(files, out, shard_count=4)
 
+    def test_resume_mismatch_refused_before_any_shard_runs(self, ray_session, tmp_path):
+        """Every committed record is checked before any shard is
+        dispatched: a mismatch on shard 2 leaves shards 0 and 1 unrun, with
+        no output and no new manifest record."""
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+        from node_html_parser_ray.state.manifest import ShardManifest
+
+        src = str(tmp_path / "in")
+        files = sorted(write_corpus(src, n_docs=60, seed=4, rows_per_file=15))
+        out = str(tmp_path / "out")
+        # shard 2 of shard_count=4 is files[2::4]; commit it with files[3::4]
+        ShardManifest(out).commit(2, files[3::4], 15, {"n_docs": 15})
+        with pytest.raises(ValueError, match="resume mismatch"):
+            run_checkpointed(files, out, shard_count=4)
+        assert not os.path.exists(os.path.join(out, "shard=000000"))
+        assert not os.path.exists(os.path.join(out, "shard=000001"))
+        assert ShardManifest(out).completed_shards() == {2}
+
     def test_resume_refuses_removed_input_file(self, ray_session, tmp_path):
         """Round-4 review: a committed shard whose files were REMOVED from
         the input set maps to an empty current shard — the empty-shard
@@ -310,6 +330,33 @@ class TestCheckpointResume:
         assert m.completed_shards() == {0}
         assert len(m.lineage()) == 1
 
+    def test_concurrent_commits_all_land(self, tmp_path):
+        """Shards commit from several threads at once: every record lands
+        complete and no temp file is left behind."""
+        import sys
+        import threading
+
+        from node_html_parser_ray.state.manifest import ShardManifest
+
+        m = ShardManifest(str(tmp_path / "out"))
+        n = 32
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=m.commit, args=(s, [f"f{s}.parquet"], s, {"n_docs": s}))
+                for s in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert m.completed_shards() == set(range(n))
+        assert [r["metrics"]["n_docs"] for r in m.lineage()] == list(range(n))
+        assert not [f for f in os.listdir(m.dir) if f.endswith(".tmp")]
+
     def test_cross_backend_resume(self, ray_session, tmp_path, monkeypatch):
         """A manifest committed on the parquet fallback resumes correctly
         after Lance becomes available (mocked lance API): committed parquet
@@ -376,13 +423,16 @@ class TestCheckpointResume:
         second = run_checkpointed(files, out, shard_count=2)
         assert second["ran"] == [] and sorted(second["skipped"]) == [0, 1]
 
-    @pytest.mark.parametrize("partition_output", [False, True])
+    @pytest.mark.parametrize(
+        ("partition_output", "shard_count"), [(False, 3), (True, 3), (False, 6)],
+        ids=["False", "True", "False-6-shards"])
     def test_one_execution_per_shard_exact_metrics(
-        self, ray_session, tmp_path, monkeypatch, partition_output
+        self, ray_session, tmp_path, monkeypatch, partition_output, shard_count
     ):
         """Each shard is one dataset execution (one source read, none to
         read the output back), and its committed metrics equal sums taken
-        from the rows it wrote."""
+        from the rows it wrote.  Six shards are more than the session's
+        CPUs, so they run through a window smaller than the pending set."""
         import pyarrow.parquet as pq
 
         from node_html_parser_ray.pipelines.extraction import run_checkpointed
@@ -398,17 +448,88 @@ class TestCheckpointResume:
             return real_read(*args, **kwargs)
 
         monkeypatch.setattr(lance_io, "read_documents", counting_read)
-        result = run_checkpointed(files, out, shard_count=3,
+        result = run_checkpointed(files, out, shard_count=shard_count,
                                   partition_output=partition_output,
                                   num_partitions=8)
-        assert sorted(result["ran"]) == [0, 1, 2]
-        assert len(reads) == 3
+        assert sorted(result["ran"]) == list(range(shard_count))
+        assert len(reads) == shard_count
         assert result["totals"]["n_docs"] == 90
         for rec in result["lineage"]:
             shard_out = os.path.join(out, f"shard={rec['shard_id']:06d}")
             want = metrics_of(pq.read_table(shard_out))
             assert rec["metrics"] == want
-            assert rec["row_count"] == want["n_docs"] == 30
+            assert rec["row_count"] == want["n_docs"] == 90 // shard_count
+
+    def test_shards_run_concurrently_ran_in_shard_order(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """Two shards on the 4-CPU session write at the same time and each
+        commits when its write returns; ``ran`` stays in shard order even
+        when shard 1 finishes first."""
+        import time
+
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+        from node_html_parser_ray.sources import lance_io
+
+        files = write_corpus(str(tmp_path / "in"), n_docs=60, seed=17, rows_per_file=30)
+        out = str(tmp_path / "out")
+        calls = {}
+        real_write = lance_io.write_output
+
+        def recording_write(ds, out_dir, **kwargs):
+            start = time.monotonic()
+            backend_metrics = real_write(ds, out_dir, **kwargs)
+            calls[os.path.basename(out_dir)] = (start, time.monotonic())
+            if out_dir.endswith("shard=000000"):
+                time.sleep(1.0)  # shard 0 finishes last
+            return backend_metrics
+
+        monkeypatch.setattr(lance_io, "write_output", recording_write)
+        result = run_checkpointed(files, out, shard_count=2)
+        (start0, end0), (start1, end1) = calls["shard=000000"], calls["shard=000001"]
+        assert start0 < end1 and start1 < end0  # the two writes overlap
+        assert result["ran"] == [0, 1]
+        committed = {r["shard_id"]: r["committed_at"] for r in result["lineage"]}
+        assert committed[1] < committed[0]  # commits in completion order
+
+    @pytest.mark.parametrize("resources", [{}, {"CPU": 0.5}],
+                             ids=["no-cpu", "fractional-cpu"])
+    def test_cluster_without_whole_cpu_runs_shards_in_sequence(
+        self, ray_session, tmp_path, monkeypatch, resources
+    ):
+        """A cluster that reports no CPU yet (an autoscaling head with
+        num-cpus=0) or less than one gets a window of 1: every shard still
+        runs and commits, one write at a time."""
+        import threading
+        import types
+
+        from node_html_parser_ray.pipelines import extraction
+        from node_html_parser_ray.sources import lance_io
+
+        files = write_corpus(str(tmp_path / "in"), n_docs=40, seed=19, rows_per_file=20)
+        out = str(tmp_path / "out")
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+        real_write = lance_io.write_output
+
+        def counting_write(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                return real_write(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        # only the window reads these; Ray Data keeps the session's real ones
+        monkeypatch.setattr(extraction, "ray",
+                            types.SimpleNamespace(cluster_resources=lambda: resources))
+        monkeypatch.setattr(lance_io, "write_output", counting_write)
+        result = extraction.run_checkpointed(files, out, shard_count=2)
+        assert result["ran"] == [0, 1]
+        assert sorted(r["shard_id"] for r in result["lineage"]) == [0, 1]
+        assert result["totals"]["n_docs"] == 40
+        assert peak[0] == 1
 
     def test_metrics_sink_forwards_inner_sink_contract(self, ray_session):
         """``MetricsSink`` around a sink standing in for Ray's Lance sink:
@@ -2140,6 +2261,45 @@ class TestCrashRecovery:
         assert [r["metrics"] for r in crashed["lineage"]] == [
             r["metrics"] for r in clean["lineage"]]
         assert [r["row_count"] for r in crashed["lineage"]] == [60, 60]
+
+    def test_failing_shard_keeps_running_shards(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """A shard that fails does not discard the shards running beside
+        it: they finish and commit with a clean run's metrics, the failure
+        is raised after them, and a rerun runs only the failed shard."""
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.pipelines import extraction
+        from node_html_parser_ray.state.manifest import ShardManifest
+
+        files = sorted(write_corpus(str(tmp_path / "in"), n_docs=120, seed=16,
+                                    rows_per_file=30))
+        clean = extraction.run_checkpointed(files, str(tmp_path / "clean"), shard_count=4)
+        # shard 0 of shard_count=4 over sorted files is files[0]
+        shard0_docs = set(pq.read_table(files[0], columns=["doc_id"])
+                          .column("doc_id").to_pylist())
+
+        def fail_on_shard0(batch: pa.Table) -> pa.Table:
+            if shard0_docs.intersection(batch.column("doc_id").to_pylist()):
+                raise RuntimeError("planted failure in shard 0")
+            return extract_batch(batch)
+
+        monkeypatch.setattr(extraction, "make_extract_batch",
+                            lambda options=None: fail_on_shard0)
+        out = str(tmp_path / "out")
+        with pytest.raises(Exception, match="planted failure in shard 0"):
+            extraction.run_checkpointed(files, out, shard_count=4)
+        assert ShardManifest(out).completed_shards() == {1, 2, 3}
+        want = {r["shard_id"]: r["metrics"] for r in clean["lineage"]}
+        for r in ShardManifest(out).lineage():
+            assert r["metrics"] == want[r["shard_id"]]
+
+        monkeypatch.undo()
+        rerun = extraction.run_checkpointed(files, out, shard_count=4)
+        assert rerun["ran"] == [0]
+        assert rerun["skipped"] == [1, 2, 3]
+        assert rerun["totals"] == clean["totals"]
 
     def test_actor_pool_death_restarted_exactly_once(
         self, ray_session, tmp_path
