@@ -19,9 +19,7 @@ from .entities import decode, encode
 from .extract import (
     assemble_document,
     extract_spans,
-    flatten_tree,
     parse_and_extract,
-    unflatten_tree,
 )
 from .parser import (
     K_BLOCK_TEXT_ELEMENTS,
@@ -50,11 +48,9 @@ __all__ = [
     "decode",
     "encode",
     "extract_spans",
-    "flatten_tree",
     "is_block",
     "parse",
     "parse_and_extract",
     "query_selector",
     "query_selector_all",
-    "unflatten_tree",
 ]

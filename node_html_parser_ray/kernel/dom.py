@@ -55,6 +55,48 @@ K_BLOCK_ELEMENTS = frozenset(("div", "p", "li", "td", "section", "br"))
 _REMOVE = object()
 
 
+def id_and_classes(raw_attrs: str) -> tuple[str, list[str]]:
+    """``(id, class_names)`` of an open tag's attribute text: the eager
+    kIdClassAttributePattern scan of the element constructor
+    (src/index.ts:183-193).  Leading or trailing whitespace does not change
+    the result.
+
+    The reference's /i flag also matches ``ID=``, but its ``keyAttrs.id``
+    lookup is case-sensitive, so only lowercase keys count — and the scan is
+    skipped when neither substring occurs.
+    """
+    if not raw_attrs or ("id" not in raw_attrs and "class" not in raw_attrs):
+        return "", []
+    key_attrs: dict[str, str] = {}
+    for m in _ID_CLASS_ATTR_RE.finditer(raw_attrs):
+        key = m.group(2)
+        if key:
+            key_attrs[key] = m.group(4) or m.group(5) or m.group(6) or ""
+    cls = key_attrs.get("class")
+    return key_attrs.get("id") or "", js_ws_split(cls) if cls else []
+
+
+def raw_attribute_map(raw_attrs: str) -> dict[str, str]:
+    """kAttributePattern over an open tag's attribute text: key -> still
+    escaped value, later keys win (src/index.ts:560-574).  Leading or
+    trailing whitespace does not change the result."""
+    attrs: dict[str, str] = {}
+    if raw_attrs:
+        for m in _ATTR_RE.finditer(raw_attrs):
+            key = m.group(1)
+            if key:
+                attrs[key] = m.group(4) or m.group(5) or m.group(6) or ""
+    return attrs
+
+
+def attribute_map(raw_attrs: str) -> dict[str, str]:
+    """Entity-decoded :func:`raw_attribute_map` (src/index.ts:524-545)."""
+    attrs = raw_attribute_map(raw_attrs)
+    for k, v in attrs.items():
+        attrs[k] = decode(v)
+    return attrs
+
+
 class AbstractNode:
     """Base node (reference src/index.ts:24-57)."""
 
@@ -191,28 +233,13 @@ class HTMLElement(AbstractNode):
         self.parent_node = parent_node
         self._attrs: Optional[dict[str, str]] = None
         self._raw_attrs: Optional[dict[str, str]] = None
-        self.id = ""
-        self.class_names: list[str] = []
         # parse() sets this on the fictive root (src/index.ts:1001).
         self.valid = True
-        # Fast path: the eager id/class scan only ever affects output via
-        # exact-lowercase 'id'/'class' keys (the reference's /i regex also
-        # matches 'ID=' but keyAttrs.id is a case-sensitive lookup,
-        # src/index.ts:186-193), so skip the scan when neither substring
-        # occurs.
-        if raw_attrs and ("id" in raw_attrs or "class" in raw_attrs):
-            key_attrs: dict[str, str] = {}
-            for m in _ID_CLASS_ATTR_RE.finditer(raw_attrs):
-                key = m.group(2)
-                if key:
-                    key_attrs[key] = m.group(4) or m.group(5) or m.group(6) or ""
-            # NB: the reference's /i flag lets `ID=` match, but the shortcut
-            # lookup is case-sensitive (keyAttrs.id), so only lowercase keys
-            # populate the shortcuts (src/index.ts:186-193).
-            if key_attrs.get("id"):
-                self.id = key_attrs["id"]
-            if key_attrs.get("class"):
-                self.class_names = js_ws_split(key_attrs["class"])
+        if raw_attrs:  # most elements have none: skip the call
+            self.id, self.class_names = id_and_classes(raw_attrs)
+        else:
+            self.id = ""
+            self.class_names: list[str] = []
 
     # -- child management (reference src/index.ts:199-216, 483-502) --------
 
@@ -449,17 +476,9 @@ class HTMLElement(AbstractNode):
     @property
     def raw_attributes(self) -> dict[str, str]:
         """Lazy parse of raw_attrs via kAttributePattern (src/index.ts:560-574)."""
-        if self._raw_attrs is not None:
-            return self._raw_attrs
-        attrs: dict[str, str] = {}
-        if self.raw_attrs:
-            for m in _ATTR_RE.finditer(self.raw_attrs):
-                key = m.group(1)
-                value = m.group(4) or m.group(5) or m.group(6) or ""
-                if key:
-                    attrs[key] = value
-        self._raw_attrs = attrs
-        return attrs
+        if self._raw_attrs is None:
+            self._raw_attrs = raw_attribute_map(self.raw_attrs)
+        return self._raw_attrs
 
     @property
     def attributes(self) -> dict[str, str]:

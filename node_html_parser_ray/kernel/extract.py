@@ -26,21 +26,22 @@ FIXTURES.md §2): for each document, an ordered span sequence where
 Also provides: document assembly from interleaved input spans (html fragments
 concatenated in offset order, media spans injected as ``<img>`` void-element
 placeholders that cannot perturb tree construction — ``img`` participates in
-no kElementsClosedByOpening rule and never takes children), and a flattened
-columnar tree encoding for cross-stage transfer without re-parsing.
+no kElementsClosedByOpening rule and never takes children).
+
+``extract_spans`` walks the object tree; ``fast_extract.extract_spans_into``
+is the same walk over ``parser.flat_parse``'s flat tree and is what the
+pipeline runs.  This object walk is the reference the flat walk is tested
+against.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from .dom import (
-    COMMENT_NODE,
     ELEMENT_NODE,
     K_BLOCK_ELEMENTS,
     TEXT_NODE,
-    CommentNode,
     HTMLElement,
-    TextNode,
     _MULTI_WS_RE,
 )
 from .jsregex import js_trim
@@ -52,8 +53,6 @@ __all__ = [
     "assemble_document",
     "extract_spans",
     "parse_and_extract",
-    "flatten_tree",
-    "unflatten_tree",
 ]
 
 # Output media kind per source element tag.
@@ -190,67 +189,3 @@ def parse_and_extract(
     spans = extract_spans(root, media_map)
     return spans, root.valid, metrics
 
-
-# ---------------------------------------------------------------------------
-# Flattened columnar tree encoding (SURVEY.md §1.2): parallel arrays per doc
-# so selector/extraction stages can consume a parsed tree from an Arrow block
-# without re-parsing.  node ids are pre-order; childNodes order = increasing
-# node_id under a parent.
-# ---------------------------------------------------------------------------
-
-
-def flatten_tree(root: HTMLElement) -> dict[str, list]:
-    """Serialise a tree to parallel arrays (pre-order, root = node 0)."""
-    node_ids: list[int] = []
-    parent_ids: list[int] = []
-    kinds: list[int] = []
-    tags: list[str] = []
-    texts: list[str] = []
-    attrs: list[str] = []
-
-    stack: list[tuple[object, int]] = [(root, -1)]
-    while stack:
-        node, parent_id = stack.pop()
-        nid = len(node_ids)
-        node_ids.append(nid)
-        parent_ids.append(parent_id)
-        kinds.append(node.node_type)
-        if isinstance(node, HTMLElement):
-            tags.append(node.tag_name)
-            texts.append("")
-            attrs.append(node.raw_attrs)
-            stack.extend((c, nid) for c in reversed(node.child_nodes))
-        else:
-            tags.append("")
-            texts.append(node.value)
-            attrs.append("")
-    return {
-        "node_id": node_ids,
-        "parent_id": parent_ids,
-        "kind": kinds,
-        "tag": tags,
-        "text": texts,
-        "attrs": attrs,
-    }
-
-
-def unflatten_tree(flat: dict[str, Sequence]) -> HTMLElement:
-    """Rebuild a tree from :func:`flatten_tree` output."""
-    kinds = flat["kind"]
-    tags = flat["tag"]
-    texts = flat["text"]
-    attrs = flat["attrs"]
-    parent_ids = flat["parent_id"]
-    nodes: list = [None] * len(kinds)
-    for i in range(len(kinds)):
-        k = kinds[i]
-        if k == ELEMENT_NODE:
-            nodes[i] = HTMLElement(tags[i], attrs[i])
-        elif k == TEXT_NODE:
-            nodes[i] = TextNode(texts[i])
-        else:
-            nodes[i] = CommentNode(texts[i])
-        pid = parent_ids[i]
-        if pid >= 0:
-            nodes[pid].append_child(nodes[i])
-    return nodes[0]

@@ -1,71 +1,30 @@
-"""Extraction-only flat-array fast path: spans without DOM node objects.
+"""The span walk over the flat tree: spans without DOM node objects.
 
-The object kernel (`parser.parse` -> `extract.extract_spans`) allocates one
-Python object per DOM node; at 32 CPUs that allocation traffic is the
-single-node memory-bandwidth limiter of the flagship pipeline (round-1
-scaling finding).  This module re-runs the SAME algorithm — the reference's
-single-pass tokenizer (src/index.ts:833-1028), implicit-close /
-raw-text / void handling, the pair/single-error repair pass
-(src/index.ts:1000-1026) and the structuredText-style span walk
-(src/index.ts:231-268) — over flat parallel arrays of ints and strings.
-No HTMLElement / TextNode is ever constructed.
+``extract_spans_into`` runs :func:`parser.flat_parse` and walks its flat
+tree with the structuredText-style span walk (reference
+src/index.ts:231-268) of :func:`extract.extract_spans`, which walks the
+object tree ``parse()`` materialises.  No HTMLElement / TextNode is ever
+constructed: the object allocation traffic is what limits the flagship
+pipeline's memory bandwidth at high CPU counts.  Comment slots (tag
+``None``) are elements without kids or media, so the walk passes over them.
 
-Node encoding: element ids are non-negative indexes into the parallel
-element arrays (tag/val/kids/par); text nodes are encoded directly in the
-child lists as ``-(text_index + 2)`` into one flat ``texts`` list (-1 is
-the walk's POST-flush marker).  Comments are counted, never stored — the
-span walk ignores them and nothing downstream reads them.
-
-Bit-exactness contract: for every input, ``extract_spans_fast(html,
-media_map, options)`` returns exactly what ``extract_spans(parse(html,
-options), media_map)`` returns, plus identical ``valid`` and metrics.
-Enforced by differential tests (tests/test_fast_extract.py): the pathology
-corpus, the reference's html fixtures, and hypothesis-generated tag soup.
+For every input both walks return the same spans; the differential tests
+(tests/test_fast_extract.py) check that, with ``valid`` and the metrics.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .dom import (
-    K_BLOCK_ELEMENTS,
-    _ATTR_RE,
-    _MULTI_WS_RE,
-    _WHITESPACE_RE,
-)
+from .dom import K_BLOCK_ELEMENTS, _MULTI_WS_RE, _WHITESPACE_RE, attribute_map
 from .entities import decode
+from .extract import MEDIA_PLACEHOLDER_ATTR as _MEDIA_PLACEHOLDER_ATTR
+from .extract import MEDIA_TAG_KINDS as _MEDIA_TAG_KINDS
 from .jsregex import js_trim
-from .parser import (
-    K_BLOCK_TEXT_ELEMENTS,
-    K_ELEMENTS_CLOSED_BY_OPENING,
-    K_SELF_CLOSING,
-    KMARKUP,
-    ParseMetrics,
-)
+from .parser import ParseMetrics, flat_parse
 
 __all__ = ["extract_spans_fast", "extract_spans_into"]
 
 _ASCII_WS = "\t\n\v\f\r "
-
-# media handling shares kernel.extract's single definition (extract.py never
-# imports this module, so there is no cycle)
-from .extract import MEDIA_PLACEHOLDER_ATTR as _MEDIA_PLACEHOLDER_ATTR
-from .extract import MEDIA_TAG_KINDS as _MEDIA_TAG_KINDS
-
-
-def _attributes(raw_attrs: str) -> dict[str, str]:
-    """Decoded attribute map, identical to HTMLElement.attributes.
-
-    The object path stores ``js_trim(attrs)`` at construction and parses
-    lazily with kAttributePattern; trimming cannot change the token matches,
-    so applying it here (only for the rare media elements) is equivalent.
-    """
-    out: dict[str, str] = {}
-    if raw_attrs:
-        for m in _ATTR_RE.finditer(js_trim(raw_attrs)):
-            key = m.group(1)
-            if key:
-                out[key] = decode(m.group(4) or m.group(5) or m.group(6) or "")
-    return out
 
 
 def extract_spans_fast(
@@ -74,8 +33,8 @@ def extract_spans_fast(
     options: Optional[dict] = None,
     metrics: Optional[ParseMetrics] = None,
 ) -> tuple[list[tuple[str, str, str, int]], bool]:
-    """Tokenize + repair + span walk; returns ``([(kind, text, media_ref,
-    order), ...], valid)`` — the differential-test surface.
+    """Parse + span walk; returns ``([(kind, text, media_ref, order), ...],
+    valid)`` — the differential-test surface.
 
     Thin wrapper over :func:`extract_spans_into` (the batch hot path emits
     into flat builders and never builds these tuples).
@@ -97,164 +56,15 @@ def extract_spans_into(
     out_texts: list[str],
     out_refs: list[str],
 ) -> tuple[int, bool]:
-    """Tokenize + repair + span walk over flat arrays, emitting spans
-    DIRECTLY into the caller's flat column builders (no per-span tuple —
-    round-2 verdict #5); returns (n_spans, valid).  ``order`` is implied:
-    span i of the document is order i, so the caller derives the column
-    from its offsets (vectorized), never per span.
-
-    Mirrors parser.parse (reference src/index.ts:833-1028) statement for
-    statement — see that module's comments for the reference line map.
+    """:func:`parser.flat_parse` + span walk, emitting spans DIRECTLY into
+    the caller's flat column builders (no per-span tuple); returns
+    (n_spans, valid).  ``order`` is implied: span i of the
+    document is order i, so the caller derives the column from its offsets
+    (vectorized), never per span.
     """
-    opts = options or {}
-    lower_case = bool(opts.get("lowerCaseTagName"))
-    keep_comments = bool(opts.get("comment"))
+    tag, val, kids, _, texts, valid = flat_parse(data, options, metrics)
 
-    # element arrays (id = index); root = element 0
-    tag: list[str] = [""]
-    val: list[str] = [""]          # RAW attrs substring (read for media only)
-    kids: list[list[int]] = [[]]
-    par: list[int] = [-1]
-    texts: list[str] = []          # text nodes, encoded as -(idx+2) in kids
-
-    cur_kids = kids[0]
-    cur = 0
-    stack: list[int] = [0]
-    last_text_pos = 0
-    pos = 0
-    data_len = len(data)
-    n_elements = 0
-    n_text = 0
-    n_comments = 0
-
-    # local aliases: the token loop is pure interpreter time, and attribute
-    # lookups per token are a measurable share of it
-    search = KMARKUP.search
-    tag_append = tag.append
-    val_append = val.append
-    kids_append = kids.append
-    par_append = par.append
-    texts_append = texts.append
-    stack_append = stack.append
-    stack_pop = stack.pop
-    closed_get = K_ELEMENTS_CLOSED_BY_OPENING.get
-    while pos <= data_len:
-        m = search(data, pos)
-        if m is None:
-            break
-        m_start, m_end = m.span()
-        if last_text_pos < m_start:
-            cur_kids.append(-2 - len(texts))
-            texts_append(data[last_text_pos:m_start])
-            n_text += 1
-        last_text_pos = m_end
-        pos = m_end
-
-        close_g, t, attrs, self_g = m.group(1, 2, 3, 4)
-        if t is None:  # comment match (no tag group)
-            if keep_comments:
-                # the walk skips comments; only the count is observable
-                n_comments += 1
-            continue
-        if lower_case:
-            t = t.lower()
-        is_closing = close_g != ""
-        is_self_syntax = self_g != ""
-
-        if not is_closing:
-            if not is_self_syntax:
-                closed_by = closed_get(tag[cur])
-                if closed_by is not None and t in closed_by:
-                    stack_pop()
-                    cur = stack[-1] if stack else 0
-                    cur_kids = kids[cur]
-            nid = len(tag)
-            tag_append(t)
-            val_append(attrs or "")
-            child_list: list[int] = []
-            kids_append(child_list)
-            par_append(cur)
-            cur_kids.append(nid)
-            cur = nid
-            cur_kids = child_list
-            n_elements += 1
-            stack_append(cur)
-            if t in K_BLOCK_TEXT_ELEMENTS:
-                close_markup = "</" + t + ">"
-                index = data.find(close_markup, pos)
-                if opts.get(t):
-                    text = data[pos:] if index == -1 else data[pos:index]
-                    if text:
-                        cur_kids.append(-2 - len(texts))
-                        texts_append(text)
-                        n_text += 1
-                if index == -1:
-                    last_text_pos = pos = data_len + 1
-                else:
-                    last_text_pos = pos = index + len(close_markup)
-                    is_closing = True
-
-        if is_closing or is_self_syntax or t in K_SELF_CLOSING:
-            if is_closing and t in K_SELF_CLOSING:
-                continue
-            while True:
-                if tag[cur] == t:
-                    stack_pop()
-                    cur = stack[-1] if stack else 0
-                    break
-                elif len(stack) > 1:
-                    stack_pop()
-                    cur = stack[-1] if stack else 0
-                else:
-                    break
-            cur_kids = kids[cur]
-
-    if last_text_pos < data_len:
-        kids[0].append(-2 - len(texts))
-        texts.append(data[last_text_pos:])
-        n_text += 1
-
-    # malformed repair (reference src/index.ts:1000-1026); identical moves
-    valid = len(stack) == 1
-    n_fixups = 0
-    while len(stack) > 1:
-        n_fixups += 1
-        last = stack.pop()
-        one_before = stack[-1] if stack else 0
-        p = par[last]
-        if p >= 0 and par[p] >= 0:
-            kl = kids[one_before]
-            if p == one_before and tag[last] == tag[one_before]:
-                # pair error: children to the grandparent, extra pop
-                if last in kl:
-                    kl.remove(last)
-                par[last] = -1
-                target = par[one_before]
-                if stack:
-                    stack.pop()
-            else:
-                # single error: children reattach to the parent
-                if last in kl:
-                    kl.remove(last)
-                par[last] = -1
-                target = one_before
-            moved = kids[last]
-            if moved:
-                kids[target].extend(moved)
-                for c in moved:
-                    if c >= 0:
-                        par[c] = target
-
-    if metrics is not None:
-        metrics.n_elements = n_elements
-        metrics.n_text = n_text
-        metrics.n_comments = n_comments
-        metrics.n_nodes = n_elements + n_text + n_comments
-        metrics.n_fixups = n_fixups
-        metrics.n_bytes = data_len
-        metrics.valid = valid
-
-    # ---- span walk (identical to kernel.extract.extract_spans) ----------
+    # span walk: kernel.extract.extract_spans over the flat tree
     n_spans = 0
     block: list[str] = []
     prepend_ws = False
@@ -278,7 +88,7 @@ def extract_spans_into(
                     block.clear()
                     prepend_ws = False
                 placeholder = None
-                attrs = _attributes(val[nid])
+                attrs = attribute_map(val[nid])
                 if media_map:
                     idx = attrs.get(_MEDIA_PLACEHOLDER_ATTR)
                     # document-controlled value: only well-formed small ints

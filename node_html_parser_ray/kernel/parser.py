@@ -1,4 +1,4 @@
-"""Single-pass tokenizer + stack-based tree builder with malformed-HTML repair.
+"""The one tokenizer and repair pass, and the object DOM built from it.
 
 From-scratch Python implementation of the parse algorithm specified by the
 reference (``/root/reference/src/index.ts:833-1028``): one regex alternation
@@ -7,6 +7,12 @@ closes (kElementsClosedByOpening), raw-text elements (script/noscript/style/
 pre), void elements (kSelfClosingElements) and aggressive unwind on close
 tags; a post-pass repairs leftover unclosed elements (pair-error vs
 single-error) and sets ``root.valid``.
+
+:func:`flat_parse` is that algorithm, writing the tree into flat parallel
+lists without a node object; the span walk (``fast_extract``) and the
+selector node table (``stages/flat_select``) read those lists directly.
+:func:`parse` materialises them into ``HTMLElement`` / ``TextNode`` /
+``CommentNode`` objects.
 
 This is a *pure function of the input string* — deterministic and idempotent,
 so Ray task retries are safe.  All regexes are compiled at module import,
@@ -20,7 +26,7 @@ from typing import Optional
 from .dom import CommentNode, HTMLElement, TextNode
 from .jsregex import _JS_WS_CHARS, WS, js_trim
 
-__all__ = ["parse", "ParseMetrics", "PATHOLOGICAL", "PATHOLOGICAL_RE2",
+__all__ = ["flat_parse", "parse", "ParseMetrics", "PATHOLOGICAL", "PATHOLOGICAL_RE2",
            "is_pathological"]
 
 # reference src/index.ts:833 — kMarkupPattern, translated:
@@ -276,12 +282,23 @@ class ParseMetrics:
         self.valid = True
 
 
-def parse(
+def flat_parse(
     data: str,
     options: Optional[dict] = None,
     metrics: Optional[ParseMetrics] = None,
-) -> HTMLElement:
-    """Parse HTML, returning a fictive root element with ``valid`` set.
+) -> tuple[list, list[str], list[list[int]], list[int], list[str], bool]:
+    """Tokenize and repair ``data`` into the flat tree; the only tokenizer.
+
+    Returns ``(tag, val, kids, par, texts, valid)``.  Elements are indexes
+    into the parallel lists ``tag`` / ``val`` (the raw, untrimmed attribute
+    text of the open tag) / ``kids`` / ``par``, in creation order; element 0
+    is the fictive root.  ``kids[i]`` lists element ids (``>= 0``) and text
+    nodes, encoded as ``-(j + 2)`` for ``texts[j]``.  ``par[i]`` is element
+    ``i``'s ``parent_node``: -1 for the root and for elements the repair
+    pass detached, and always lower than ``i``.  A comment is stored, only
+    when ``options["comment"]`` is set, as an element slot whose tag is
+    ``None`` and whose ``val`` is the comment text (its ``par`` is unused:
+    comments have no ``parent_node``).  ``valid`` is ``root.valid``.
 
     ``options`` mirrors the reference's ParsingOptions
     (``lowerCaseTagName`` / ``script`` / ``style`` / ``pre`` / ``comment``;
@@ -293,72 +310,85 @@ def parse(
     lower_case = bool(opts.get("lowerCaseTagName"))
     keep_comments = bool(opts.get("comment"))
 
-    root = HTMLElement("")
-    current = root
-    stack: list[HTMLElement] = [root]
+    tag: list = [""]
+    val: list[str] = [""]
+    kids: list[list[int]] = [[]]
+    par: list[int] = [-1]
+    texts: list[str] = []
+
+    cur_kids = kids[0]
+    cur = 0
+    stack: list[int] = [0]
     last_text_pos = 0
     pos = 0
     data_len = len(data)
-    n_elements = 0
-    n_text = 0
-    n_comments = 0
 
+    # local aliases: the token loop is pure interpreter time, and attribute
+    # lookups per token are a measurable share of it
     search = KMARKUP.search
+    tag_append = tag.append
+    val_append = val.append
+    kids_append = kids.append
+    par_append = par.append
+    texts_append = texts.append
+    stack_append = stack.append
+    stack_pop = stack.pop
+    closed_get = K_ELEMENTS_CLOSED_BY_OPENING.get
     while pos <= data_len:
         m = search(data, pos)
         if m is None:
             break
-        m_start = m.start()
-        m_end = m.end()
+        m_start, m_end = m.span()
         # Inter-tag text (reference src/index.ts:902-906).
         if last_text_pos < m_start:
-            # NB: appendChild sets parentNode only for elements
-            # (reference src/index.ts:485-487) — text nodes stay parentless.
-            current.child_nodes.append(TextNode(data[last_text_pos:m_start]))
-            n_text += 1
-        last_text_pos = m_end
-        pos = m_end
+            cur_kids.append(-2 - len(texts))
+            texts_append(data[last_text_pos:m_start])
+        last_text_pos = pos = m_end
 
-        # Comment branch (reference src/index.ts:911-919): match[0][1]=='!'.
-        if data[m_start + 1] == "!":
+        close_g, t, attrs, self_g = m.group(1, 2, 3, 4)
+        if t is None:
+            # Comment branch (reference src/index.ts:911-919).
             if keep_comments:
-                current.child_nodes.append(CommentNode(data[m_start + 4 : m_end - 3]))
-                n_comments += 1
+                cur_kids.append(len(tag))
+                tag_append(None)
+                val_append(data[m_start + 4 : m_end - 3])
+                kids_append([])
+                par_append(cur)
             continue
-
-        close_g, tag, attrs, self_g = m.group(1, 2, 3, 4)
         if lower_case:
-            tag = tag.lower() if tag else ""
+            t = t.lower()
         is_closing = close_g != ""
         is_self_syntax = self_g != ""
 
         # Opening-tag branch (reference src/index.ts:924-960).
         if not is_closing:
             if not is_self_syntax:
-                closed_by = K_ELEMENTS_CLOSED_BY_OPENING.get(current.tag_name)
-                if closed_by is not None and tag in closed_by:
-                    stack.pop()
-                    current = stack[-1] if stack else root
-            child = HTMLElement(tag or "", js_trim(attrs) if attrs else "")
-            child.parent_node = current
-            current.child_nodes.append(child)
-            current = child
-            n_elements += 1
-            stack.append(current)
-            if tag in K_BLOCK_TEXT_ELEMENTS:
+                closed_by = closed_get(tag[cur])
+                if closed_by is not None and t in closed_by:
+                    stack_pop()
+                    cur = stack[-1] if stack else 0
+                    cur_kids = kids[cur]
+            nid = len(tag)
+            tag_append(t)
+            val_append(attrs or "")
+            child_list: list[int] = []
+            kids_append(child_list)
+            par_append(cur)
+            cur_kids.append(nid)
+            cur = nid
+            cur_kids = child_list
+            stack_append(cur)
+            if t in K_BLOCK_TEXT_ELEMENTS:
                 # Raw-text fast-forward (reference src/index.ts:936-959):
                 # scan for the literal close markup; content becomes a single
-                # TextNode only when the matching option is enabled.
-                close_markup = "</" + tag + ">"
+                # text node only when the matching option is enabled.
+                close_markup = "</" + t + ">"
                 index = data.find(close_markup, pos)
-                if opts.get(tag):
-                    if index == -1:
-                        text = data[pos:]
-                    else:
-                        text = data[pos:index]
+                if opts.get(t):
+                    text = data[pos:] if index == -1 else data[pos:index]
                     if text:
-                        current.child_nodes.append(TextNode(text))
-                        n_text += 1
+                        cur_kids.append(-2 - len(texts))
+                        texts_append(text)
                 if index == -1:
                     last_text_pos = pos = data_len + 1
                 else:
@@ -366,67 +396,101 @@ def parse(
                     is_closing = True  # match[1] = 'true' (src/index.ts:957)
 
         # Close / self-close branch (reference src/index.ts:962-991).
-        closing_tag = tag
-        if is_closing or is_self_syntax or closing_tag in K_SELF_CLOSING:
-            is_void = closing_tag in K_SELF_CLOSING
+        if is_closing or is_self_syntax or t in K_SELF_CLOSING:
             # Ignore explicit closing tags for void elements like </col>.
-            if is_closing and is_void:
+            if is_closing and t in K_SELF_CLOSING:
                 continue
             while True:
-                if current.tag_name == closing_tag:
-                    stack.pop()
-                    current = stack[-1] if stack else root
+                if tag[cur] == t:
+                    stack_pop()
+                    cur = stack[-1] if stack else 0
                     break
                 elif len(stack) > 1:
                     # Close unclosed child tag before closing the parent
                     # (<a><b>text</a> closes <b> first).
-                    stack.pop()
-                    current = stack[-1] if stack else root
+                    stack_pop()
+                    cur = stack[-1] if stack else 0
                 else:
                     break
+            cur_kids = kids[cur]
 
     # Trailing text (reference src/index.ts:995-998) — appended to *root*.
     if last_text_pos < data_len:
-        root.child_nodes.append(TextNode(data[last_text_pos:]))
-        n_text += 1
+        kids[0].append(-2 - len(texts))
+        texts.append(data[last_text_pos:])
 
     # Malformed-HTML repair (reference src/index.ts:1000-1026).
-    root.valid = len(stack) == 1
+    valid = len(stack) == 1
     n_fixups = 0
     while len(stack) > 1:
         n_fixups += 1
         last = stack.pop()
-        one_before = stack[-1] if stack else root
-        parent = last.parent_node
-        if parent is not None and parent.parent_node is not None:
-            if parent is one_before and last.tag_name == one_before.tag_name:
+        one_before = stack[-1] if stack else 0
+        p = par[last]
+        if p >= 0 and par[p] >= 0:
+            kl = kids[one_before]
+            if last in kl:
+                kl.remove(last)
+            par[last] = -1
+            if p == one_before and tag[last] == tag[one_before]:
                 # Pair error <h3><h3> -> <h3></h3>: second's children move to
                 # the grandparent; both treated closed (extra stack pop).
-                one_before.remove_child(last)
-                target = one_before.parent_node
+                target = par[one_before]
                 if stack:
                     stack.pop()
             else:
                 # Single error <div><h3></div>: <h3> removed, children
                 # reattached to its parent.
-                one_before.remove_child(last)
                 target = one_before
-            # batched appendChild (same semantics: extend preserves order,
-            # parentNode set only on elements, src/index.ts:483-489)
-            moved = last.child_nodes
+            # appendChild sets the parent of moved elements only
+            # (src/index.ts:483-489); the detached element keeps its list
+            moved = kids[last]
             if moved:
-                target.child_nodes.extend(moved)
-                for child in moved:
-                    if child.node_type == 1:
-                        child.parent_node = target
+                kids[target].extend(moved)
+                for c in moved:
+                    if c >= 0:
+                        par[c] = target
         # else: top-level leftover — just skip.
 
     if metrics is not None:
-        metrics.n_elements = n_elements
-        metrics.n_text = n_text
+        n_comments = tag.count(None) if keep_comments else 0
+        metrics.n_elements = len(tag) - 1 - n_comments
+        metrics.n_text = len(texts)
         metrics.n_comments = n_comments
-        metrics.n_nodes = n_elements + n_text + n_comments
+        metrics.n_nodes = len(tag) - 1 + len(texts)
         metrics.n_fixups = n_fixups
         metrics.n_bytes = data_len
-        metrics.valid = root.valid
+        metrics.valid = valid
+    return tag, val, kids, par, texts, valid
+
+
+def parse(
+    data: str,
+    options: Optional[dict] = None,
+    metrics: Optional[ParseMetrics] = None,
+) -> HTMLElement:
+    """Parse HTML, returning a fictive root element with ``valid`` set.
+
+    Materialises :func:`flat_parse`'s tree: ``raw_attrs`` is the trimmed
+    attribute text, ``parent_node`` is set on elements only (appendChild,
+    reference src/index.ts:485-487), and a node listed twice (children the
+    repair moved out of a detached element) is one shared object.
+    """
+    tag, val, kids, par, texts, valid = flat_parse(data, options, metrics)
+    nodes: list = []
+    append = nodes.append
+    for t, v, p in zip(tag, val, par):
+        if t is None:
+            append(CommentNode(v))
+        else:
+            append(HTMLElement(t, js_trim(v) if v else "",
+                               nodes[p] if p >= 0 else None))
+    # kids hold element k as k and text j as -(j + 2): with the text nodes
+    # appended in reverse plus one pad, list indexing resolves both
+    get = (nodes + [TextNode(v) for v in reversed(texts)] + [None]).__getitem__
+    for node, ks in zip(nodes, kids):
+        if ks:
+            node.child_nodes = list(map(get, ks))
+    root = nodes[0]
+    root.valid = valid
     return root

@@ -1,9 +1,9 @@
 """Columnar selector evaluation over an exploded node table.
 
-The flattened tree encoding (kernel/extract.flatten_tree) becomes a
-corpus-wide Arrow node table — one row per DOM node:
+Each document's flat tree (kernel/parser.flat_parse) becomes rows of a
+corpus-wide Arrow node table — one row per DOM node, in pre-order:
 
-    doc_id, node_id, parent_id, kind, tag, id, classes, attr_keys
+    doc_id, node_id, parent_id, kind, tag, id, classes, attrs_enc
 
 Simple selectors (``tag`` / ``#id`` / ``.class`` / ``[attr]`` and their
 conjunctions, i.e. one selector part) are then evaluated as pure
@@ -27,9 +27,10 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..kernel.dom import attribute_map, id_and_classes
 from ..kernel.jsregex import S as _JS_WS_CLASS
 from .extract_stage import bounded_lane, htmls_from_batch
-from ..kernel.parser import parse
+from ..kernel.parser import flat_parse
 from ..kernel.selector import _ATTR_SELECTOR_RE, _SELECTOR_PART_RE
 
 __all__ = [
@@ -117,42 +118,45 @@ def _attr_op_mask(col, key: str, op: str, value: str):
 
 
 def explode_document(html: str):
-    """ONE document's flattened node rows — parse + pre-order walk (same
-    ids as flatten_tree but with id/class materialised for columnar
-    checks).  Module-level so the bounded lane can run it for
-    prescan-flagged docs: pure args in, plain lists
-    ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
-    out_nid: list[int] = []
+    """ONE document's node rows, in pre-order, read straight off
+    :func:`flat_parse`'s tree (no node objects).  Module-level so the
+    bounded lane can run it for prescan-flagged docs: pure args in, plain
+    lists ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
+    tag, val, kids, _, _, _ = flat_parse(html or "")
     out_pid: list[int] = []
     out_kind: list[int] = []
     out_tag: list[str] = []
     out_id: list[str] = []
     out_cls: list[str] = []
     out_attrs: list[str] = []
-    root = parse(html or "")
-    stack = [(root, -1)]
-    nid = 0
+    stack = [(0, -1)]
     while stack:
-        node, pid = stack.pop()
-        is_el = node.node_type == 1
-        out_nid.append(nid)
+        k, pid = stack.pop()
+        nid = len(out_pid)
         out_pid.append(pid)
-        out_kind.append(node.node_type)
-        if is_el:
-            out_tag.append(node.tag_name)
-            out_id.append(node.id)
-            out_cls.append(" ".join(node.class_names))
-            out_attrs.append(
-                _encode_attrs(node.attributes) if node.raw_attrs else ""
-            )
-            stack.extend((c, nid) for c in reversed(node.child_nodes))
+        if k >= 0:
+            # flat_parse(html) stores no comments: every k >= 0 is an element
+            out_kind.append(1)
+            out_tag.append(tag[k])
+            v = val[k]
+            if v:
+                id_, classes = id_and_classes(v)
+                out_id.append(id_)
+                out_cls.append(" ".join(classes))
+                out_attrs.append(_encode_attrs(attribute_map(v)))
+            else:
+                out_id.append("")
+                out_cls.append("")
+                out_attrs.append("")
+            stack.extend([(c, nid) for c in reversed(kids[k])])
         else:
+            out_kind.append(3)
             out_tag.append("")
             out_id.append("")
             out_cls.append("")
             out_attrs.append("")
-        nid += 1
-    return out_nid, out_pid, out_kind, out_tag, out_id, out_cls, out_attrs
+    return (list(range(len(out_pid))), out_pid, out_kind, out_tag, out_id,
+            out_cls, out_attrs)
 
 
 def node_table(doc_ids: list[str], docs: list[tuple]) -> pa.Table:
@@ -170,7 +174,7 @@ def node_table(doc_ids: list[str], docs: list[tuple]) -> pa.Table:
 
 
 def explode_nodes_batch(batch: pa.Table) -> pa.Table:
-    """Parse each document and emit its flattened nodes as table rows.
+    """Parse each document and emit one table row per node.
     A document the bounded lane drops contributes NO node rows, i.e. it
     matches nothing."""
     doc_ids = batch.column("doc_id").to_pylist()

@@ -1,15 +1,14 @@
-"""Span extraction + document assembly + flatten/unflatten kernel tests."""
+"""Span extraction + document assembly kernel tests."""
 from __future__ import annotations
 
 from node_html_parser_ray.kernel import (
     assemble_document,
     extract_spans,
-    flatten_tree,
     parse,
     parse_and_extract,
-    unflatten_tree,
 )
 from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
+from node_html_parser_ray.stages.flat_select import explode_document
 
 
 def spans_of(html, media_map=None):
@@ -136,20 +135,11 @@ class TestAssembleDocument:
 
 
 class TestFlatten:
-    def test_roundtrip(self):
-        html = '<div id="a" class="x y"><p>hello &amp; bye</p><!--c--><img src=p.png></div>'
-        root = parse(html, {"comment": True})
-        flat = flatten_tree(root)
-        rebuilt = unflatten_tree(flat)
-        assert rebuilt.to_string() == root.to_string()
-        assert extract_spans(rebuilt) == extract_spans(root)
-
     def test_preorder_ids(self):
-        root = parse("<a><b></b><c></c></a>")
-        flat = flatten_tree(root)
-        assert flat["node_id"] == [0, 1, 2, 3]
-        assert flat["parent_id"] == [-1, 0, 1, 1]
-        assert flat["tag"] == ["", "a", "b", "c"]
+        node_id, parent_id, _, tag = explode_document("<a><b></b><c></c></a>")[:4]
+        assert node_id == [0, 1, 2, 3]
+        assert parent_id == [-1, 0, 1, 1]
+        assert tag == ["", "a", "b", "c"]
 
 
 class TestPlaceholderAttrRobustness:

@@ -1,8 +1,11 @@
-"""Differential tests: flat-array fast path == object kernel, bit-exact.
+"""Differential tests: the flat span walk == the object span walk, bit-exact.
 
-extract_spans_fast must return exactly what extract_spans(parse(html)) does
-— spans, valid and every metrics counter — on the pathology corpus, the
-reference's real-page fixtures, and hypothesis tag soup.
+extract_spans_fast (``flat_parse`` + the flat walk) must return exactly what
+extract_spans(parse(html)) does — spans, valid and every metrics counter —
+on the pathology corpus, the reference's real-page fixtures, and hypothesis
+tag soup.  Both sides read the one tokenizer (``parser.flat_parse``), so this
+checks the two span walks, ``parse()``'s materialisation and the metrics, not
+tokenization: tests/test_tokenizer_golden.py pins the tokenizer itself.
 """
 from __future__ import annotations
 
@@ -28,17 +31,56 @@ markup_text = st.text(
 
 # tag soup that can actually spell the raw-text / media / block tag names,
 # so fast-forward, media emission and repair interact in the fuzz corpus
-tag_fragments = st.lists(
-    st.sampled_from(
-        ["<script>", "</script>", "<style>", "</style>", "<pre>", "</pre>",
-         "<noscript>", "<img src='/x'>", "<video>", "</video>", "<embed>",
-         "<div>", "</div>", "<p>", "</p>", "<li>", "<ul>", "</ul>",
-         "<td>", "<tr>", "<table>", "</table>", "<h3>", "</h3>",
-         "text ", "&amp;", "&nbsp;", "  ", "<!--", "-->", "<", ">", "'",
-         '"', "a=b", " class='c' "]
-    ),
-    max_size=24,
-).map("".join)
+TAG_FRAGMENTS = [
+    "<script>", "</script>", "<style>", "</style>", "<pre>", "</pre>",
+    "<noscript>", "<img src='/x'>", "<video>", "</video>", "<embed>",
+    "<div>", "</div>", "<p>", "</p>", "<li>", "<ul>", "</ul>",
+    "<td>", "<tr>", "<table>", "</table>", "<h3>", "</h3>",
+    "text ", "&amp;", "&nbsp;", "  ", "<!--", "-->", "<", ">", "'",
+    '"', "a=b", " class='c' ",
+]
+tag_fragments = st.lists(st.sampled_from(TAG_FRAGMENTS), max_size=24).map("".join)
+
+
+EDGE_CASES = [
+    "",
+    "plain text only",
+    "<div><p>a</p><p>b</p></div>",
+    "<ul><li>1<li>2<li>3</ul>",
+    "<p>one<h2>two</h2>three",
+    "<div><h3>single error</div>",
+    "<h3>a<h3>pair error",
+    "<table><tr><td>x<td>y<tr><td>z</table>",
+    "<script>var a = '<div>not html</div>';</script>after",
+    "<script>unterminated",
+    "<pre>  spaced   text </pre>tail",
+    "<a><b>text</a>",
+    "<img src='/x.png' alt='pic'>mid<img>",
+    "<video src=/v.mp4>cap</video>",
+    "<embed src='e'>",
+    "<div>a<!--comment-->b</div>",
+    "<!--unterminated comment",
+    "<br><br>stacked<br>",
+    "<DIV>upper</DIV>",
+    "<div  id='i' class='a b'>attrs</div>",
+    "<col></col><COL>",
+    "<p>&amp; &lt;entities&gt; &#65; &nbsp;</p>",
+    "  \t\n  ",
+    "<span>&nbsp;</span>",
+    "a < b > c",
+    "<div" + " " * 30 + "x=1>deep ws</div>",
+    "<section><div><p>nested<br>blocks</p></div></section>",
+    "<li>loose li outside list",
+    "<form><header><footer>implicit</footer></header></form>",
+]
+
+# the option sets every edge case runs under
+OPTION_SETS = [
+    None,
+    {"comment": True},
+    {"lowerCaseTagName": True},
+    {"script": True, "pre": True, "style": True, "noscript": True},
+]
 
 
 def both(html, media_map=None, options=None):
@@ -61,43 +103,9 @@ def assert_equal(html, media_map=None, options=None):
 
 class TestFastExtractDifferential:
     def test_handwritten_edges(self):
-        cases = [
-            "",
-            "plain text only",
-            "<div><p>a</p><p>b</p></div>",
-            "<ul><li>1<li>2<li>3</ul>",
-            "<p>one<h2>two</h2>three",
-            "<div><h3>single error</div>",
-            "<h3>a<h3>pair error",
-            "<table><tr><td>x<td>y<tr><td>z</table>",
-            "<script>var a = '<div>not html</div>';</script>after",
-            "<script>unterminated",
-            "<pre>  spaced   text </pre>tail",
-            "<a><b>text</a>",
-            "<img src='/x.png' alt='pic'>mid<img>",
-            "<video src=/v.mp4>cap</video>",
-            "<embed src='e'>",
-            "<div>a<!--comment-->b</div>",
-            "<!--unterminated comment",
-            "<br><br>stacked<br>",
-            "<DIV>upper</DIV>",
-            "<div  id='i' class='a b'>attrs</div>",
-            "<col></col><COL>",
-            "<p>&amp; &lt;entities&gt; &#65; &nbsp;</p>",
-            "  \t\n  ",
-            "<span>&nbsp;</span>",
-            "a < b > c",
-            "<div" + " " * 30 + "x=1>deep ws</div>",
-            "<section><div><p>nested<br>blocks</p></div></section>",
-            "<li>loose li outside list",
-            "<form><header><footer>implicit</footer></header></form>",
-        ]
-        for html in cases:
-            assert_equal(html)
-            assert_equal(html, options={"comment": True})
-            assert_equal(html, options={"lowerCaseTagName": True})
-            assert_equal(html, options={"script": True, "pre": True,
-                                        "style": True, "noscript": True})
+        for html in EDGE_CASES:
+            for options in OPTION_SETS:
+                assert_equal(html, options=options)
 
     def test_pathology_corpus(self):
         """Every doc of the generator corpus, via the interleaved path."""

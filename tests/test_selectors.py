@@ -540,6 +540,65 @@ class TestColumnarAttributeOperators:
         assert e.count("\x02") == 2  # only the delimiters remain unescaped
 
 
+
+class TestNodeRows:
+    """explode_document's rows equal a pre-order walk of parse(html).  The
+    row builder reads the flat tree, not node objects, so its id / class /
+    attrs columns are checked against the object DOM here: a drift that
+    matches no selector would pass the count-parity tests."""
+
+    ATTR_CASES = [
+        '<p ID="up" id=" " class="  a\tb  ">x</p>',
+        "<a  id='x' class=y   >t</a><a id=\"\" class=''>",
+        '<img src="a&amp;b" alt=\'q\' data-x><img src=>',
+        "<div class='\u00a0c\u00a0' id=\u3000z>u</div>",
+        "<DIV Class=z iD=q class=w>v</DIV>",
+        '<p title="a=b" class="c" class="d" id=1 id=2>',
+    ]
+
+    @staticmethod
+    def object_rows(html):
+        from node_html_parser_ray.stages.flat_select import _encode_attrs
+
+        rows = []
+        stack = [(parse(html), -1)]
+        while stack:
+            node, pid = stack.pop()
+            nid = len(rows)
+            if node.node_type == 1:
+                rows.append((nid, pid, 1, node.tag_name, node.id,
+                             " ".join(node.class_names),
+                             _encode_attrs(node.attributes)))
+                stack.extend((c, nid) for c in reversed(node.child_nodes))
+            else:
+                rows.append((nid, pid, node.node_type, "", "", "", ""))
+        return rows
+
+    def assert_rows(self, html):
+        from node_html_parser_ray.stages.flat_select import explode_document
+
+        rows = list(zip(*explode_document(html)))
+        assert rows == self.object_rows(html), html[:200]
+
+    def test_edge_cases(self):
+        from test_fast_extract import EDGE_CASES
+
+        for html in EDGE_CASES + self.ATTR_CASES:
+            self.assert_rows(html)
+
+    def test_generator_corpus(self):
+        from node_html_parser_ray.kernel.extract import assemble_document
+        from node_html_parser_ray.sources.corpus import generate_documents
+
+        corpus = generate_documents(400, seed=11, giant_fraction=0.01)
+        for row in corpus.to_pylist():
+            spans = row["spans"]
+            html, _ = assemble_document(
+                [s["kind"] for s in spans], [s["text"] for s in spans],
+                [s["media_ref"] for s in spans], [s["offset"] for s in spans],
+            )
+            self.assert_rows(html)
+
 class TestIterativeExplore:
     def test_deep_nesting_no_recursion_limit(self):
         """querySelector(+All) must survive documents nested past the
