@@ -27,7 +27,8 @@ from typing import Callable, List, Optional, Union
 from .dom import HTMLElement
 from .jsregex import S, js_trim, js_ws_split
 
-__all__ = ["Matcher", "query_selector", "query_selector_all"]
+__all__ = ["Matcher", "compile_parts", "query_selector", "query_selector_all",
+           "select_union"]
 
 # reference src/index.ts:669 — selector part regex.
 _SELECTOR_PART_RE = re.compile(
@@ -225,25 +226,34 @@ def _explore_first(node: HTMLElement, matcher: Matcher) -> Optional[HTMLElement]
     return None
 
 
+def compile_parts(selector: str) -> list[Matcher]:
+    """One Matcher per non-empty comma part of ``selector``."""
+    return [Matcher(p.strip()) for p in selector.split(",") if p.strip()]
+
+
+def select_union(root: HTMLElement, parts: list[Matcher]) -> list[HTMLElement]:
+    """Union of the compiled comma parts' pre-order matches, deduped in
+    insertion order (JS Set semantics); the parts stay reusable."""
+    seen: dict[int, HTMLElement] = {}
+    for matcher in parts:
+        matcher.reset()
+        for el in _explore_all(root, matcher.clone()):
+            seen.setdefault(id(el), el)
+    return list(seen.values())
+
+
 def query_selector_all(
     root: HTMLElement, selector: Union[str, Matcher]
 ) -> List[HTMLElement]:
     """All matches (reference src/index.ts:400-411).
 
-    String selectors: comma-split union, deduped in insertion order (JS Set
-    semantics).  Matcher instances: reset + raw result (no dedup), matching
-    the reference exactly.
+    String selectors: :func:`select_union` of the comma parts.  Matcher
+    instances: reset + raw result (no dedup), matching the reference.
     """
     if isinstance(selector, Matcher):
         selector.reset()
         return _explore_all(root, selector)
-    parts = [p.strip() for p in selector.split(",") if p.strip()]
-    seen: dict[int, HTMLElement] = {}
-    for part in parts:
-        for el in _explore_all(root, Matcher(part)):
-            if id(el) not in seen:
-                seen[id(el)] = el
-    return list(seen.values())
+    return select_union(root, compile_parts(selector))
 
 
 def query_selector(
@@ -253,9 +263,8 @@ def query_selector(
     if isinstance(selector, Matcher):
         selector.reset()
         return _explore_first(root, selector)
-    parts = [p.strip() for p in selector.split(",") if p.strip()]
-    for part in parts:
-        result = _explore_first(root, Matcher(part))
+    for matcher in compile_parts(selector):
+        result = _explore_first(root, matcher)
         if result is not None:
             return result
     return None

@@ -2,22 +2,24 @@
 
 north_star clause: "boilerplate classifiers keyed on structure/text density".
 Per document, every block-level element (the reference's 40-entry blockTags
-list, src/index.ts:1030-1071, via :func:`kernel.dom.is_block`) becomes a
-candidate region scored by text density (text length vs link-text length and
-tag count — the classic content-extraction heuristic).  Regions above the
-density threshold are "content"; the rest is boilerplate.
+list, src/index.ts:1030-1071, as :data:`kernel.dom.BLOCK_TAGS`) becomes a
+candidate region scored by its text length and link density (the share of
+that text inside ``<a>`` elements — the classic content-extraction
+heuristic).  Regions that pass both thresholds are "content"; the rest is
+boilerplate.  The classifier reads :func:`kernel.parser.flat_parse`'s flat
+tree, and a content region's text is the flat span walk's structuredText
+(:func:`kernel.fast_extract.structured_text`); no DOM node object is built.
 
 Stateful stage: thresholds + compiled structures live on the actor
 (``map_batches(BoilerplateClassifier(...), concurrency=N)``).
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import pyarrow as pa
 
-from ..kernel.dom import ELEMENT_NODE, HTMLElement, is_block
-from ..kernel.parser import parse
+from ..kernel.dom import BLOCK_TAGS
+from ..kernel.fast_extract import structured_text
+from ..kernel.parser import flat_parse
 from .extract_stage import bounded_lane, htmls_from_batch
 
 __all__ = ["BoilerplateClassifier", "CLASSIFY_OUTPUT_SCHEMA", "classify_document"]
@@ -38,33 +40,35 @@ _BOILERPLATE_TAGS = frozenset(("nav", "header", "footer", "aside", "form"))
 _STRUCTURAL_TAGS = frozenset(("html", "body", "head"))
 
 
-def _block_features(el: HTMLElement) -> tuple[int, int, int]:
-    """(text_len, link_text_len, n_elements) for a block element's subtree."""
-    text_len = 0
-    link_len = 0
-    n_elements = 0
-    stack: list[tuple[object, bool]] = [(el, False)]
+def _text_lengths(tag: list, kids: list, texts: list, k: int) -> tuple[int, int]:
+    """(text_len, link_text_len) of element ``k``'s subtree: the stripped
+    lengths of its raw texts, and of those inside an ``a`` element (the tag
+    test is case-sensitive)."""
+    text_len = link_len = 0
+    stack: list[tuple[int, bool]] = [(k, False)]
     while stack:
-        node, in_link = stack.pop()
-        if node.node_type == ELEMENT_NODE:
-            n_elements += 1
-            child_in_link = in_link or node.tag_name == "a"
-            stack.extend((c, child_in_link) for c in node.child_nodes)
-        elif node.node_type == 3:  # text
-            n = len(node.value.strip())
+        nid, in_link = stack.pop()
+        if nid < 0:
+            n = len(texts[-2 - nid].strip())
             text_len += n
             if in_link:
                 link_len += n
-    return text_len, link_len, n_elements
+        elif tag[nid] is not None:  # comment slots are skipped
+            child_in_link = in_link or tag[nid] == "a"
+            stack.extend((c, child_in_link) for c in kids[nid])
+    return text_len, link_len
 
 
-def _classify_tree(
-    root: HTMLElement, min_text_len: int, max_link_density: float
-) -> tuple[str, int, int]:
-    """Decision regions are LEAF blocks (block elements with no direct
+def classify_document(html, options, min_text_len, max_link_density):
+    """ONE document through flat_parse + classify — run in-process, or by
+    the bounded lane for prescan-flagged docs: pure args in, plain tuple
+    ``(main_text, n_content, n_boiler)`` out.
+
+    Decision regions are LEAF blocks (block elements with no direct
     block-element child); wrappers descend, classifications stop descent.
-
-    Rules, in order per element:
+    The walk starts at the root's children and follows ``kids``, so
+    elements the repair pass detached are never reached.  Rules, in order
+    per element:
 
     1. structural containers (html/body/head) descend, never scored —
        otherwise a wrapped page is one whole-document "content" region
@@ -77,66 +81,55 @@ def _classify_tree(
     4. leaf blocks score by text length / link density and stop.
 
     Scored subtrees are disjoint, so feature extraction touches every
-    node at most once — the walk is linear in document size (the
-    previous top-down re-walk was O(depth x subtree) on nested divs).
+    node at most once — the walk is linear in document size.
     """
+    tree = flat_parse(html, options)
+    tag, _, kids, _, texts, _ = tree
+
+    def elements(k: int) -> list[int]:
+        """``k``'s element children (no texts or comments), reversed."""
+        return [c for c in reversed(kids[k]) if c >= 0 and tag[c] is not None]
+
     content_parts: list[str] = []
-    n_content = 0
-    n_boiler = 0
-    stack = [c for c in reversed(root.child_nodes) if c.node_type == ELEMENT_NODE]
+    n_content = n_boiler = 0
+    stack = elements(0)
     while stack:
-        el = stack.pop()
-        tag = el.tag_name.lower()
-        if is_block(el) and tag not in _STRUCTURAL_TAGS:
-            if tag in _BOILERPLATE_TAGS:
+        k = stack.pop()
+        t = tag[k].lower()
+        children = elements(k)
+        if t in BLOCK_TAGS and t not in _STRUCTURAL_TAGS:
+            if t in _BOILERPLATE_TAGS:
                 n_boiler += 1
                 continue
-            has_block_child = any(
-                c.node_type == ELEMENT_NODE and is_block(c)
-                for c in el.child_nodes
-            )
-            if not has_block_child:
-                text_len, link_len, _ = _block_features(el)
+            if not any(tag[c].lower() in BLOCK_TAGS for c in children):
+                text_len, link_len = _text_lengths(tag, kids, texts, k)
                 link_density = (link_len / text_len) if text_len else 1.0
                 if (text_len >= min_text_len
                         and link_density <= max_link_density):
-                    st = el.structured_text
+                    st = structured_text(tree, k)
                     if st:
                         content_parts.append(st)
                     n_content += 1
                 else:
                     n_boiler += 1
                 continue
-        stack.extend(
-            c for c in reversed(el.child_nodes) if c.node_type == ELEMENT_NODE
-        )
+        stack.extend(children)
     return "\n".join(content_parts), n_content, n_boiler
-
-
-def classify_document(html, options, min_text_len, max_link_density):
-    """ONE document through parse + classify — run in-process, or by the
-    bounded lane for prescan-flagged docs: pure args in, plain tuple
-    ``(main_text, n_content, n_boiler)`` out."""
-    return _classify_tree(parse(html, options), min_text_len, max_link_density)
 
 
 class BoilerplateClassifier:
     """Label top-level block regions content vs boilerplate; emit main text."""
 
     def __init__(
-        self,
-        min_text_len: int = 25,
-        max_link_density: float = 0.5,
-        options: Optional[dict] = None,
+        self, min_text_len: int = 25, max_link_density: float = 0.5
     ) -> None:
         self.min_text_len = min_text_len
         self.max_link_density = max_link_density
-        self.options = options
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
         htmls = htmls_from_batch(batch)
-        args = (self.options, self.min_text_len, self.max_link_density)
+        args = (None, self.min_text_len, self.max_link_density)
         lane = bounded_lane(htmls, classify_document, *args)
         out_text: list[str] = []
         out_nc: list[int] = []

@@ -9,14 +9,14 @@ every batch (north_star stateful-stage clause).
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 
 from .extract_stage import bounded_lane, htmls_from_batch
 from ..kernel.parser import parse
-from ..kernel.selector import Matcher, _explore_all
+from ..kernel.selector import Matcher, compile_parts, select_union
 
 __all__ = ["SelectorStage", "SELECTOR_OUTPUT_SCHEMA", "select_document"]
 
@@ -34,19 +34,6 @@ SELECTOR_OUTPUT_SCHEMA = pa.schema(
 )
 
 
-def select_all(root, parts: list[Matcher]):
-    """querySelectorAll over pre-compiled comma-part matchers: pre-order
-    result, comma-union dedup by identity (reference src/index.ts:651-685
-    semantics)."""
-    seen: dict[int, object] = {}
-    for matcher in parts:
-        matcher.reset()
-        for el in _explore_all(root, matcher.clone()):
-            if id(el) not in seen:
-                seen[id(el)] = el
-    return list(seen.values())
-
-
 def select_document(html, selectors, options, emit_text):
     """ONE document through parse + the whole selector set — the bounded
     lane's per-doc function for prescan-flagged docs, so the result is
@@ -57,8 +44,7 @@ def select_document(html, selectors, options, emit_text):
     root = parse(html, options)
     out = []
     for sel in selectors:
-        parts = [Matcher(p.strip()) for p in sel.split(",") if p.strip()]
-        found = select_all(root, parts)
+        found = select_union(root, compile_parts(sel))
         out.append(
             (len(found), [el.text for el in found] if emit_text else [])
         )
@@ -73,26 +59,19 @@ class SelectorStage:
     order and comma-union dedup semantics).
     """
 
-    def __init__(
-        self,
-        selectors: Sequence[str],
-        options: Optional[dict] = None,
-        emit_text: bool = True,
-    ) -> None:
+    def __init__(self, selectors: Sequence[str], emit_text: bool = True) -> None:
         # once per actor: compile every selector part
         self.selectors = list(selectors)
         self.compiled: list[tuple[str, list[Matcher]]] = [
-            (sel, [Matcher(p.strip()) for p in sel.split(",") if p.strip()])
-            for sel in self.selectors
+            (sel, compile_parts(sel)) for sel in self.selectors
         ]
-        self.options = options
         self.emit_text = emit_text
         # count-only mode routes selectors the columnar grammar covers
         # (tag/#id/.class/[attr] + descendant/comma) through the vectorized
         # node-table path — ~27x faster matching; text emission needs the
         # automaton's reference result order, so it never routes
         self.columnar: set[str] = set()
-        if not emit_text and options is None:
+        if not emit_text:
             from .flat_select import NODE_TABLE_SCHEMA, columnar_select_mask
 
             probe = NODE_TABLE_SCHEMA.empty_table()
@@ -107,8 +86,7 @@ class SelectorStage:
         doc_ids = batch.column("doc_id").to_pylist()
         htmls = htmls_from_batch(batch)
         lane = bounded_lane(
-            htmls, select_document, self.selectors, self.options,
-            self.emit_text,
+            htmls, select_document, self.selectors, None, self.emit_text
         )
 
         out_doc: list[str] = []
@@ -157,14 +135,14 @@ class SelectorStage:
                         flat_matches.extend(txts)
                     offsets.append(len(flat_matches))
                 continue
-            root = parse(html, self.options) if automaton else None
+            root = parse(html) if automaton else None
             for sel, parts in self.compiled:
                 out_doc.append(doc_id)
                 out_sel.append(sel)
                 if sel in self.columnar:
                     out_n.append(int(col_counts[sel][r]))
                 else:
-                    found = select_all(root, parts)
+                    found = select_union(root, parts)
                     out_n.append(len(found))
                     if self.emit_text:
                         flat_matches.extend(el.text for el in found)

@@ -20,8 +20,11 @@ from node_html_parser_ray.kernel.extract import (
     extract_spans,
     parse_and_extract,
 )
-from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
-from node_html_parser_ray.kernel.parser import ParseMetrics, parse
+from node_html_parser_ray.kernel.fast_extract import (
+    extract_spans_fast,
+    structured_text,
+)
+from node_html_parser_ray.kernel.parser import ParseMetrics, flat_parse, parse
 from node_html_parser_ray.sources.corpus import generate_documents
 
 markup_text = st.text(
@@ -154,6 +157,38 @@ class TestFastExtractDifferential:
         assert_equal(s)
         assert_equal(s, options={"script": True, "style": True, "pre": True,
                                  "noscript": True})
+
+    def test_structured_text_from_every_element(self):
+        """The flat walk from element k == HTMLElement.structured_text, for
+        every element reachable in pre-order (both trees walked in step)."""
+        corpus = generate_documents(400, seed=11, giant_fraction=0.01)
+        # plus a text that decodes to whitespace: a blank structuredText line
+        htmls = EDGE_CASES + ["<p><span><div>&NewLine;</div></span>text</p>"]
+        for row in corpus.to_pylist():
+            spans = row["spans"]
+            htmls.append(assemble_document(
+                [s["kind"] for s in spans], [s["text"] for s in spans],
+                [s["media_ref"] for s in spans], [s["offset"] for s in spans],
+            )[0])
+        checked = 0
+        for html in htmls:
+            for options in OPTION_SETS:
+                tree = flat_parse(html, options)
+                tag, _, kids, _, _, _ = tree
+                stack = [(parse(html, options), 0)]
+                while stack:
+                    node, k = stack.pop()
+                    assert structured_text(tree, k) == node.structured_text, (
+                        k, options, html[:200])
+                    checked += 1
+                    assert len(node.child_nodes) == len(kids[k]), html[:200]
+                    for c, ck in reversed(list(zip(node.child_nodes, kids[k]))):
+                        # text 3, comment 8, element 1
+                        kind = 3 if ck < 0 else 8 if tag[ck] is None else 1
+                        assert c.node_type == kind, html[:200]
+                        if kind == 1:
+                            stack.append((c, ck))
+        assert checked > 10_000
 
     def test_media_map_paths(self):
         html, media_map = assemble_document(
