@@ -10,13 +10,14 @@ before it ever sends a result, making a benign prescan false positive
 indistinguishable from a real timeout (a silent nondeterministic doc drop).
 This module replaces that with ONE persistent ``spawn`` subprocess per
 worker process: spawn starts from a clean single-threaded interpreter (no
-inherited locks), the startup cost (~0.1 s; this module's transitive
-imports are pure stdlib) is amortized across every flagged document the
-worker ever sees, and a timeout kills + respawns the sidecar.
+inherited locks), the startup cost (~0.1 s; this module imports only the
+stdlib and the pure-Python kernel) is amortized across every flagged
+document the worker ever sees, and a timeout kills + respawns the sidecar.
 
 Stages never call the sidecar directly: the single entry point is
-``stages.extract_stage.bounded_lane``, which prescans a batch once and sends
-each flagged document's module-level per-doc function here.  The protocol is
+``stages.extract_stage.map_documents``, which prescans a batch once, sends
+each flagged document's module-level per-doc function here and runs the
+same function in-process for every other document.  The protocol is
 generic — :meth:`RedosSidecar.call` takes the function object, and the child
 re-imports it by the module and name read off that object — so every stage
 that parses whole documents shares ONE sidecar and one degraded-mode policy.
@@ -30,17 +31,17 @@ import multiprocessing as mp
 import threading
 from typing import Optional
 
+from .fast_extract import extract_spans_into
+from .parser import ParseMetrics
+
 __all__ = ["RedosSidecar", "kernel_extract"]
 
 
 def kernel_extract(html: str, media_map: Optional[dict], options: Optional[dict]):
     """One document through the flat-array kernel -> the lane result tuple
-    ``(kinds, texts, refs, n_spans, valid, metrics6)``.  Shared by the
-    sidecar loop and the in-process fallback so the two lanes cannot
-    drift (round-4 review: the fork child duplicated this body)."""
-    from .fast_extract import extract_spans_into
-    from .parser import ParseMetrics
-
+    ``(kinds, texts, refs, n_spans, valid, metrics6)``.  Extraction's
+    per-document function in both lanes — the sidecar for prescan-flagged
+    docs and in-process for the rest — so the two cannot drift."""
     metrics = ParseMetrics()
     kinds: list[str] = []
     texts: list[str] = []

@@ -1566,12 +1566,13 @@ def q_dom_api(sf_dir: str):
     removeWhitespace/trimRight effects (rows-only determinism check).
 
     Corpus text embeds RAW in the synthesized html, so a wild document
-    could smuggle a ReDoS shape: the sweep runs through the bounded lane
-    like every other whole-document parse, and a bounded-out doc emits
-    (-1, -1, -1) sentinels (no sf corpus doc flags)."""
+    could smuggle a ReDoS shape: the sweep runs through
+    ``extract_stage.map_documents`` like every other whole-document parse,
+    and a bounded-out doc emits (-1, -1, -1) sentinels (no sf corpus doc
+    flags)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        from ..stages.extract_stage import bounded_lane, dom_api_document
+        from ..stages.extract_stage import dom_api_document, map_documents
 
         doc_ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
@@ -1579,12 +1580,10 @@ def q_dom_api(sf_dir: str):
             f'<div id="d{d}" class="a b"> {t or ""} <span>x</span> <!--c--> </div>'
             for d, t in zip(doc_ids, texts)
         ]
-        lane = bounded_lane(htmls, dom_api_document)
         n_struct_lines = []
         n_json_children = []
         n_after_ws = []
-        for r, html in enumerate(htmls):
-            res = lane[r] if r in lane else dom_api_document(html)
+        for res in map_documents(htmls, dom_api_document):
             ns, nj, na = res if res is not None else (-1, -1, -1)
             n_struct_lines.append(ns)
             n_json_children.append(nj)

@@ -20,7 +20,7 @@ import pyarrow as pa
 from ..kernel.dom import BLOCK_TAGS
 from ..kernel.fast_extract import structured_text
 from ..kernel.parser import flat_parse
-from .extract_stage import bounded_lane, htmls_from_batch
+from .extract_stage import htmls_from_batch, map_documents
 
 __all__ = ["BoilerplateClassifier", "CLASSIFY_OUTPUT_SCHEMA", "classify_document"]
 
@@ -60,9 +60,9 @@ def _text_lengths(tag: list, kids: list, texts: list, k: int) -> tuple[int, int]
 
 
 def classify_document(html, options, min_text_len, max_link_density):
-    """ONE document through flat_parse + classify — run in-process, or by
-    the bounded lane for prescan-flagged docs: pure args in, plain tuple
-    ``(main_text, n_content, n_boiler)`` out.
+    """ONE document through flat_parse + classify — the per-document
+    function :func:`extract_stage.map_documents` runs in either lane: pure
+    args in, plain tuple ``(main_text, n_content, n_boiler)`` out.
 
     Decision regions are LEAF blocks (block elements with no direct
     block-element child); wrappers descend, classifications stop descent.
@@ -129,14 +129,13 @@ class BoilerplateClassifier:
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
         htmls = htmls_from_batch(batch)
-        args = (None, self.min_text_len, self.max_link_density)
-        lane = bounded_lane(htmls, classify_document, *args)
         out_text: list[str] = []
         out_nc: list[int] = []
         out_nb: list[int] = []
         out_ratio: list[float] = []
-        for r, html in enumerate(htmls):
-            res = lane[r] if r in lane else classify_document(html, *args)
+        for res in map_documents(htmls, classify_document, None,
+                                 self.min_text_len, self.max_link_density):
+            # a bounded-out doc carries the out-of-band n_content=-1
             main_text, n_content, n_boiler = res or ("", -1, 0)
             out_text.append(main_text)
             out_nc.append(n_content)

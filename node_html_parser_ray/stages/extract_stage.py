@@ -23,8 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..kernel.extract import assemble_document
-from ..kernel.fast_extract import extract_spans_into
-from ..kernel.parser import ParseMetrics, is_pathological
+from ..kernel.parser import PATHOLOGICAL_RE2, is_pathological
 from ..kernel.redos_lane import RedosSidecar, kernel_extract
 
 __all__ = [
@@ -39,7 +38,7 @@ __all__ = [
     "prescan_flags",
     "parse_timeout",
     "SIDECAR",
-    "bounded_lane",
+    "map_documents",
     "dom_api_document",
 ]
 
@@ -156,13 +155,11 @@ def prescan_flags(htmls: list[str], timeout: float):
     measured 2 µs/doc vs 38 µs/doc for the Python engine on the bench
     corpus (~8% of total extraction cost).  Only the rare stage-1 hits pay
     the per-doc Python refinement (is_pathological: raw-text/comment
-    '<>'-sentinel strip + re-test).  Run once per batch by
-    :func:`bounded_lane`."""
+    '<>'-sentinel strip + re-test).  The package's only prescan: run once
+    per batch by :func:`map_documents`, and by the partition router."""
     if timeout <= 0 or not htmls:
         return None
     import pyarrow.compute as pc
-
-    from ..kernel.parser import PATHOLOGICAL_RE2
 
     stage1 = pc.match_substring_regex(
         pa.array(htmls, pa.large_string()), PATHOLOGICAL_RE2
@@ -182,44 +179,42 @@ def prescan_flags(htmls: list[str], timeout: float):
 SIDECAR = RedosSidecar()
 
 
-def bounded_lane(htmls: list[str], fn, *args, per_row=None) -> dict:
-    """The bounded ReDoS lane for one batch of whole-document parses —
+def map_documents(htmls: list[str], fn, *args, per_row=None):
+    """``fn(htmls[r], *args)`` for every row ``r``, yielded in row order —
     the ONE place that reads :func:`parse_timeout`, runs
-    :func:`prescan_flags` and calls the sidecar.
+    :func:`prescan_flags` and calls the sidecar for a whole-document stage.
 
-    Each prescan-flagged row ``r`` runs ``fn(htmls[r], *args)`` in the
+    The batch is prescanned once.  Flagged rows run first, in the
     persistent spawn sidecar under the ``NHPR_PARSE_TIMEOUT`` wall bound
     (CPython's regex engine cannot be interrupted mid-match, so a kill-able
-    process is the only hard bound).  ``per_row`` is a sequence aligned
-    with ``htmls`` whose ``r``-th item goes right after the document
-    (extraction's media maps).  ``fn`` must be the module-level per-doc
-    function the caller runs in-process for unflagged rows, so prescan
-    false positives come back bit-identical, only paying IPC latency.
+    process is the only hard bound); a ``None`` result means the row was
+    bounded out (timeout, child crash or child exception), and the caller
+    emits its stage's out-of-band sentinel.  Every other row runs
+    in-process when the generator reaches it, so a caller may drop its
+    reference to row ``r``'s inputs once that row's result is consumed.
+    ``per_row`` is a sequence aligned with ``htmls`` whose ``r``-th item
+    goes right after the document (extraction's media maps).  ``fn`` must
+    be a module-level function: both lanes run the same function, so
+    prescan false positives come back bit-identical, only paying IPC
+    latency.  With the lane disabled (``NHPR_PARSE_TIMEOUT<=0``) every row
+    runs in-process, reference behavior."""
+    def row(r: int) -> tuple:
+        return (htmls[r],) if per_row is None else (htmls[r], per_row[r])
 
-    Returns ``{r: result}`` for the flagged rows only — callers run
-    ``lane[r] if r in lane else <in-process fn>``.  A ``None`` result
-    means bounded out (timeout, child crash or child exception): the
-    caller emits its stage's out-of-band sentinel instead of hanging the
-    worker — ``valid=False`` with no spans (extraction), ``n_matches=-1``
-    (selector), ``("", -1, 0)`` (classifier), no node rows (columnar
-    explode), ``(-1, -1, -1)`` (dom_api).  Empty when nothing is flagged
-    or the lane is disabled (``NHPR_PARSE_TIMEOUT<=0``: flagged docs then
-    parse in-process, reference behavior)."""
     timeout = parse_timeout()
     flags = prescan_flags(htmls, timeout)
-    if flags is None:
-        return {}
-    lane = {}
-    for r in np.flatnonzero(flags).tolist():
-        row = (htmls[r],) if per_row is None else (htmls[r], per_row[r])
-        lane[r] = SIDECAR.call(fn, (*row, *args), timeout)
-    return lane
+    lane = {} if flags is None else {
+        r: SIDECAR.call(fn, (*row(r), *args), timeout)
+        for r in np.flatnonzero(flags).tolist()
+    }
+    for r in range(len(htmls)):
+        yield lane.pop(r) if r in lane else fn(*row(r), *args)
 
 
 def dom_api_document(html: str) -> tuple[int, int, int]:
-    """ONE document through the q_dom_api operator sweep — also the
-    bounded lane's per-doc function for prescan-flagged docs: pure args
-    in, plain ints out.  Returns ``(n_structure_lines, n_json_children,
+    """ONE document through the q_dom_api operator sweep — the per-document
+    function :func:`map_documents` runs in either lane: pure args in,
+    plain ints out.  Returns ``(n_structure_lines, n_json_children,
     n_children_after_rw)``; parses twice like the in-process path so the
     removeWhitespace/trimRight mutations never affect the first two
     metrics."""
@@ -240,81 +235,52 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
     Accepts either the interleaved input schema (doc_id, spans) or a plain
     (doc_id, html) schema where the whole payload is one html span.
 
-    Documents flagged by the linear-time ReDoS prescan run through
-    :func:`bounded_lane`; a bounded-out doc yields zero spans with
-    ``valid=False`` and ``n_bytes=len(html)`` (a dropped truncated crawl
-    page, recorded in lineage like any other invalid doc).
+    Every row runs :func:`kernel_extract` through :func:`map_documents`; a
+    doc the ReDoS lane bounds out yields zero spans with ``valid=False``
+    and ``n_bytes=len(html)`` (a dropped truncated crawl page, recorded in
+    lineage like any other invalid doc).
     """
     doc_ids = batch.column("doc_id").to_pylist()
     row_offsets, f_kind, f_text, f_ref, f_off = decode_spans_batch(batch)
 
-    # flat builders for the list<struct> output column; the kernel emits
-    # spans straight into these (extract_spans_into — no per-span tuple or
-    # unpack loop, round-2 verdict #5)
+    # flat builders for the list<struct> output column
     kinds: list[str] = []
     texts: list[str] = []
     refs: list[str] = []
     offsets: list[int] = [0]
     valids: list[bool] = []
-    m_nodes: list[int] = []
-    m_elements: list[int] = []
-    m_text: list[int] = []
-    m_comments: list[int] = []
-    m_fixups: list[int] = []
-    m_bytes: list[int] = []
-    m_spans: list[int] = []
-
-    metrics = ParseMetrics()
+    metrics_rows: list[tuple] = []  # one METRICS_STRUCT tuple per row
     total_spans = 0
 
     htmls: list[str] = []
     media_maps: list[dict] = []
-    for r in range(len(doc_ids)):
-        lo, hi = row_offsets[r], row_offsets[r + 1]
+    for lo, hi in zip(row_offsets[:-1], row_offsets[1:]):
         html, media_map = assemble_document(
             f_kind[lo:hi], f_text[lo:hi], f_ref[lo:hi], f_off[lo:hi]
         )
         htmls.append(html)
         media_maps.append(media_map)
 
-    lane = bounded_lane(htmls, kernel_extract, options, per_row=media_maps)
-
-    for r in range(len(doc_ids)):
-        html, media_map = htmls[r], media_maps[r]
-        # release the assembled string as soon as this row consumes it:
+    results = map_documents(htmls, kernel_extract, options, per_row=media_maps)
+    for r, res in enumerate(results):
+        if res is None:
+            n_spans, valid = 0, False
+            mt = (0, 0, 0, 0, 0, len(htmls[r]))
+        else:
+            c_kinds, c_texts, c_refs, n_spans, valid, mt = res
+            kinds.extend(c_kinds)
+            texts.extend(c_texts)
+            refs.extend(c_refs)
+        # release the assembled string as soon as this row is consumed:
         # peak heap stays ~1x the batch's html bytes after the (transient)
         # prescan Arrow copy is freed, instead of holding every assembled
-        # doc through the whole loop (round-4 ADVICE memory note; the
-        # multiplier is documented next to DEFAULT_BATCH_SIZE)
+        # doc through the whole loop (the multiplier is documented next to
+        # DEFAULT_BATCH_SIZE)
         htmls[r] = media_maps[r] = None
-        if r in lane:
-            res = lane[r]
-            if res is None:
-                n_spans, valid = 0, False
-                mt = (0, 0, 0, 0, 0, len(html))
-            else:
-                c_kinds, c_texts, c_refs, n_spans, valid, mt = res
-                kinds.extend(c_kinds)
-                texts.extend(c_texts)
-                refs.extend(c_refs)
-        else:
-            # flat-array fast path: no per-node Python objects (differentially
-            # tested bit-exact vs parse+extract_spans — tests/test_fast_extract.py)
-            n_spans, valid = extract_spans_into(
-                html, media_map, options, metrics, kinds, texts, refs
-            )
-            mt = (metrics.n_nodes, metrics.n_elements, metrics.n_text,
-                  metrics.n_comments, metrics.n_fixups, metrics.n_bytes)
         total_spans += n_spans
         offsets.append(total_spans)
         valids.append(valid)
-        m_nodes.append(mt[0])
-        m_elements.append(mt[1])
-        m_text.append(mt[2])
-        m_comments.append(mt[3])
-        m_fixups.append(mt[4])
-        m_bytes.append(mt[5])
-        m_spans.append(n_spans)
+        metrics_rows.append((*mt, n_spans))
 
     # order = position within the doc: one vectorized ramp from the offsets
     off_arr = np.asarray(offsets, dtype=np.int64)
@@ -332,16 +298,9 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
         fields=list(OUT_SPAN_STRUCT),
     )
     spans_col = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), span_struct)
+    m_cols = list(zip(*metrics_rows)) or [()] * len(METRICS_STRUCT)
     metrics_col = pa.StructArray.from_arrays(
-        [
-            pa.array(m_nodes, pa.int32()),
-            pa.array(m_elements, pa.int32()),
-            pa.array(m_text, pa.int32()),
-            pa.array(m_comments, pa.int32()),
-            pa.array(m_fixups, pa.int32()),
-            pa.array(m_bytes, pa.int64()),
-            pa.array(m_spans, pa.int32()),
-        ],
+        [pa.array(col, f.type) for col, f in zip(m_cols, METRICS_STRUCT)],
         fields=list(METRICS_STRUCT),
     )
     return pa.Table.from_arrays(
@@ -366,9 +325,10 @@ def make_extract_batch(options: Optional[dict] = None):
     return _fn
 
 
-def partition_ids(doc_ids: list[str], num_partitions: int) -> list[int]:
-    """Stable hash-partition of doc_ids (crc32 — stable across runs/nodes)."""
-    return [zlib.crc32(d.encode()) % num_partitions for d in doc_ids]
+def partition_ids(doc_ids: list[Optional[str]], num_partitions: int) -> list[int]:
+    """Stable hash-partition of doc_ids (crc32 — stable across runs/nodes);
+    a null doc_id hashes like ``""``."""
+    return [zlib.crc32((d or "").encode()) % num_partitions for d in doc_ids]
 
 
 def add_partition_column(
@@ -377,78 +337,39 @@ def add_partition_column(
     giant_bytes: int = 1_000_000,
     giant_partitions: int = 8,
 ) -> pa.Table:
-    """Assign ``partition_id`` by doc_id hash, salting giant documents.
+    """Assign ``partition_id`` by doc_id hash (a null doc_id routes like
+    ``""``), salting giant documents.
 
-    Documents whose assembled HTML exceeds ``giant_bytes`` are routed to a
-    dedicated partition range ``[num_partitions, num_partitions +
-    giant_partitions)`` so that the heavy tail cannot skew ordinary
-    partitions (north_rule skew clause).  Works on both input (sums html
-    span lengths) and output (uses metrics.n_bytes) schemas.
+    Documents larger than ``giant_bytes`` are routed to a dedicated
+    partition range ``[num_partitions, num_partitions + giant_partitions)``
+    so that the heavy tail cannot skew ordinary partitions (north_rule skew
+    clause).  Works on both input schemas and the output schema: an output
+    row's size is its ``metrics.n_bytes``, an input row's is the length of
+    its assembled HTML (:func:`htmls_from_batch`), which is the number
+    :func:`extract_batch` writes as ``n_bytes``, so a document keeps its
+    ``partition_id`` through extraction.
 
-    Input-schema batches ALSO route ReDoS-prescan-flagged docs to the same
-    salt range, so bounded-time stragglers co-locate instead of sitting in
-    ordinary partitions (round-3 verdict #6).  Round-4 review fix: the
-    prescan runs over each doc's JOINED span text (vectorized RE2 stage 1
-    over per-row ``binary_join``; exact ``is_pathological`` stage 2 only on
-    the rare stage-1 hits), not per span — a trigger spanning two html
-    spans is caught, and benign script-heavy spans are no longer salted.
-    This matches ``extract_batch``'s own lane decision up to two documented
-    approximations, both routing-only (extraction output is identical
-    either way): non-html spans join as a fixed ``<x>`` placeholder
-    (regex-equivalent to the real ``<img data-nhpr-media=K>``), and spans
-    join in storage order (every writer emits offset order).
+    Input rows ALSO salt every document the ReDoS lane would send to the
+    sidecar (:func:`prescan_flags` under :func:`parse_timeout`), so
+    bounded-time stragglers co-locate instead of sitting in ordinary
+    partitions.
     """
     doc_ids = batch.column("doc_id").to_pylist()
     base = partition_ids(doc_ids, num_partitions)
     if "metrics" in batch.column_names:
         sizes = batch.column("metrics").combine_chunks().field("n_bytes").to_pylist()
         # already-extracted rows carry no raw html to re-scan
-        salted = [False] * len(doc_ids)
-    elif "spans" in batch.column_names:
-        # null-tolerant like extract_batch: a null span list or null
-        # kind/text field routes the doc by size 0, never kills the task.
-        # Vectorized: per-span char lengths masked to html spans, then a
-        # cumsum gathered at row boundaries.
-        import pyarrow.compute as pc
-
-        spans_col = batch.column("spans").combine_chunks()
-        row_off = _row_offsets(spans_col)
-        flat = spans_col.flatten()
-        is_html = pc.equal(
-            pc.fill_null(flat.field("kind"), ""), "html"
-        ).to_numpy(zero_copy_only=False)
-        tchars = pc.utf8_length(
-            pc.fill_null(flat.field("text"), "")
-        ).to_numpy(zero_copy_only=False).astype(np.int64)
-        tchars[~is_html] = 0
-        csum = np.concatenate([np.zeros(1, np.int64), np.cumsum(tchars)])
-        sizes = (csum[row_off[1:]] - csum[row_off[:-1]]).tolist()
-        from ..kernel.parser import PATHOLOGICAL_RE2, is_pathological
-
-        texts_filled = pc.fill_null(flat.field("text"), "")
-        with_ph = pc.if_else(
-            pa.array(is_html), texts_filled,
-            pa.scalar("<x>", texts_filled.type),
-        )
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(
-                pa.array(row_off, pa.int32()), with_ph
-            ),
-            pa.scalar("", texts_filled.type),
-        )
-        stage1 = pc.fill_null(
-            pc.match_substring_regex(joined, PATHOLOGICAL_RE2), False
-        ).to_numpy(zero_copy_only=False)
-        salted = [False] * len(doc_ids)
-        for i in np.flatnonzero(stage1):
-            salted[i] = is_pathological(joined[int(i)].as_py())
+        flags = None
     else:
-        sizes = [0] * len(doc_ids)
-        salted = [False] * len(doc_ids)
+        htmls = htmls_from_batch(batch)
+        sizes = [len(html) for html in htmls]
+        flags = prescan_flags(htmls, parse_timeout())
+    if flags is None:
+        flags = [False] * len(doc_ids)
     pids = [
         num_partitions + (p % giant_partitions)
         if (size > giant_bytes or bad)
         else p
-        for p, size, bad in zip(base, sizes, salted)
+        for p, size, bad in zip(base, sizes, flags)
     ]
     return batch.append_column("partition_id", pa.array(pids, pa.int32()))

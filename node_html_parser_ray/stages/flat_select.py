@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 
 from ..kernel.dom import attribute_map, id_and_classes
 from ..kernel.jsregex import S as _JS_WS_CLASS
-from .extract_stage import bounded_lane, htmls_from_batch
+from .extract_stage import htmls_from_batch, map_documents
 from ..kernel.parser import flat_parse
 from ..kernel.selector import _ATTR_SELECTOR_RE, _SELECTOR_PART_RE
 
@@ -119,9 +119,9 @@ def _attr_op_mask(col, key: str, op: str, value: str):
 
 def explode_document(html: str):
     """ONE document's node rows, in pre-order, read straight off
-    :func:`flat_parse`'s tree (no node objects).  Module-level so the
-    bounded lane can run it for prescan-flagged docs: pure args in, plain
-    lists ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
+    :func:`flat_parse`'s tree (no node objects).  Module-level so
+    :func:`extract_stage.map_documents` can run it in either lane: pure
+    args in, plain lists ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
     tag, val, kids, _, _, _ = flat_parse(html or "")
     out_pid: list[int] = []
     out_kind: list[int] = []
@@ -175,19 +175,12 @@ def node_table(doc_ids: list[str], docs: list[tuple]) -> pa.Table:
 
 def explode_nodes_batch(batch: pa.Table) -> pa.Table:
     """Parse each document and emit one table row per node.
-    A document the bounded lane drops contributes NO node rows, i.e. it
+    A document the ReDoS lane bounds out contributes NO node rows, i.e. it
     matches nothing."""
     doc_ids = batch.column("doc_id").to_pylist()
-    htmls = htmls_from_batch(batch)
-    lane = bounded_lane(htmls, explode_document)
-    kept: list[str] = []
-    docs: list[tuple] = []
-    for r, html in enumerate(htmls):
-        doc = lane[r] if r in lane else explode_document(html)
-        if doc is not None:
-            kept.append(str(doc_ids[r]))
-            docs.append(doc)
-    return node_table(kept, docs)
+    docs = map_documents(htmls_from_batch(batch), explode_document)
+    kept = [(str(d), doc) for d, doc in zip(doc_ids, docs) if doc is not None]
+    return node_table([d for d, _ in kept], [doc for _, doc in kept])
 
 
 def columnar_part_mask(nodes: pa.Table, part: str) -> pa.ChunkedArray:

@@ -1,11 +1,13 @@
-"""Stateful selector stage: compiled CSS matchers on an actor pool.
+"""Stateful selector stage: a fixed selector set on an actor pool.
 
-The reference compiles a Matcher per querySelector call
-(src/index.ts:651-685); at 10^12-doc scale the compile cost must be paid once
-per *worker*, not per document.  This stage is a callable class for
-``ds.map_batches(SelectorStage(selectors), concurrency=N, batch_size=B)``:
-the matcher cache is built in ``__init__`` (once per actor) and reused for
-every batch (north_star stateful-stage clause).
+``ds.map_batches(SelectorStage(selectors), concurrency=N, batch_size=B)``.
+Each actor decides once, in ``__init__``, which selectors the columnar
+node-table path (stages/flat_select.py) covers; in count-only mode those
+are counted by vectorized masks over one node table per batch, and the
+rest run the per-document automaton (kernel/selector.py), which compiles
+its matchers per call: no matcher cache is kept.  Every document, flagged
+by the ReDoS prescan or not, goes through the same per-document function
+:func:`stage_document` via :func:`extract_stage.map_documents`.
 """
 from __future__ import annotations
 
@@ -14,9 +16,15 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from .extract_stage import bounded_lane, htmls_from_batch
+from .extract_stage import htmls_from_batch, map_documents
+from .flat_select import (
+    NODE_TABLE_SCHEMA,
+    columnar_select_mask,
+    explode_document,
+    node_table,
+)
 from ..kernel.parser import parse
-from ..kernel.selector import Matcher, compile_parts, select_union
+from ..kernel.selector import compile_parts, select_union
 
 __all__ = ["SelectorStage", "SELECTOR_OUTPUT_SCHEMA", "select_document"]
 
@@ -35,10 +43,8 @@ SELECTOR_OUTPUT_SCHEMA = pa.schema(
 
 
 def select_document(html, selectors, options, emit_text):
-    """ONE document through parse + the whole selector set — the bounded
-    lane's per-doc function for prescan-flagged docs, so the result is
-    pure args in / plain lists out.  Compiles matchers per call:
-    only the rare flagged documents pay that.
+    """ONE document through parse + the automaton for each selector: pure
+    args in, plain lists out.  Compiles its matchers per call.
 
     Returns ``[(n_matches, texts), ...]`` aligned with ``selectors``."""
     root = parse(html, options)
@@ -51,6 +57,18 @@ def select_document(html, selectors, options, emit_text):
     return out
 
 
+def stage_document(html, explode, automaton, emit_text):
+    """ONE document through :class:`SelectorStage` — the per-document
+    function both lanes run.  Returns ``(rows, results)``: the
+    :func:`flat_select.explode_document` rows when ``explode`` is set (the
+    stage has columnar selectors), else ``None``, and the
+    :func:`select_document` results for the ``automaton`` selectors."""
+    return (
+        explode_document(html) if explode else None,
+        select_document(html, automaton, None, emit_text) if automaton else [],
+    )
+
+
 class SelectorStage:
     """Evaluate a fixed selector set against every document in each batch.
 
@@ -60,11 +78,7 @@ class SelectorStage:
     """
 
     def __init__(self, selectors: Sequence[str], emit_text: bool = True) -> None:
-        # once per actor: compile every selector part
         self.selectors = list(selectors)
-        self.compiled: list[tuple[str, list[Matcher]]] = [
-            (sel, compile_parts(sel)) for sel in self.selectors
-        ]
         self.emit_text = emit_text
         # count-only mode routes selectors the columnar grammar covers
         # (tag/#id/.class/[attr] + descendant/comma) through the vectorized
@@ -72,8 +86,6 @@ class SelectorStage:
         # automaton's reference result order, so it never routes
         self.columnar: set[str] = set()
         if not emit_text:
-            from .flat_select import NODE_TABLE_SCHEMA, columnar_select_mask
-
             probe = NODE_TABLE_SCHEMA.empty_table()
             for sel in self.selectors:
                 try:
@@ -84,29 +96,18 @@ class SelectorStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
-        htmls = htmls_from_batch(batch)
-        lane = bounded_lane(
-            htmls, select_document, self.selectors, None, self.emit_text
-        )
-
-        out_doc: list[str] = []
-        out_sel: list[str] = []
-        out_n: list[int] = []
-        flat_matches: list[str] = []
-        offsets: list[int] = [0]
+        automaton = [s for s in self.selectors if s not in self.columnar]
+        results = list(map_documents(
+            htmls_from_batch(batch), stage_document, bool(self.columnar),
+            automaton, self.emit_text,
+        ))
 
         # per-row match counts of each columnar selector, from one node
-        # table over the batch's unflagged docs
+        # table over the batch's docs that were not bounded out
         col_counts: dict[str, np.ndarray] = {}
         if self.columnar:
-            from .flat_select import (
-                columnar_select_mask,
-                explode_document,
-                node_table,
-            )
-
-            keep = [r for r in range(len(htmls)) if r not in lane]
-            docs = [explode_document(htmls[r]) for r in keep]
+            keep = [r for r, res in enumerate(results) if res is not None]
+            docs = [results[r][0] for r in keep]
             nodes = node_table([str(doc_ids[r]) for r in keep], docs)
             node_row = np.repeat(
                 np.asarray(keep, np.int64), [len(d[0]) for d in docs]
@@ -114,38 +115,28 @@ class SelectorStage:
             for sel in self.columnar:
                 mask = columnar_select_mask(nodes, sel)
                 col_counts[sel] = np.bincount(
-                    node_row[mask], minlength=len(htmls)
+                    node_row[mask], minlength=len(results)
                 )
 
-        automaton = [
-            (sel, parts) for sel, parts in self.compiled
-            if sel not in self.columnar
-        ]
-        for r, (doc_id, html) in enumerate(zip(doc_ids, htmls)):
-            if r in lane:
-                res = lane[r]
-                for i, sel in enumerate(self.selectors):
-                    out_doc.append(doc_id)
-                    out_sel.append(sel)
-                    if res is None:
-                        out_n.append(-1)
-                    else:
-                        n, txts = res[i]
-                        out_n.append(n)
-                        flat_matches.extend(txts)
-                    offsets.append(len(flat_matches))
-                continue
-            root = parse(html) if automaton else None
-            for sel, parts in self.compiled:
+        out_doc: list[str] = []
+        out_sel: list[str] = []
+        out_n: list[int] = []
+        flat_matches: list[str] = []
+        offsets: list[int] = [0]
+        for r, (doc_id, res) in enumerate(zip(doc_ids, results)):
+            # the automaton selectors' results, in selector order
+            automaton_results = iter(res[1] if res is not None else ())
+            for sel in self.selectors:
                 out_doc.append(doc_id)
                 out_sel.append(sel)
-                if sel in self.columnar:
+                if res is None:
+                    out_n.append(-1)
+                elif sel in self.columnar:
                     out_n.append(int(col_counts[sel][r]))
                 else:
-                    found = select_union(root, parts)
-                    out_n.append(len(found))
-                    if self.emit_text:
-                        flat_matches.extend(el.text for el in found)
+                    n, txts = next(automaton_results)
+                    out_n.append(n)
+                    flat_matches.extend(txts)
                 offsets.append(len(flat_matches))
         matches_col = pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()),

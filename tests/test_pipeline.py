@@ -9,7 +9,11 @@ import pyarrow as pa
 import pytest
 
 from node_html_parser_ray.kernel.extract import parse_and_extract
-from node_html_parser_ray.sources.corpus import generate_documents, write_corpus
+from node_html_parser_ray.sources.corpus import (
+    INPUT_SCHEMA,
+    generate_documents,
+    write_corpus,
+)
 from node_html_parser_ray.stages.extract_stage import add_partition_column, extract_batch
 
 
@@ -612,6 +616,19 @@ class TestPartitioning:
         # determinism
         again = add_partition_column(corpus, num_partitions=8, giant_bytes=100_000)
         assert again.column("partition_id").to_pylist() == pids
+
+    def test_null_doc_id_routes_like_empty(self):
+        """A null doc_id (extract_batch passes it through) hashes like ""
+        on input and output batches instead of crashing the router."""
+        rows = [{"doc_id": d, "spans": [{"kind": "html", "text": "<p>x</p>",
+                                         "media_ref": "", "offset": 0}]}
+                for d in (None, "")]
+        batch = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
+        for table in (batch, extract_batch(batch)):
+            pids = add_partition_column(table, num_partitions=8)
+            assert pids.column("doc_id").to_pylist() == [None, ""]
+            null_pid, empty_pid = pids.column("partition_id").to_pylist()
+            assert null_pid == empty_pid < 8
 
 
 class TestStatefulStages:
@@ -2383,3 +2400,23 @@ class TestPartitionedOutput:
         second = run_checkpointed(files, out, shard_count=2,
                                   partition_output=True, num_partitions=8)
         assert second["ran"] == [] and sorted(second["skipped"]) == [0, 1]
+
+    def test_null_doc_id_partitioned_output(self, ray_session, tmp_path):
+        """A null doc_id no longer kills its shard under
+        partition_output=True: the row lands in the output."""
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+
+        table = generate_documents(4, seed=9)
+        table = table.set_column(
+            0, "doc_id", pa.array([None, "a", None, "b"], pa.string()))
+        src = str(tmp_path / "in.parquet")
+        pq.write_table(table, src)
+        out = str(tmp_path / "out")
+        summary = run_checkpointed([src], out, shard_count=1,
+                                   partition_output=True, num_partitions=8)
+        assert summary["totals"]["n_docs"] == 4
+        got = pq.read_table(os.path.join(out, "shard=000000"))
+        assert sorted(got.column("doc_id").to_pylist(),
+                      key=lambda d: d or "") == [None, None, "a", "b"]

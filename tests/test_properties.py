@@ -9,6 +9,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzz_bound import require_bounded_parse
 from node_html_parser_ray.kernel import extract_spans, parse
 from node_html_parser_ray.sources.corpus import generate_documents
 
@@ -23,6 +24,7 @@ class TestParserTotality:
     @given(markup_text)
     @settings(max_examples=300, deadline=None)
     def test_parse_never_raises(self, s):
+        require_bounded_parse(s)
         root = parse(s)
         assert isinstance(root.valid, bool)
         # serialisation and extraction are also total
@@ -32,8 +34,10 @@ class TestParserTotality:
     @given(markup_text)
     @settings(max_examples=150, deadline=None)
     def test_parse_with_options_never_raises(self, s):
-        parse(s, {"comment": True, "script": True, "style": True, "pre": True,
-                  "lowerCaseTagName": True}).to_string()
+        options = {"comment": True, "script": True, "style": True, "pre": True,
+                   "lowerCaseTagName": True}
+        require_bounded_parse(s, options)
+        parse(s, options).to_string()
 
     @given(markup_text)
     @settings(max_examples=150, deadline=None)
@@ -43,13 +47,17 @@ class TestParserTotality:
         One round of parse+serialise normalises the document; a second round
         must be the identity (the repair loop is idempotent on its output).
         """
+        require_bounded_parse(s)
         once = parse(s).to_string()
+        require_bounded_parse(once)
         twice = parse(once).to_string()
+        require_bounded_parse(twice)
         assert parse(twice).to_string() == twice
 
     @given(markup_text)
     @settings(max_examples=150, deadline=None)
     def test_span_orders_sequential(self, s):
+        require_bounded_parse(s)
         spans = extract_spans(parse(s))
         assert [sp[3] for sp in spans] == list(range(len(spans)))
         assert all(sp[0] == "text" or sp[2] != "" or sp[1] != "" or True for sp in spans)
@@ -67,6 +75,7 @@ class TestStructuredTextParity:
     @settings(max_examples=200, deadline=None)
     def test_text_spans_subset_of_structured_text(self, s):
         """Every emitted text span appears in structuredText (media-free)."""
+        require_bounded_parse(s)
         root = parse(s)
         st_text = root.structured_text
         for kind, text, _, _ in extract_spans(root):
@@ -84,6 +93,8 @@ class TestBatchKernelParity:
 
         from node_html_parser_ray.stages.extract_stage import extract_batch
 
+        for html in htmls:
+            require_bounded_parse(html)
         table = pa.table(
             {
                 "doc_id": [str(i) for i in range(len(htmls))],
@@ -118,6 +129,8 @@ class TestBatchKernelParity:
         parts = ["div", "*", ".ab", "#a", "[title]", "span",
                  '[a="b"]', '[a!="b"]', '[a^="a"]', '[a$="b"]',
                  '[a*="a"]', '[a|="a"]', '[a~="ab"]']
+        for html in htmls:
+            require_bounded_parse(html)
         table = pa.table(
             {
                 "doc_id": [str(i) for i in range(len(htmls))],

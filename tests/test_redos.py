@@ -327,6 +327,61 @@ class TestBoundedLane:
         assert pids["scripty-1"] < 64
         assert pids["media-cut-1"] >= 64
 
+    def test_partition_router_follows_lane(self, monkeypatch):
+        """The router salts exactly the rows the lane sends to the sidecar
+        plus the giants, and an unflagged row keeps its partition_id
+        through extract_batch (input size = assembled length = n_bytes)."""
+        from node_html_parser_ray.stages.extract_stage import (
+            htmls_from_batch,
+            parse_timeout,
+            prescan_flags,
+        )
+
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
+        half = len(ADVERSARIAL) // 2
+        giants = [r for r in generate_documents(40, seed=5, giant_fraction=0.2)
+                  .to_pylist() if sum(len(s["text"]) for s in r["spans"])
+                  > 100_000][:2]
+        assert len(giants) == 2
+        rows = [
+            {"doc_id": "split-1", "spans": [
+                {"kind": "html", "text": ADVERSARIAL[:half],
+                 "media_ref": "", "offset": 0},
+                {"kind": "html", "text": ADVERSARIAL[half:],
+                 "media_ref": "", "offset": 1}]},
+            _spans_row("scripty-1",
+                       "<script>if (a<b) { " + "x" * 40 + " }</script><p>ok</p>"),
+            {"doc_id": "media-cut-1", "spans": [
+                {"kind": "html", "text": "<a " + "a" * 30,
+                 "media_ref": "", "offset": 0},
+                {"kind": "image", "text": "cap",
+                 "media_ref": "m://x/0", "offset": 1}]},
+            _spans_row("fp-1", FLAGGED_FAST),
+            _spans_row("bad-1", ADVERSARIAL),
+            *giants,
+            {"doc_id": "null-spans", "spans": None},
+            _spans_row(None, "<p>no id</p>"),
+        ]
+        batch = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
+        giant_bytes = 100_000
+        htmls = htmls_from_batch(batch)
+        flags = prescan_flags(htmls, parse_timeout())
+        want = {r for r, html in enumerate(htmls)
+                if flags[r] or len(html) > giant_bytes}
+        assert want == {0, 2, 3, 4, 5, 6}
+
+        def route(table):
+            return add_partition_column(
+                table, num_partitions=64, giant_bytes=giant_bytes
+            ).column("partition_id").to_pylist()
+
+        before = route(batch)
+        assert {r for r, p in enumerate(before) if p >= 64} == want
+        after = route(extract_batch(batch))
+        for r in range(len(rows)):
+            if not flags[r]:
+                assert after[r] == before[r], rows[r]["doc_id"]
+
     def test_sidecar_transient_failure_returns_none(self, monkeypatch):
         """Round-4 review fix: once a spawn has succeeded, a later
         setup/send failure is transient resource pressure — the flagged doc
@@ -418,6 +473,9 @@ FLAGGED_FAST = (
 )
 
 
+COUNT_ONLY_PLAIN = "<div class='c'><p>hi</p><p>yo</p></div><p>z</p>"
+
+
 class TestBoundedSelectorClassifier:
     """The selector and boilerplate stages parse whole documents too — they
     share the extraction stage's prescan + spawn sidecar (round-4 review:
@@ -462,17 +520,13 @@ class TestBoundedSelectorClassifier:
         assert got == [(n, txts) for n, txts in direct]
         assert got[0] == (2, ["before", "real text here"])
 
-    def test_selector_stage_count_only_flagged_docs(self, monkeypatch):
-        """Count-only SelectorStage (the columnar node-table path) over a
-        batch holding a plain doc, a prescan false positive and an
-        adversarial doc: the first two count exactly like select_document,
-        the third is bounded out (-1 per selector), and the batch is
-        prescanned once."""
+    @staticmethod
+    def _count_only(monkeypatch, sels):
+        """SelectorStage(sels, emit_text=False) over a plain doc, a prescan
+        false positive and an adversarial doc -> (stage, per-doc counts,
+        the sizes of the batches prescanned)."""
         from node_html_parser_ray.stages import extract_stage
-        from node_html_parser_ray.stages.selector_stage import (
-            SelectorStage,
-            select_document,
-        )
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
 
         real_prescan = extract_stage.prescan_flags
         calls = []
@@ -485,29 +539,57 @@ class TestBoundedSelectorClassifier:
         # long enough for the false positive's sidecar parse on a loaded
         # host; the adversarial doc pays the whole bound
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "5.0")
-        sels = ["p", "div.c"]
-        plain = "<div class='c'><p>hi</p><p>yo</p></div><p>z</p>"
         batch = pa.Table.from_pylist(
             [
-                _spans_row("plain-1", plain),
+                _spans_row("plain-1", COUNT_ONLY_PLAIN),
                 _spans_row("fp-1", FLAGGED_FAST),
                 _spans_row("bad-1", ADVERSARIAL),
             ],
             schema=INPUT_SCHEMA,
         )
         stage = SelectorStage(sels, emit_text=False)
-        assert stage.columnar == set(sels)
-        out = stage(batch)
-        assert calls == [3]
         got: dict[str, list[int]] = {}
-        for r in out.to_pylist():
+        for r in stage(batch).to_pylist():
             got.setdefault(r["doc_id"], []).append(r["n_matches"])
-        for doc_id, html in (("plain-1", plain), ("fp-1", FLAGGED_FAST)):
+            assert r["matches"] == []
+        return stage, got, calls
+
+    def test_selector_stage_count_only_flagged_docs(self, monkeypatch):
+        """Count-only SelectorStage (the columnar node-table path) over a
+        batch holding a plain doc, a prescan false positive and an
+        adversarial doc: the first two count exactly like select_document,
+        the third is bounded out (-1 per selector), and the batch is
+        prescanned once."""
+        from node_html_parser_ray.stages.selector_stage import select_document
+
+        sels = ["p", "div.c"]
+        stage, got, calls = self._count_only(monkeypatch, sels)
+        assert stage.columnar == set(sels)
+        assert calls == [3]
+        for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FLAGGED_FAST)):
             direct = select_document(html, sels, None, False)
             assert got[doc_id] == [n for n, _ in direct]
         assert got["plain-1"] == [3, 1]
         assert got["fp-1"] == [2, 1]
         assert got["bad-1"] == [-1, -1]
+
+    def test_selector_stage_count_only_mixed_selectors(self, monkeypatch):
+        """The same batch with columnar AND automaton selectors: counts
+        equal select_document for the plain doc and the false positive
+        (whose node rows come back from the sidecar and are counted by the
+        same masks), the adversarial doc is -1 for every selector, and the
+        batch is prescanned once."""
+        from node_html_parser_ray.stages.selector_stage import select_document
+
+        sels = ["p", "div.c", "div > p", '[class~=""]']
+        stage, got, calls = self._count_only(monkeypatch, sels)
+        assert stage.columnar == {"p", "div.c"}
+        assert calls == [3]
+        for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FLAGGED_FAST)):
+            direct = select_document(html, sels, None, False)
+            assert got[doc_id] == [n for n, _ in direct]
+        assert got["plain-1"] == [3, 1, 2, 0]
+        assert got["bad-1"] == [-1, -1, -1, -1]
 
     def test_classifier_bounds_adversarial(self, monkeypatch):
         from node_html_parser_ray.stages.classify import BoilerplateClassifier
@@ -572,23 +654,32 @@ class TestBoundedSelectorClassifier:
     def test_dom_api_query_bounds_adversarial(self, monkeypatch):
         """q_dom_api embeds corpus text raw in its synthesized html
         (review finding) — flagged docs route through the lane, with the
-        same bounded_lane call q_dom_api makes; a bounded-out doc comes
+        same map_documents call q_dom_api makes; a bounded-out doc comes
         back None (q_dom_api emits its (-1,-1,-1) sentinels for it)."""
+        from node_html_parser_ray.stages import extract_stage
         from node_html_parser_ray.stages.extract_stage import (
-            bounded_lane,
             dom_api_document,
+            map_documents,
         )
 
+        sent = []
+        real_call = extract_stage.SIDECAR.call
+
+        def recording_call(fn, args, timeout):
+            sent.append(args[0])
+            return real_call(fn, args, timeout)
+
+        monkeypatch.setattr(extract_stage.SIDECAR, "call", recording_call)
         text = "<a " + "a" * 40  # wild corpus text smuggling the shape
         html = f'<div id="d1" class="a b"> {text} <span>x</span> <!--c--> </div>'
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
-        assert bounded_lane([html], dom_api_document) == {0: None}
+        assert list(map_documents([html], dom_api_document)) == [None]
         # FP parity: a benign flagged doc returns real values via the lane
         fp = f'<div id="d1" class="a b"> {FLAGGED_FAST} <span>x</span> <!--c--> </div>'
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
-        lane = bounded_lane([fp], dom_api_document)
-        assert list(lane) == [0]  # flagged, so it ran in the sidecar
-        assert lane[0] == tuple(dom_api_document(fp))
+        got = list(map_documents([fp], dom_api_document))
+        assert sent == [html, fp]  # flagged, so both ran in the sidecar
+        assert got == [tuple(dom_api_document(fp))]
 
     def test_sidecar_child_exception_is_bounded_drop(self):
         """A function raising in the child returns None (this one doc is

@@ -2,6 +2,7 @@
 test/attribute-operators.test.ts:1-270)."""
 from __future__ import annotations
 
+from fuzz_bound import require_bounded_parse
 from node_html_parser_ray.kernel import HTMLElement, Matcher, parse
 
 
@@ -396,6 +397,7 @@ class TestAutomatonVsDP:
         @given(markup, st.sampled_from(self.SELECTORS))
         @settings(max_examples=300, deadline=None)
         def check(html, sel):
+            require_bounded_parse(html)
             root = parse(html)
             got = {id(e) for e in root.query_selector_all(sel)}
             assert got == {id(e) for e in _dp_query_all(root, sel)}
@@ -471,6 +473,7 @@ class TestColumnarDescendant:
         @given(markup, sels)
         @settings(max_examples=200, deadline=None)
         def check(html, sel):
+            require_bounded_parse(html)
             nodes = explode_nodes_batch(pa.table({"doc_id": ["x"], "html": [html]}))
             n_col = int(columnar_select_mask(nodes, sel).sum())
             assert n_col == len(parse(html).query_selector_all(sel)), (html, sel)
