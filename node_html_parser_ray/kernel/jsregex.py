@@ -46,7 +46,3 @@ def js_trim(s: str) -> str:
 def js_ws_split(s: str) -> list[str]:
     """Equivalent of JS ``s.split(/\\s+/)`` (empty leading field preserved)."""
     return _WS_RUN.split(s)
-
-
-def is_js_space(ch: str) -> bool:
-    return ch in _JS_WS_CHARS

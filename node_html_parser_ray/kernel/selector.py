@@ -15,9 +15,10 @@ exploration (src/index.ts:400-476):
   left-to-right — selector-order precedence, not document order
   (src/index.ts:469-474).
 
-Compiled matchers are cacheable: a Matcher is immutable except for its
-cursor, and ``clone()`` shares the checker list — the SelectorStage actor
-pool caches ``{selector: Matcher}`` per worker and clones cursors per doc.
+:func:`parse_chain` (one chain per comma part: :func:`selector_chains`)
+is the one parse of a selector string: the Matchers here and the columnar
+masks of ``stages/flat_select.py`` both evaluate its parts, so the two
+engines read the same grammar.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .dom import HTMLElement
 from .jsregex import S, js_trim, js_ws_split
 
 __all__ = ["Matcher", "compile_parts", "query_selector", "query_selector_all",
-           "select_union"]
+           "select_union", "selector_chains"]
 
 # reference src/index.ts:669 — selector part regex.
 _SELECTOR_PART_RE = re.compile(
@@ -104,32 +105,44 @@ def _make_checker(tag: str, id_: str, classes: list[str], attrs) -> Checker:
     return lambda el: all(c(el) for c in checks)
 
 
-def _compile_selector(selector: str) -> list[Checker]:
-    """Compile one comma-free selector into per-level checkers.
+# one part of a chain: (tag, id, classes, [(key, op, value), ...])
+Part = tuple[str, str, list[str], list[tuple[str, str, str]]]
 
-    Mirrors parseCompleteSelector (src/index.ts:666-685).  Zero-width regex
-    matches are skipped (the reference skips them via ``match[0].trim()``);
-    Python's finditer advances past them safely.
+
+def parse_chain(selector: str) -> list[Part]:
+    """Parse one comma-free selector into its descendant chain of parts.
+
+    Mirrors parseCompleteSelector (src/index.ts:666-685): text the part
+    regex does not match (e.g. the ``>`` of ``div > p``) is skipped, as in
+    the reference.  Zero-width regex matches are skipped (the reference
+    skips them via ``match[0].trim()``); Python's finditer advances past
+    them safely.
     """
-    checkers: list[Checker] = []
+    parts: list[Part] = []
     for m in _SELECTOR_PART_RE.finditer(selector):
         # JS trim() strips U+FEFF; Python str.strip() does not — a BOM-only
         # part must be skipped like the reference does, not compiled into a
         # spurious always-true checker
         if not js_trim(m.group(0)):
             continue
-        tag = m.group(1) or ""
-        id_ = m.group(2) or ""
-        classes = m.group(3).split(".") if m.group(3) else []
-        attrs: list[tuple[str, str, str]] = []
-        if m.group(4):
-            for am in _ATTR_SELECTOR_RE.finditer(m.group(4)):
-                if am.group(1):
-                    attrs.append(
-                        (am.group(1), am.group(2) or "", am.group(3) or "")
-                    )
-        checkers.append(_make_checker(tag, id_, classes, attrs))
-    return checkers
+        attrs = [(am.group(1), am.group(2) or "", am.group(3) or "")
+                 for am in _ATTR_SELECTOR_RE.finditer(m.group(4) or "")]
+        parts.append((m.group(1) or "", m.group(2) or "",
+                      m.group(3).split(".") if m.group(3) else [], attrs))
+    return parts
+
+
+def _comma_parts(selector: str) -> list[str]:
+    """The non-empty comma parts of a querySelector(All) selector."""
+    return [p.strip() for p in selector.split(",") if p.strip()]
+
+
+def selector_chains(selector: str) -> list[list[Part]]:
+    """One :func:`parse_chain` chain per non-empty comma part: the chains
+    the columnar masks evaluate.  :func:`compile_parts` builds its Matchers
+    from the same comma parts through the same :func:`parse_chain`.  A
+    chain with no parts matches nothing."""
+    return [parse_chain(p) for p in _comma_parts(selector)]
 
 
 class Matcher:
@@ -139,7 +152,8 @@ class Matcher:
 
     def __init__(self, selector: str = "") -> None:
         self.checkers: list[Checker] = (
-            _compile_selector(selector) if selector else []
+            [_make_checker(*part) for part in parse_chain(selector)]
+            if selector else []
         )
         self.next_match = 0
 
@@ -228,7 +242,7 @@ def _explore_first(node: HTMLElement, matcher: Matcher) -> Optional[HTMLElement]
 
 def compile_parts(selector: str) -> list[Matcher]:
     """One Matcher per non-empty comma part of ``selector``."""
-    return [Matcher(p.strip()) for p in selector.split(",") if p.strip()]
+    return [Matcher(p) for p in _comma_parts(selector)]
 
 
 def select_union(root: HTMLElement, parts: list[Matcher]) -> list[HTMLElement]:

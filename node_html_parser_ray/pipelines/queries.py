@@ -292,22 +292,25 @@ def _interleaved_batch(batch: pa.Table) -> pa.Table:
 def q_structured_text(sf_dir: str):
     """structuredText of each document's payload (plain text -> one block).
 
-    Uses the flat-array fast path: for media-free documents
+    Uses the flat-array span walk: for media-free documents
     ``'\\n'.join(text spans)`` equals ``structured_text`` exactly (verified
     by the ported html.spec tests + the fast-path differential suite).
+    Corpus text is parsed as a whole document, so it runs through
+    ``extract_stage.map_documents``; a bounded-out doc emits ``""``.
     """
-    from ..kernel.fast_extract import extract_spans_fast
+    from ..kernel.redos_lane import kernel_extract
 
     def fn(batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id")
-        texts = batch.column("text").to_pylist()
         # null text reads as empty doc on BOTH sides (oracle COALESCEs)
+        htmls = [t or "" for t in batch.column("text").to_pylist()]
         out = [
-            "\n".join(s[1] for s in extract_spans_fast(t or "")[0])
-            for t in texts
+            "" if res is None else "\n".join(res[1])
+            for res in extract_stage.map_documents(
+                htmls, kernel_extract, None, None)
         ]
         return pa.Table.from_arrays(
-            [doc_ids, pa.array(out, pa.string())], names=["doc_id", "s_text"]
+            [batch.column("doc_id"), pa.array(out, pa.string())],
+            names=["doc_id", "s_text"],
         )
 
     return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(fn, batch_format="pyarrow")
@@ -1624,9 +1627,9 @@ def q_extract_interleaved(sf_dir: str):
     return out.map_batches(summarize, batch_format="pyarrow")
 
 
-def q_selectors(sf_dir: str):
-    """SelectorStage actor pool over synthesized HTML docs (rows-only)."""
-    selectors = ["div.c", "img", "[src^=\"/img/\"]", "div.c img, .missing", "*"]
+def _count_selectors(sf_dir: str, selectors: list[str]):
+    """Count-only SelectorStage actor pool over synthesized HTML docs:
+    (doc_id, selector, n_matches) rows, every selector counted columnar."""
     ds = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(_wrap_html_batch, batch_format="pyarrow")
     out = ds.map_batches(
         selector_stage.SelectorStage,
@@ -1643,21 +1646,20 @@ def q_selectors(sf_dir: str):
     return out.map_batches(widen, batch_format="pyarrow")
 
 
+def q_selectors(sf_dir: str):
+    """SelectorStage actor pool over synthesized HTML docs."""
+    return _count_selectors(
+        sf_dir,
+        ["div.c", "img", "[src^=\"/img/\"]", "div.c img, .missing", "*"],
+    )
+
+
 def q_selector_counts_columnar(sf_dir: str):
-    """Shuffle-free columnar selector counts: parse + explode to a node table
-    and evaluate selectors as vectorized masks (stages/flat_select.py) —
-    single parts via pyarrow.compute, descendant chains via numpy ancestor
-    propagation over parent pointers.  Fused into one map_batches so each
-    document's nodes never cross a block boundary — no groupby needed."""
-    from ..stages.flat_select import explode_nodes_batch, selector_counts
-
-    parts = ["div.c", "img", "*", "[src]", "div.c img"]
-
-    def fn(batch: pa.Table) -> pa.Table:
-        nodes = explode_nodes_batch(_wrap_html_batch(batch))
-        return selector_counts(nodes, parts)
-
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(fn, batch_format="pyarrow")
+    """Columnar selector counts (stages/flat_select.py): single parts via
+    pyarrow.compute masks, descendant chains via numpy ancestor
+    propagation over parent pointers — the same pipeline as
+    :func:`q_selectors`."""
+    return _count_selectors(sf_dir, ["div.c", "img", "*", "[src]", "div.c img"])
 
 
 def q_boilerplate(sf_dir: str):

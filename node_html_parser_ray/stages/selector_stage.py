@@ -1,28 +1,26 @@
 """Stateful selector stage: a fixed selector set on an actor pool.
 
 ``ds.map_batches(SelectorStage(selectors), concurrency=N, batch_size=B)``.
-Each actor decides once, in ``__init__``, which selectors the columnar
-node-table path (stages/flat_select.py) covers; in count-only mode those
-are counted by vectorized masks over one node table per batch, and the
-rest run the per-document automaton (kernel/selector.py), which compiles
-its matchers per call: no matcher cache is kept.  Every document, flagged
-by the ReDoS prescan or not, goes through the same per-document function
-:func:`stage_document` via :func:`extract_stage.map_documents`.
+The stage runs in one of two whole-stage modes.  Count-only
+(``emit_text=False``) explodes every document into one node table per
+batch and counts every selector with the vectorized masks of
+stages/flat_select.py.  Text emission runs :func:`select_document` — parse
+plus the per-document automaton of kernel/selector.py, which gives the
+reference's result order — per document.  Both modes read the one
+selector parse ``kernel.selector.selector_chains``, and every document,
+flagged by the ReDoS prescan or not, goes through
+:func:`extract_stage.map_documents`.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 
 from .extract_stage import htmls_from_batch, map_documents
-from .flat_select import (
-    NODE_TABLE_SCHEMA,
-    columnar_select_mask,
-    explode_document,
-    node_table,
-)
+from .flat_select import columnar_select_mask, explode_document, node_table
 from ..kernel.parser import parse
 from ..kernel.selector import compile_parts, select_union
 
@@ -57,18 +55,6 @@ def select_document(html, selectors, options, emit_text):
     return out
 
 
-def stage_document(html, explode, automaton, emit_text):
-    """ONE document through :class:`SelectorStage` — the per-document
-    function both lanes run.  Returns ``(rows, results)``: the
-    :func:`flat_select.explode_document` rows when ``explode`` is set (the
-    stage has columnar selectors), else ``None``, and the
-    :func:`select_document` results for the ``automaton`` selectors."""
-    return (
-        explode_document(html) if explode else None,
-        select_document(html, automaton, None, emit_text) if automaton else [],
-    )
-
-
 class SelectorStage:
     """Evaluate a fixed selector set against every document in each batch.
 
@@ -80,63 +66,56 @@ class SelectorStage:
     def __init__(self, selectors: Sequence[str], emit_text: bool = True) -> None:
         self.selectors = list(selectors)
         self.emit_text = emit_text
-        # count-only mode routes selectors the columnar grammar covers
-        # (tag/#id/.class/[attr] + descendant/comma) through the vectorized
-        # node-table path — ~27x faster matching; text emission needs the
-        # automaton's reference result order, so it never routes
-        self.columnar: set[str] = set()
-        if not emit_text:
-            probe = NODE_TABLE_SCHEMA.empty_table()
-            for sel in self.selectors:
-                try:
-                    columnar_select_mask(probe, sel)
-                    self.columnar.add(sel)
-                except ValueError:
-                    pass
+        # the selectors counted by the columnar masks: all of them in
+        # count-only mode; text emission needs the automaton's reference
+        # result order, so it counts none there
+        self.columnar: set[str] = set() if emit_text else set(self.selectors)
+
+    def _count(self, doc_ids: list, docs: list) -> list:
+        """:func:`select_document`-shaped results (``None`` for a bounded-out
+        doc) from one node table over the :func:`explode_document` rows of
+        the batch's docs."""
+        keep = [r for r, doc in enumerate(docs) if doc is not None]
+        nodes = node_table([str(doc_ids[r]) for r in keep],
+                           [docs[r] for r in keep])
+        node_row = np.repeat(
+            np.asarray(keep, np.int64), [len(docs[r][0]) for r in keep]
+        )
+        counts = [
+            np.bincount(node_row[columnar_select_mask(nodes, sel)],
+                        minlength=len(docs)).tolist()
+            for sel in self.selectors
+        ]
+        return [
+            None if doc is None else [(c[r], []) for c in counts]
+            for r, doc in enumerate(docs)
+        ]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
-        automaton = [s for s in self.selectors if s not in self.columnar]
-        results = list(map_documents(
-            htmls_from_batch(batch), stage_document, bool(self.columnar),
-            automaton, self.emit_text,
-        ))
-
-        # per-row match counts of each columnar selector, from one node
-        # table over the batch's docs that were not bounded out
-        col_counts: dict[str, np.ndarray] = {}
-        if self.columnar:
-            keep = [r for r, res in enumerate(results) if res is not None]
-            docs = [results[r][0] for r in keep]
-            nodes = node_table([str(doc_ids[r]) for r in keep], docs)
-            node_row = np.repeat(
-                np.asarray(keep, np.int64), [len(d[0]) for d in docs]
+        htmls = htmls_from_batch(batch)
+        if self.emit_text:
+            results = list(map_documents(
+                htmls, select_document, self.selectors, None, True
+            ))
+        else:
+            results = self._count(
+                doc_ids, list(map_documents(htmls, explode_document))
             )
-            for sel in self.columnar:
-                mask = columnar_select_mask(nodes, sel)
-                col_counts[sel] = np.bincount(
-                    node_row[mask], minlength=len(results)
-                )
 
         out_doc: list[str] = []
         out_sel: list[str] = []
         out_n: list[int] = []
         flat_matches: list[str] = []
         offsets: list[int] = [0]
-        for r, (doc_id, res) in enumerate(zip(doc_ids, results)):
-            # the automaton selectors' results, in selector order
-            automaton_results = iter(res[1] if res is not None else ())
-            for sel in self.selectors:
+        for doc_id, res in zip(doc_ids, results):
+            if res is None:  # bounded out by the lane
+                res = repeat((-1, []))
+            for sel, (n, txts) in zip(self.selectors, res):
                 out_doc.append(doc_id)
                 out_sel.append(sel)
-                if res is None:
-                    out_n.append(-1)
-                elif sel in self.columnar:
-                    out_n.append(int(col_counts[sel][r]))
-                else:
-                    n, txts = next(automaton_results)
-                    out_n.append(n)
-                    flat_matches.extend(txts)
+                out_n.append(n)
+                flat_matches.extend(txts)
                 offsets.append(len(flat_matches))
         matches_col = pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()),

@@ -1227,9 +1227,11 @@ class TestSelectorStageColumnarRouting:
             '<section><div><img src="/a"><span data-x="1">t</span></div></section>',
             "plain",
         ]
-        # all columnar-eligible since round 2 (attribute operators run as
-        # RE2 masks over the encoded attrs column)
-        selectors = ["div li", ".c", "div span, li", "[src]", '[data-x="1"]']
+        # count-only mode counts every selector with the columnar masks,
+        # including the forms whose text the part grammar skips (">") and
+        # the ~= whitespace edges
+        selectors = ["div li", ".c", "div span, li", "[src]", '[data-x="1"]',
+                     "section > span", '[class~=""]']
         stage = SelectorStage(selectors, emit_text=False)
         assert set(stage.columnar) == set(selectors)
 

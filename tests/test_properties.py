@@ -115,14 +115,11 @@ class TestBatchKernelParity:
     @given(st.lists(markup_text, min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_columnar_selector_parity_fuzz(self, htmls):
-        """flat_select single-part masks match the exact automaton on
-        arbitrary markup."""
+        """Count-only SelectorStage (the columnar masks) matches the exact
+        automaton on arbitrary markup."""
         import pyarrow as pa
 
-        from node_html_parser_ray.stages.flat_select import (
-            explode_nodes_batch,
-            selector_counts,
-        )
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
 
         # incl. attribute operators (columnar since round 2) — the fuzz
         # alphabet produces quoted/unquoted attrs, '&' entities and '='
@@ -137,14 +134,13 @@ class TestBatchKernelParity:
                 "html": pa.array(htmls, pa.large_string()),
             }
         )
-        nodes = explode_nodes_batch(table)
         got = {
             (r["doc_id"], r["selector"]): r["n_matches"]
-            for r in selector_counts(nodes, parts).to_pylist()
+            for r in SelectorStage(parts, emit_text=False)(table).to_pylist()
         }
         for i, html in enumerate(htmls):
             root = parse(html)
             for part in parts:
-                assert got.get((str(i), part), 0) == len(
+                assert got[(str(i), part)] == len(
                     root.query_selector_all(part)
                 ), (html, part)

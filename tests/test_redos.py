@@ -574,16 +574,17 @@ class TestBoundedSelectorClassifier:
         assert got["bad-1"] == [-1, -1]
 
     def test_selector_stage_count_only_mixed_selectors(self, monkeypatch):
-        """The same batch with columnar AND automaton selectors: counts
-        equal select_document for the plain doc and the false positive
-        (whose node rows come back from the sidecar and are counted by the
-        same masks), the adversarial doc is -1 for every selector, and the
-        batch is prescanned once."""
+        """The same batch with selectors the part grammar skips text of
+        (``>``) and a ``~=`` whitespace edge, all counted by the columnar
+        masks: counts equal select_document for the plain doc and the
+        false positive (whose node rows come back from the sidecar), the
+        adversarial doc is -1 for every selector, and the batch is
+        prescanned once."""
         from node_html_parser_ray.stages.selector_stage import select_document
 
         sels = ["p", "div.c", "div > p", '[class~=""]']
         stage, got, calls = self._count_only(monkeypatch, sels)
-        assert stage.columnar == {"p", "div.c"}
+        assert stage.columnar == set(sels)
         assert calls == [3]
         for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FLAGGED_FAST)):
             direct = select_document(html, sels, None, False)
@@ -616,40 +617,48 @@ class TestBoundedSelectorClassifier:
         assert res["bad-1"]["content_ratio"] == 0.0
 
     def test_explode_nodes_bounds_adversarial(self, monkeypatch):
-        """The standalone columnar node-explode path (review finding: the
-        last unbounded whole-document parse) shares the lane; a
-        bounded-out doc contributes zero node rows."""
-        from node_html_parser_ray.stages.flat_select import explode_nodes_batch
+        """The columnar node-explode path (count-only SelectorStage) shares
+        the lane: a bounded-out doc contributes no node rows and counts -1
+        for every selector."""
+        from node_html_parser_ray.stages.selector_stage import (
+            SelectorStage,
+            select_document,
+        )
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
+        good = "<div><p>hello</p></div>"
         batch = pa.Table.from_pylist(
-            [
-                _spans_row("good-1", "<div><p>hello</p></div>"),
-                _spans_row("bad-1", ADVERSARIAL),
-            ],
+            [_spans_row("good-1", good), _spans_row("bad-1", ADVERSARIAL)],
             schema=INPUT_SCHEMA,
         )
+        sels = ["p", "div p", "*"]
         t0 = time.time()
-        nodes = explode_nodes_batch(batch)
+        out = SelectorStage(sels, emit_text=False)(batch)
         assert time.time() - t0 < 30.0
-        docs = set(nodes.column("doc_id").to_pylist())
-        assert "good-1" in docs
-        assert "bad-1" not in docs
+        got: dict[str, list[int]] = {}
+        for r in out.to_pylist():
+            got.setdefault(r["doc_id"], []).append(r["n_matches"])
+        assert got["good-1"] == [n for n, _ in select_document(
+            good, sels, None, False)] == [1, 1, 2]
+        assert got["bad-1"] == [-1, -1, -1]
 
     def test_explode_nodes_false_positive_parity(self, monkeypatch):
-        from node_html_parser_ray.stages.flat_select import (
-            explode_document,
-            explode_nodes_batch,
+        """A prescan false positive's node rows come back from the sidecar
+        and count exactly like select_document."""
+        from node_html_parser_ray.stages.selector_stage import (
+            SelectorStage,
+            select_document,
         )
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         batch = pa.Table.from_pylist(
             [_spans_row("fp-1", FLAGGED_FAST)], schema=INPUT_SCHEMA
         )
-        nodes = explode_nodes_batch(batch)
-        direct = explode_document(FLAGGED_FAST)
-        assert nodes.column("node_id").to_pylist() == direct[0]
-        assert nodes.column("tag").to_pylist() == direct[3]
+        sels = ["p", "div.c p", "*", "a"]
+        out = SelectorStage(sels, emit_text=False)(batch)
+        direct = select_document(FLAGGED_FAST, sels, None, False)
+        assert [r["n_matches"] for r in out.to_pylist()] == [
+            n for n, _ in direct]
 
     def test_dom_api_query_bounds_adversarial(self, monkeypatch):
         """q_dom_api embeds corpus text raw in its synthesized html
@@ -759,3 +768,30 @@ class TestBoundedEndToEnd:
         assert summary["totals"]["n_docs"] == 32
         # the two adversarial docs are recorded as invalid, not dropped
         assert summary["totals"]["n_invalid"] >= 2
+
+    def test_structured_text_query_bounds_adversarial(self, ray_session, tmp_path):
+        """q_structured_text parses raw corpus text as whole documents, so
+        it shares the lane: a bounded-out doc emits "" within the wall
+        bound, and every other doc keeps its joined span text (media alt
+        text included)."""
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
+        from node_html_parser_ray.pipelines.queries import QUERIES
+
+        texts = ["<p>intro</p><img alt='pic' src=x> tail", ADVERSARIAL,
+                 FLAGGED_FAST, None]
+        pq.write_table(
+            pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                      "text": pa.array(texts, pa.string())}),
+            str(tmp_path / "documents.parquet"),
+        )
+        t0 = time.time()
+        got = QUERIES["structured_text"](str(tmp_path)).to_pandas()
+        assert time.time() - t0 < 120.0
+        got = dict(zip(got["doc_id"], got["s_text"]))
+        assert got[1] == ""
+        for i in (0, 2, 3):
+            spans = extract_spans_fast(texts[i] or "")[0]
+            assert got[i] == "\n".join(s[1] for s in spans), i
+        assert got[0] == "intro\npic\ntail"

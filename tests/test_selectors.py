@@ -2,8 +2,35 @@
 test/attribute-operators.test.ts:1-270)."""
 from __future__ import annotations
 
+import pytest
+
 from fuzz_bound import require_bounded_parse
 from node_html_parser_ray.kernel import HTMLElement, Matcher, parse
+from test_tokenizer_golden import CASE_SETS, case_inputs
+
+
+def _stage_counts(docs: dict, selectors: list) -> dict:
+    """Count-only SelectorStage over ``{doc_id: html}`` ->
+    ``{(doc_id, selector): n_matches}``."""
+    import pyarrow as pa
+
+    from node_html_parser_ray.stages.selector_stage import SelectorStage
+
+    out = SelectorStage(selectors, emit_text=False)(
+        pa.table({"doc_id": list(docs), "html": list(docs.values())})
+    )
+    return {(r["doc_id"], r["selector"]): r["n_matches"]
+            for r in out.to_pylist()}
+
+
+def _nodes(docs: dict):
+    """The node table of ``{doc_id: html}``."""
+    from node_html_parser_ray.stages.flat_select import (
+        explode_document,
+        node_table,
+    )
+
+    return node_table(list(docs), [explode_document(h) for h in docs.values()])
 
 
 class TestMatcher:
@@ -297,28 +324,9 @@ class TestColumnarParity:
         return out
 
     def test_counts_match_kernel(self):
-        import pyarrow as pa
-
-        from node_html_parser_ray.stages.flat_select import (
-            explode_nodes_batch,
-            selector_counts,
-        )
-
-        batch = pa.table(
-            {
-                "doc_id": list(self.DOCS.keys()),
-                "html": list(self.DOCS.values()),
-            }
-        )
-        nodes = explode_nodes_batch(batch)
-        counts = selector_counts(nodes, self.PARTS)
-        got = {
-            (r["doc_id"], r["selector"]): r["n_matches"]
-            for r in counts.to_pylist()
-        }
-        expected = self._kernel_counts()
-        for key, n in expected.items():
-            assert got.get(key, 0) == n, key
+        got = _stage_counts(self.DOCS, self.PARTS)
+        for key, n in self._kernel_counts().items():
+            assert got[key] == n, key
 
 
 def _dp_query_all(root, selector):
@@ -420,19 +428,10 @@ class TestColumnarDescendant:
                  "#a div", ".x span", "ul li", "div .x",
                  "div span, li", "li li, div div, span"]
 
-    def _nodes(self):
-        import pyarrow as pa
-
-        from node_html_parser_ray.stages.flat_select import explode_nodes_batch
-
-        return explode_nodes_batch(
-            pa.table({"doc_id": list(self.DOCS), "html": list(self.DOCS.values())})
-        )
-
     def test_fixed_corpus(self):
         from node_html_parser_ray.stages.flat_select import columnar_select_mask
 
-        nodes = self._nodes()
+        nodes = _nodes(self.DOCS)
         doc_col = nodes.column("doc_id").to_pylist()
         nid_col = nodes.column("node_id").to_pylist()
         for sel in self.SELECTORS:
@@ -457,14 +456,10 @@ class TestColumnarDescendant:
             assert got == exp, sel
 
     def test_fuzz(self):
-        import pyarrow as pa
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from node_html_parser_ray.stages.flat_select import (
-            columnar_select_mask,
-            explode_nodes_batch,
-        )
+        from node_html_parser_ray.stages.flat_select import columnar_select_mask
 
         alpha = list("<>/=\"' abc divspanli.#x1")
         markup = st.text(alphabet=st.sampled_from(alpha), max_size=250)
@@ -474,8 +469,7 @@ class TestColumnarDescendant:
         @settings(max_examples=200, deadline=None)
         def check(html, sel):
             require_bounded_parse(html)
-            nodes = explode_nodes_batch(pa.table({"doc_id": ["x"], "html": [html]}))
-            n_col = int(columnar_select_mask(nodes, sel).sum())
+            n_col = int(columnar_select_mask(_nodes({"x": html}), sel).sum())
             assert n_col == len(parse(html).query_selector_all(sel)), (html, sel)
 
         check()
@@ -503,36 +497,44 @@ class TestColumnarAttributeOperators:
     ]
 
     def test_fixed_parity_vs_automaton(self):
-        import numpy as np
-        import pyarrow as pa
-
-        from node_html_parser_ray.kernel.parser import parse
-        from node_html_parser_ray.stages import flat_select
-
-        t = pa.table({"doc_id": ["a"], "html": [self.HTML]})
-        nodes = flat_select.explode_nodes_batch(t)
+        got = _stage_counts({"a": self.HTML}, self.SELECTORS)
         root = parse(self.HTML)
         for sel in self.SELECTORS:
-            try:
-                m = flat_select.columnar_select_mask(nodes, sel)
-            except ValueError:
-                continue  # routed to the automaton by design
-            n = int(np.asarray(
-                m if isinstance(m, np.ndarray)
-                else m.to_numpy(zero_copy_only=False)
-            ).sum())
-            assert n == len(root.query_selector_all(sel)), sel
+            assert got[("a", sel)] == len(root.query_selector_all(sel)), sel
 
-    def test_ws_edge_routes_to_automaton(self):
-        import pyarrow as pa
-        import pytest
+    def test_ws_edge_parity(self):
+        """``~=`` splits the attribute on JS whitespace: a needle holding
+        whitespace never matches, and ``""`` matches an attribute that is
+        empty or starts or ends with whitespace."""
+        docs = {
+            "a": self.HTML,
+            "b": ('<p title=" a">1</p><p title="a\u00a0">2</p>'
+                  '<p title="\ufeffb c">3</p><p title="a  b">4</p>'
+                  '<p title="">5</p><p>6</p>'),
+        }
+        sels = ['[title~=""]', '[title~="b c"]', '[title~="a"]',
+                '[title~=" "]', '[title~="b"]']
+        got = _stage_counts(docs, sels)
+        for doc_id, html in docs.items():
+            root = parse(html)
+            for sel in sels:
+                assert got[(doc_id, sel)] == len(
+                    root.query_selector_all(sel)), (doc_id, sel)
+        assert [got[("b", s)] for s in sels] == [4, 0, 3, 0, 2]
+        assert got[("a", '[title~=""]')] == 1
 
-        from node_html_parser_ray.stages import flat_select
-
-        t = pa.table({"doc_id": ["a"], "html": [self.HTML]})
-        nodes = flat_select.explode_nodes_batch(t)
-        with pytest.raises(ValueError):
-            flat_select.columnar_part_mask(nodes, '[title~=""]')
+    def test_escaped_sentinels_parity(self):
+        """Attribute values holding the encoding's control characters: a
+        substring needle must not match inside an escape sequence."""
+        html = ('<p t="\x01a">1</p><p t="\x00z">2</p><p t="b\x02">3</p>'
+                '<p t="za">4</p><p t="\x01">5</p>')
+        sels = ['[t*="a"]', '[t$="a"]', '[t*="z"]', '[t^="z"]', '[t$="b"]',
+                '[t*="\x01"]', '[t~="za"]', '[t|="z"]']
+        got = _stage_counts({"d": html}, sels)
+        root = parse(html)
+        for sel in sels:
+            assert got[("d", sel)] == len(root.query_selector_all(sel)), sel
+        assert [got[("d", s)] for s in sels] == [2, 2, 2, 1, 0, 2, 1, 0]
 
     def test_sentinel_escaping_injective(self):
         from node_html_parser_ray.stages.flat_select import _encode_attrs, _esc
@@ -542,6 +544,45 @@ class TestColumnarAttributeOperators:
         e = _encode_attrs({"k": "\x02v"})
         assert e.count("\x02") == 2  # only the delimiters remain unescaped
 
+
+
+class TestCountOnlyParity:
+    """Count-only SelectorStage counts every selector with the columnar
+    masks; its counts must equal select_document's (the automaton) on the
+    tokenizer-golden inputs.  The list holds every selector form the
+    columnar path once refused: combinators the part grammar skips,
+    pseudo-classes, ``~=`` whitespace edges, BOM-only and empty parts."""
+
+    SELECTORS = [
+        "div.c", "img", "section p", '[src^="/img/"]', "div.c img, .missing",
+        "*", "p", "a", "div div", "li li", "#x", ".a.b", "* *", "DIV",
+        "span, p, div", "div p span", '[class!="c"]', '[class|="a"]',
+        '[class*="c"]', '[class$="c"]', '[class~="c"]', "[href]", "[id]",
+        'a[href^="http"]', '[title=""]', "div > p", "ul + li", "p ~ span",
+        '[class~=""]', '[title~="b c"]', "\ufeff", "\ufeff p", "p \ufeff",
+        "a:hover", "p::before", ">>>", "", ", ", "div,,p", "[x y]", "p.",
+        '[alt~=""]', '[lang|="en"]', '[href$=".html"]', '[title*=" "]',
+    ]
+
+    @pytest.mark.parametrize("case_set", CASE_SETS)
+    def test_counts_match_select_document(self, case_set):
+        from node_html_parser_ray.kernel.parser import is_pathological
+        from node_html_parser_ray.stages.selector_stage import (
+            SelectorStage,
+            select_document,
+        )
+
+        # prescan-flagged inputs would run in the bounded lane, whose wall
+        # bound is not under test here
+        docs = {cid: html for cid, html in case_inputs(case_set)
+                if not is_pathological(html)}
+        assert set(SelectorStage(self.SELECTORS, emit_text=False).columnar) \
+            == set(self.SELECTORS)
+        got = _stage_counts(docs, self.SELECTORS)
+        for cid, html in docs.items():
+            want = select_document(html, self.SELECTORS, None, False)
+            for sel, (n, _) in zip(self.SELECTORS, want):
+                assert got[(cid, sel)] == n, (cid, sel)
 
 
 class TestNodeRows:
