@@ -15,53 +15,106 @@ selector node table (``stages/flat_select``) read those lists directly.
 ``CommentNode`` objects.
 
 This is a *pure function of the input string* — deterministic and idempotent,
-so Ray task retries are safe.  All regexes are compiled at module import,
-i.e. once per Ray worker process.
+so Ray task retries are safe.  The CPython regexes are compiled at module
+import, i.e. once per Ray worker process; the interruptible copy of the
+tokenizer pattern (:func:`run_bounded`) compiles on first use.
 """
 from __future__ import annotations
 
+import contextvars
+import functools
 import re
+import time
 from typing import Optional
 
 from .dom import CommentNode, HTMLElement, TextNode
 from .jsregex import _JS_WS_CHARS, WS, js_trim
 
 __all__ = ["flat_parse", "parse", "ParseMetrics", "PATHOLOGICAL", "PATHOLOGICAL_RE2",
-           "is_pathological"]
+           "is_pathological", "run_bounded"]
 
 # reference src/index.ts:833 — kMarkupPattern, translated:
 #   [^]        -> [\s\S]
 #   groups     -> named (close / tag / attrs / selfclose); inner groups made
 #                 non-capturing since only 1,2,3,7 are read by parse().
 #
-# KNOWN INHERITED LIMITATION (kept deliberately): the attrs repetition has
-# exponential backtracking on truncated tags whose attr chars are ambiguous
-# between the name and junk branches (e.g. "<a " + "a"*20 with no ">") —
-# the classic ReDoS shape of a cut-off crawl page.  This is the REFERENCE's
-# own behavior (V8's backtracking engine explodes identically on
-# src/index.ts:833), and it is NOT fixable bit-exactly: possessive/atomic
-# rewrites were fuzz-tested and change captures on 22/40k random inputs,
-# because greedy give-back is semantically needed (a shorter tag/junk match
-# can expose a `name=value` split whose value consumes '/' that no other
-# branch can — e.g. '<BA=/x>' matches tag 'B', attrs 'A=/x' only via
-# give-back).  Production guidance: bound worker task time at the Ray
-# level (task-level retries/timeouts) rather than altering tokenizer
-# semantics.
+# KNOWN INHERITED LIMITATION: the attrs repetition backtracks exponentially
+# on truncated tags whose attr chars are ambiguous between the name and junk
+# branches (e.g. "<a " + "a"*20 with no ">") — the classic ReDoS shape of a
+# cut-off crawl page.  This is the REFERENCE's own behavior (V8's
+# backtracking engine explodes identically on src/index.ts:833), and it is
+# NOT fixable bit-exactly in the pattern: possessive/atomic rewrites were
+# fuzz-tested and change captures on 22/40k random inputs, because greedy
+# give-back is semantically needed (a shorter tag/junk match can expose a
+# `name=value` split whose value consumes '/' that no other branch can —
+# e.g. '<BA=/x>' matches tag 'B', attrs 'A=/x' only via give-back).
+# CPython's `re` takes no time limit (only a main-thread signal stops it),
+# so documents the prescan below flags are tokenized by the SAME source
+# compiled with the `regex` module (see run_bounded): its memoisation turns
+# the exponential blowup into a quadratic one (~0.1 s at 1 KB, ~10 s at
+# 10 KB of ambiguous run), and its search ``timeout=`` makes the parse
+# interruptible.  Unflagged documents stay on `re`: the extraction kernel
+# runs 1.3-1.8x slower per crawl-corpus document on `regex`.
 _S = f"[{WS}]"
 # '=' -> quote whitespace class for the prescan: the same JS WS set but as
 # LITERAL characters, because RE2 (pyarrow match_substring_regex in the
 # partition router) rejects \uXXXX escapes that Python re accepts.
 _WSQ = "[" + _JS_WS_CHARS + "]"
-KMARKUP = re.compile(
+_KMARKUP_SRC = (
     r"<!--[\s\S]*?(?=-->)-->"
     r"|<(?P<close>/?)"
     r"(?P<tag>[a-z][-.:0-9_a-z]*)"
     r"(?P<attrs>(?:" + _S + r"*(?:[a-z][-.:0-9_a-z]*"
     r"(?:" + _S + r"*=" + _S + r"*(?:\"[^\"]*?\"|'[^']*?'|(?:/(?!>)|[^" + WS + r"\"'<>/])+))?"
     r"|[^</>" + WS + r"]+))*)"
-    + _S + r"*(?P<selfclose>/?)>",
-    re.IGNORECASE,
+    + _S + r"*(?P<selfclose>/?)>"
 )
+KMARKUP = re.compile(_KMARKUP_SRC, re.IGNORECASE)
+# The letters CPython's IGNORECASE folds into [a-z]: ASCII plus dotted
+# capital I, dotless i, long s and the Kelvin sign.  The `regex` copy spells
+# them out instead of folding, because `regex` folds differently ('<ı>' is a
+# tag for `re` and text for `regex` under IGNORECASE); no other part of the
+# pattern holds a letter.
+_RE_FOLDED_AZ = "a-zA-Z\u0130\u0131\u017f\u212a"
+# absolute time.monotonic() deadline of the innermost run_bounded, or None
+_DEADLINE: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
+    "flat_parse_deadline", default=None
+)
+
+
+@functools.cache
+def _bounded_kmarkup():
+    """KMARKUP compiled with `regex` (imported on first use: ~15 ms)."""
+    import regex
+
+    return regex.compile(_KMARKUP_SRC.replace("a-z", _RE_FOLDED_AZ))
+
+
+def _deadline_search(deadline: float):
+    """``KMARKUP.search`` on the `regex` copy, each call bounded by the time
+    left before ``deadline``; raises TimeoutError once it has passed."""
+    search = _bounded_kmarkup().search
+    clock = time.monotonic
+
+    def bounded(data: str, pos: int):
+        return search(data, pos, timeout=max(deadline - clock(), 0.0))
+
+    return bounded
+
+
+def run_bounded(fn, *args, timeout: float):
+    """``fn(*args)`` with every :func:`flat_parse` inside it tokenizing on
+    the interruptible `regex` copy of KMARKUP, under one deadline
+    ``timeout`` seconds from now: a search still running at the deadline
+    raises TimeoutError, which propagates out of ``fn`` like any exception
+    it raises.  The deadline lives in a context variable that is reset on
+    return, so it never reaches code that runs after ``fn``."""
+    token = _DEADLINE.set(time.monotonic() + timeout)
+    try:
+        return fn(*args)
+    finally:
+        _DEADLINE.reset(token)
+
 
 # ReDoS prescan (round-3 verdict #6): a cheap LINEAR-TIME over-approximation
 # of the inputs that can trigger kMarkupPattern's inherited backtracking
@@ -69,9 +122,10 @@ KMARKUP = re.compile(
 # lane WITHOUT touching tokenizer semantics.  Measured growth: a truncated
 # '<a ' + 'a'*n tag takes ~7 s at n=16 and ~3x per +2 chars, so the run
 # threshold sits at 12.  The blowup only fires at a tag-open site whose
-# whole attrs+'>' match FAILS (a terminated tag matches greedily in linear
-# time — the junk branch even eats unclosed quotes as long as a '>'
-# follows), so the shapes require a failing tail:
+# whole attrs+'>' match FAILS (a tag the grammar can match up to its '>'
+# matches greedily in linear time — the junk branch even eats unclosed
+# quotes as long as a '>' follows; shape 6 covers tags that have a '>' the
+# grammar cannot reach), so the shapes require a failing tail:
 #   1. a tag-open whose [^<>] run reaches >=12 chars and then hits '<' or
 #      EOF instead of '>' (the truncated-crawl-page shape; an unclosed
 #      quote running to EOF is a sub-case);
@@ -101,9 +155,10 @@ KMARKUP = re.compile(
 #      premise above: the greedy engine explores exponentially many
 #      junk/quoted re-splits of the bracket-bearing value against the
 #      following run before finding the successful path.
-# False positives are handled by parsing in a subprocess with the SAME
-# kernel (bit-identical output, just fork latency); false negatives keep
-# the reference's own behavior.  The source is RE2-compatible so the
+# Flagged documents tokenize on the interruptible `regex` copy of KMARKUP
+# (run_bounded), which gives the same trees as `re`, so a false positive
+# costs only the slower engine; false negatives keep the reference's own
+# unbounded `re` behavior.  The source is RE2-compatible so the
 # partition router can apply it vectorized (pyarrow match_substring_regex).
 # The quote shape anchors on the FIRST quote after the tag-open
 # ([^<>"']*) — without that anchor a CLOSING quote can re-anchor the
@@ -117,8 +172,13 @@ KMARKUP = re.compile(
 # effectively deterministic: at a '=' the single-char branch is tried
 # first and dies on the unconsumable quote one step later, so give-back
 # is O(1) per '=' plus the (linear) repetition count.
+# Every shape starts at a tag-open as KMARKUP sees one: an open OR close
+# tag ('</a ' + run hangs like '<a ' + run), on any letter `re`'s
+# IGNORECASE folds into [a-z] (_RE_FOLDED_AZ holds the characters
+# themselves, not \uXXXX escapes, which RE2 rejects).
+_TAG_OPEN = "</?[" + _RE_FOLDED_AZ + "]"
 _SHAPE4_SRC = (
-    r"<[a-zA-Z](?:[^<>\"']|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ
+    _TAG_OPEN + r"(?:[^<>\"']|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ
     + r"*'[^']*')*=" + _WSQ
     + r"*(?:\"[^\"]*<[^\"]*\"|'[^']*<[^']*')[^<>\"']{8,}"
 )
@@ -138,17 +198,39 @@ _SHAPE4_SRC = (
 # 'document.write("<script ...")' inside a well-formed script body does
 # not fire — only quotes reachable as a tag-open's attribute value.
 _SHAPE5_SRC = (
-    r"<[a-zA-Z](?:[^<>\"']|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ
+    _TAG_OPEN + r"(?:[^<>\"']|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ
     + r"*'[^']*')*=" + _WSQ
     + r"*(?:\"[^\"]*<(?:script|style|pre|noscript)\b"
     + r"|'[^']*<(?:script|style|pre|noscript)\b)"
 )
+# Shape 6 (prescan-miss fix): a slash KMARKUP cannot consume.  The attrs
+# grammar takes '/' only inside an '='-anchored value (quoted, or unquoted
+# up to whitespace / a quote) or directly before the closing '>', so any
+# other '/' makes the tag-open attempt FAIL at that slash even when a '>'
+# follows — the premise of shapes 1-3 that "a terminated tag matches in
+# linear time" is false — and the engine re-splits the whole run before it
+# exponentially.  Measured on CPython re: '<a ' + 'b'*14 + '/x>' 1.1 s,
+# ~3x per +1 char; '<a ' + "'a"*10 + '/x>' 2.7 s; three random tag-soup
+# documents ('<aa\'=  =\'==aa"  \'"=a"aa\'-a\'"/\'>', ...) 1.8-18 s.
+# Units mirror the attrs grammar: a char that is not a bracket, '/' or '=';
+# an '='-anchored quoted value; or an '='-anchored unquoted value together
+# with the whitespace or quote that ends it (so the unit cannot stop before
+# a '/' the value itself consumes: '<a href=/x/y>' stays unflagged).  A
+# quoted value counts as ONE unit, so the threshold (8) sits below the
+# 11-char runs of shapes 1/3: one of the three soup documents reaches its
+# slash after 9 units.  Flags 0 of the 74,017 cached perfbench documents
+# at thresholds 7-11.
+_SHAPE6_SRC = (
+    _TAG_OPEN + r"(?:[^<>/=]|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ + r"*'[^']*'"
+    r"|=" + _WSQ + r"*[^" + _JS_WS_CHARS + r"\"'<>]+[" + _JS_WS_CHARS + r"\"'])"
+    r"{8,}/(?:[^>]|$)"
+)
 _PATHOLOGICAL_SRC = (
-    r"<[a-zA-Z](?:[^<>]{11,}(?:<|$)"
+    _TAG_OPEN + r"(?:[^<>]{11,}(?:<|$)"
     r"|[^<>\"']*[\"'][^\"']*[<>][^\"']*[\"'][^<>]*(?:<|$)"
     r"|(?:[^<>\"']|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ + r"*'[^']*'){11,}"
     r"(?:=" + _WSQ + r"*\"[^\"]*|=" + _WSQ + r"*'[^']*)?(?:<|$))"
-    r"|" + _SHAPE4_SRC + r"|" + _SHAPE5_SRC
+    r"|" + _SHAPE4_SRC + r"|" + _SHAPE5_SRC + r"|" + _SHAPE6_SRC
 )
 PATHOLOGICAL = re.compile(_PATHOLOGICAL_SRC)
 # shapes whose evidence can span a raw-text boundary: tested on the RAW
@@ -172,7 +254,8 @@ PATHOLOGICAL_RE2 = _PATHOLOGICAL_SRC  # same source, RE2 syntax-safe
 #     removed `<SCRIPT>` bodies the tokenizer actually scans (measured
 #     blowup: '<SCRIPT><a ' + 'a'*16 + '</SCRIPT>' ~8.5 s).  Under the
 #     lowerCaseTagName option an uppercase body IS skipped, so the
-#     case-sensitive strip can only over-flag there (benign: sidecar FP).
+#     case-sensitive strip can only over-flag there (benign: a false
+#     positive).
 #   * '<>' SENTINEL replacement, not '': removing a region outright merges
 #     its neighbours, so '<a ' + run + '<!--c-->>' collapsed to a
 #     terminated-looking '<a run>' and went unflagged — but the real
@@ -191,8 +274,8 @@ PATHOLOGICAL_RE2 = _PATHOLOGICAL_SRC  # same source, RE2 syntax-safe
 #     grammar mirrors exactly that (same '='-anchored units as shape 3);
 #     an unquoted bracket now stops the strip and the pathology stays
 #     visible.  Errors in the other direction (a quote KMARKUP's junk
-#     branch would eat, stopping our strip early) only over-flag — the
-#     sidecar returns bit-identical results for FPs.
+#     branch would eat, stopping our strip early) only over-flag — a
+#     false positive gets the same tree from the bounded engine.
 _RAW_TEXT_STRIP = re.compile(
     r"(?s)<(script|style|pre|noscript)\b"
     r"(?:[^<>\"']|=" + _WSQ + r"*\"[^\"]*\"|=" + _WSQ + r"*'[^']*')*"
@@ -218,7 +301,7 @@ def is_pathological(html: str) -> bool:
     removes the body.  Cost of the bypass: documents whose only shape-4
     site sits inside a well-formed script body (e.g. HTML-template JS
     strings '=\"<div ...>\"' + an 8-char run) over-flag — they parse
-    bit-identically in the sidecar."""
+    to the same tree under the bounded engine."""
     if _RAW_SHAPES.search(html) is not None:
         return True
     if PATHOLOGICAL.search(html) is None:
@@ -325,7 +408,8 @@ def flat_parse(
 
     # local aliases: the token loop is pure interpreter time, and attribute
     # lookups per token are a measurable share of it
-    search = KMARKUP.search
+    deadline = _DEADLINE.get()
+    search = KMARKUP.search if deadline is None else _deadline_search(deadline)
     tag_append = tag.append
     val_append = val.append
     kids_append = kids.append

@@ -298,15 +298,13 @@ def q_structured_text(sf_dir: str):
     Corpus text is parsed as a whole document, so it runs through
     ``extract_stage.map_documents``; a bounded-out doc emits ``""``.
     """
-    from ..kernel.redos_lane import kernel_extract
-
     def fn(batch: pa.Table) -> pa.Table:
         # null text reads as empty doc on BOTH sides (oracle COALESCEs)
         htmls = [t or "" for t in batch.column("text").to_pylist()]
         out = [
             "" if res is None else "\n".join(res[1])
             for res in extract_stage.map_documents(
-                htmls, kernel_extract, None, None)
+                htmls, extract_stage.kernel_extract, None, None)
         ]
         return pa.Table.from_arrays(
             [batch.column("doc_id"), pa.array(out, pa.string())],

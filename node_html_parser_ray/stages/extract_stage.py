@@ -1,8 +1,9 @@
 """Flagship map_batches kernel: interleaved spans -> extracted span sequence.
 
 Stateless pure-CPU stage (reference semantics per row), so it runs as Ray
-*tasks*, not actors (SURVEY.md §2.1); all regexes compile at module import —
-once per Ray worker process.  Batch I/O is zero-copy Arrow
+*tasks*, not actors (SURVEY.md §2.1); the CPython regexes compile at module
+import — once per Ray worker process — and the bounded tokenizer's `regex`
+copy on a worker's first prescan-flagged document.  Batch I/O is zero-copy Arrow
 (``batch_format="pyarrow"``); the output list<struct> column is built from
 flat arrays + offsets (no per-row Python object churn on the Arrow side).
 
@@ -23,8 +24,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..kernel.extract import assemble_document
-from ..kernel.parser import PATHOLOGICAL_RE2, is_pathological
-from ..kernel.redos_lane import RedosSidecar, kernel_extract
+from ..kernel.fast_extract import extract_spans_into
+from ..kernel.parser import PATHOLOGICAL_RE2, ParseMetrics, is_pathological, run_bounded
 
 __all__ = [
     "OUT_SPAN_STRUCT",
@@ -37,8 +38,8 @@ __all__ = [
     "add_partition_column",
     "prescan_flags",
     "parse_timeout",
-    "SIDECAR",
     "map_documents",
+    "kernel_extract",
     "dom_api_document",
 ]
 
@@ -135,9 +136,10 @@ def htmls_from_batch(batch: pa.Table) -> list[str]:
 
 
 def parse_timeout() -> float:
-    """Per-document wall bound for prescan-flagged parses (seconds).
+    """Per-document tokenizer deadline for prescan-flagged parses (seconds).
     ``NHPR_PARSE_TIMEOUT`` overrides; <=0 disables the bounded lane
-    (flagged docs then parse in-process, reference behavior)."""
+    (flagged docs then parse on CPython ``re`` like every other doc,
+    reference behavior)."""
     import os
 
     env = os.environ.get("NHPR_PARSE_TIMEOUT")
@@ -146,7 +148,7 @@ def parse_timeout() -> float:
 
 def prescan_flags(htmls: list[str], timeout: float):
     """ReDoS prescan for a batch of assembled documents -> bool ndarray
-    (True = route to the bounded sidecar lane), or ``None`` when the lane
+    (True = parse under the bounded tokenizer), or ``None`` when the lane
     is disabled (``timeout <= 0``) or the batch is empty.
 
     Stage 1 runs VECTORIZED (round-4 review follow-up): the pattern is
@@ -170,52 +172,45 @@ def prescan_flags(htmls: list[str], timeout: float):
     return flags if flags.any() else None
 
 
-# One persistent spawn sidecar per worker process for the bounded ReDoS
-# lane (kernel/redos_lane.py).  Round-4 review hardening: per-doc fork()
-# of the multithreaded Ray worker risked inherited-lock deadlocks that
-# present as timeouts (silent nondeterministic doc drops); the spawn
-# sidecar starts lock-free and amortizes its startup across the worker's
-# lifetime.
-SIDECAR = RedosSidecar()
-
-
 def map_documents(htmls: list[str], fn, *args, per_row=None):
     """``fn(htmls[r], *args)`` for every row ``r``, yielded in row order —
-    the ONE place that reads :func:`parse_timeout`, runs
-    :func:`prescan_flags` and calls the sidecar for a whole-document stage.
+    the ONE place that reads :func:`parse_timeout` and runs
+    :func:`prescan_flags` for a whole-document stage.
 
-    The batch is prescanned once.  Flagged rows run first, in the
-    persistent spawn sidecar under the ``NHPR_PARSE_TIMEOUT`` wall bound
-    (CPython's regex engine cannot be interrupted mid-match, so a kill-able
-    process is the only hard bound); a ``None`` result means the row was
-    bounded out (timeout, child crash or child exception), and the caller
-    emits its stage's out-of-band sentinel.  Every other row runs
-    in-process when the generator reaches it, so a caller may drop its
-    reference to row ``r``'s inputs once that row's result is consumed.
-    ``per_row`` is a sequence aligned with ``htmls`` whose ``r``-th item
-    goes right after the document (extraction's media maps).  ``fn`` must
-    be a module-level function: both lanes run the same function, so
-    prescan false positives come back bit-identical, only paying IPC
-    latency.  With the lane disabled (``NHPR_PARSE_TIMEOUT<=0``) every row
-    runs in-process, reference behavior."""
-    def row(r: int) -> tuple:
-        return (htmls[r],) if per_row is None else (htmls[r], per_row[r])
-
+    The batch is prescanned once.  A flagged row runs in-process under
+    :func:`parser.run_bounded` with the ``NHPR_PARSE_TIMEOUT`` deadline:
+    its tokenizer searches run on the interruptible `regex` copy of
+    KMARKUP, so the exponential ``re`` backtracking cannot hang the worker.
+    A ``None`` result means the row was bounded out (the deadline passed,
+    or ``fn`` raised on it), and the caller emits its stage's out-of-band
+    sentinel.  Every other row runs on CPython ``re``.  Each row runs when
+    the generator reaches it, so a caller may drop its reference to row
+    ``r``'s inputs once that row's result is consumed.  ``per_row`` is a
+    sequence aligned with ``htmls`` whose ``r``-th item goes right after
+    the document (extraction's media maps).  Both engines give the same
+    trees (tests/test_engine_parity.py), so a prescan false positive comes
+    back with the result an unflagged parse would give.  With the lane
+    disabled (``NHPR_PARSE_TIMEOUT<=0``) every row runs on ``re``,
+    reference behavior."""
     timeout = parse_timeout()
     flags = prescan_flags(htmls, timeout)
-    lane = {} if flags is None else {
-        r: SIDECAR.call(fn, (*row(r), *args), timeout)
-        for r in np.flatnonzero(flags).tolist()
-    }
     for r in range(len(htmls)):
-        yield lane.pop(r) if r in lane else fn(*row(r), *args)
+        row = (htmls[r],) if per_row is None else (htmls[r], per_row[r])
+        if flags is None or not flags[r]:
+            yield fn(*row, *args)
+            continue
+        try:
+            res = run_bounded(fn, *row, *args, timeout=timeout)
+        except Exception:  # noqa: BLE001 — one bounded-out row, not the batch
+            res = None
+        yield res
 
 
 def dom_api_document(html: str) -> tuple[int, int, int]:
     """ONE document through the q_dom_api operator sweep — the per-document
     function :func:`map_documents` runs in either lane: pure args in,
     plain ints out.  Returns ``(n_structure_lines, n_json_children,
-    n_children_after_rw)``; parses twice like the in-process path so the
+    n_children_after_rw)``; parses twice so the
     removeWhitespace/trimRight mutations never affect the first two
     metrics."""
     from ..kernel.parser import parse
@@ -227,6 +222,24 @@ def dom_api_document(html: str) -> tuple[int, int, int]:
     clone.first_child.remove_whitespace()
     clone.first_child.trim_right("x")
     return n_struct, n_json, len(clone.first_child.child_nodes)
+
+
+def kernel_extract(html: str, media_map: Optional[dict], options: Optional[dict]):
+    """One document through the flat-array kernel -> the row result tuple
+    ``(kinds, texts, refs, n_spans, valid, metrics6)``: extraction's
+    per-document function for :func:`map_documents`."""
+    metrics = ParseMetrics()
+    kinds: list[str] = []
+    texts: list[str] = []
+    refs: list[str] = []
+    n_spans, valid = extract_spans_into(
+        html, media_map, options, metrics, kinds, texts, refs
+    )
+    return (
+        kinds, texts, refs, n_spans, valid,
+        (metrics.n_nodes, metrics.n_elements, metrics.n_text,
+         metrics.n_comments, metrics.n_fixups, metrics.n_bytes),
+    )
 
 
 def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
@@ -349,8 +362,8 @@ def add_partition_column(
     :func:`extract_batch` writes as ``n_bytes``, so a document keeps its
     ``partition_id`` through extraction.
 
-    Input rows ALSO salt every document the ReDoS lane would send to the
-    sidecar (:func:`prescan_flags` under :func:`parse_timeout`), so
+    Input rows ALSO salt every document the ReDoS lane would parse under
+    its deadline (:func:`prescan_flags` under :func:`parse_timeout`), so
     bounded-time stragglers co-locate instead of sitting in ordinary
     partitions.
     """

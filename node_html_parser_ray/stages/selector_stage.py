@@ -26,8 +26,8 @@ from ..kernel.selector import compile_parts, select_union
 
 __all__ = ["SelectorStage", "SELECTOR_OUTPUT_SCHEMA", "select_document"]
 
-# n_matches is -1 for a document the bounded ReDoS lane dropped (sidecar
-# wall bound expired): the reference itself would never terminate on such a
+# n_matches is -1 for a document the bounded ReDoS lane dropped (tokenizer
+# deadline passed): the reference itself would never terminate on such a
 # document, so an explicit out-of-band count beats both hanging and a
 # silent 0.
 SELECTOR_OUTPUT_SCHEMA = pa.schema(
@@ -64,6 +64,15 @@ class SelectorStage:
     """
 
     def __init__(self, selectors: Sequence[str], emit_text: bool = True) -> None:
+        for sel in selectors:
+            # the output ``selector`` column (and count-only mode's RE2
+            # masks) are UTF-8: a lone surrogate would fail every batch
+            try:
+                sel.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(
+                    f"selector {sel!r} is not encodable as UTF-8"
+                ) from None
         self.selectors = list(selectors)
         self.emit_text = emit_text
         # the selectors counted by the columnar masks: all of them in

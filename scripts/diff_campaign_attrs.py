@@ -9,7 +9,7 @@ Usage: python scripts/diff_campaign_attrs.py [n_docs] [seed0]
 are auditable; tests/test_redos.py::TestCampaignSkipList pins the known
 list (currently EMPTY: the two skips the round-4 campaign recorded as
 "V8-only" turned out to hang CPython too and are now prescan shape 5 —
-they route to the bounded sidecar lane, and this campaign skips them at
+they route to the bounded lane, and this campaign skips them at
 the is_pathological gate as shared blowups)."""
 import json
 import os

@@ -9,7 +9,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzz_bound import require_bounded_parse
+from fuzz_bound import bounded_body
 from node_html_parser_ray.kernel import extract_spans, parse
 from node_html_parser_ray.sources.corpus import generate_documents
 
@@ -24,20 +24,21 @@ class TestParserTotality:
     @given(markup_text)
     @settings(max_examples=300, deadline=None)
     def test_parse_never_raises(self, s):
-        require_bounded_parse(s)
-        root = parse(s)
-        assert isinstance(root.valid, bool)
-        # serialisation and extraction are also total
-        root.to_string()
-        extract_spans(root)
+        def body():
+            root = parse(s)
+            assert isinstance(root.valid, bool)
+            # serialisation and extraction are also total
+            root.to_string()
+            extract_spans(root)
+
+        bounded_body(s, body)
 
     @given(markup_text)
     @settings(max_examples=150, deadline=None)
     def test_parse_with_options_never_raises(self, s):
         options = {"comment": True, "script": True, "style": True, "pre": True,
                    "lowerCaseTagName": True}
-        require_bounded_parse(s, options)
-        parse(s, options).to_string()
+        bounded_body(s, lambda: parse(s, options).to_string())
 
     @given(markup_text)
     @settings(max_examples=150, deadline=None)
@@ -47,18 +48,17 @@ class TestParserTotality:
         One round of parse+serialise normalises the document; a second round
         must be the identity (the repair loop is idempotent on its output).
         """
-        require_bounded_parse(s)
-        once = parse(s).to_string()
-        require_bounded_parse(once)
-        twice = parse(once).to_string()
-        require_bounded_parse(twice)
-        assert parse(twice).to_string() == twice
+        def reserialise(html):
+            return bounded_body(html, lambda: parse(html).to_string())
+
+        once = reserialise(s)
+        twice = reserialise(once)
+        assert reserialise(twice) == twice
 
     @given(markup_text)
     @settings(max_examples=150, deadline=None)
     def test_span_orders_sequential(self, s):
-        require_bounded_parse(s)
-        spans = extract_spans(parse(s))
+        spans = bounded_body(s, lambda: extract_spans(parse(s)))
         assert [sp[3] for sp in spans] == list(range(len(spans)))
         assert all(sp[0] == "text" or sp[2] != "" or sp[1] != "" or True for sp in spans)
 
@@ -75,13 +75,15 @@ class TestStructuredTextParity:
     @settings(max_examples=200, deadline=None)
     def test_text_spans_subset_of_structured_text(self, s):
         """Every emitted text span appears in structuredText (media-free)."""
-        require_bounded_parse(s)
-        root = parse(s)
-        st_text = root.structured_text
-        for kind, text, _, _ in extract_spans(root):
-            if kind == "text":
-                for piece in text.split("\n"):
-                    assert piece in st_text or piece.strip() == ""
+        def body():
+            root = parse(s)
+            st_text = root.structured_text
+            for kind, text, _, _ in extract_spans(root):
+                if kind == "text":
+                    for piece in text.split("\n"):
+                        assert piece in st_text or piece.strip() == ""
+
+        bounded_body(s, body)
 
 
 class TestBatchKernelParity:
@@ -93,24 +95,25 @@ class TestBatchKernelParity:
 
         from node_html_parser_ray.stages.extract_stage import extract_batch
 
-        for html in htmls:
-            require_bounded_parse(html)
-        table = pa.table(
-            {
-                "doc_id": [str(i) for i in range(len(htmls))],
-                "html": pa.array(htmls, pa.large_string()),
-            }
-        )
-        out = extract_batch(table)
-        for i, html in enumerate(htmls):
-            root = parse(html)
-            expected = [
-                {"kind": k, "text": t, "media_ref": m, "order": o}
-                for k, t, m, o in extract_spans(root)
-            ]
-            row = out.column("spans")[i].as_py()
-            assert row == expected, html
-            assert out.column("valid")[i].as_py() == root.valid
+        def body():
+            table = pa.table(
+                {
+                    "doc_id": [str(i) for i in range(len(htmls))],
+                    "html": pa.array(htmls, pa.large_string()),
+                }
+            )
+            out = extract_batch(table)
+            for i, html in enumerate(htmls):
+                root = parse(html)
+                expected = [
+                    {"kind": k, "text": t, "media_ref": m, "order": o}
+                    for k, t, m, o in extract_spans(root)
+                ]
+                row = out.column("spans")[i].as_py()
+                assert row == expected, html
+                assert out.column("valid")[i].as_py() == root.valid
+
+        bounded_body(htmls, body)
 
     @given(st.lists(markup_text, min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
@@ -126,21 +129,22 @@ class TestBatchKernelParity:
         parts = ["div", "*", ".ab", "#a", "[title]", "span",
                  '[a="b"]', '[a!="b"]', '[a^="a"]', '[a$="b"]',
                  '[a*="a"]', '[a|="a"]', '[a~="ab"]']
-        for html in htmls:
-            require_bounded_parse(html)
-        table = pa.table(
-            {
-                "doc_id": [str(i) for i in range(len(htmls))],
-                "html": pa.array(htmls, pa.large_string()),
+        def body():
+            table = pa.table(
+                {
+                    "doc_id": [str(i) for i in range(len(htmls))],
+                    "html": pa.array(htmls, pa.large_string()),
+                }
+            )
+            got = {
+                (r["doc_id"], r["selector"]): r["n_matches"]
+                for r in SelectorStage(parts, emit_text=False)(table).to_pylist()
             }
-        )
-        got = {
-            (r["doc_id"], r["selector"]): r["n_matches"]
-            for r in SelectorStage(parts, emit_text=False)(table).to_pylist()
-        }
-        for i, html in enumerate(htmls):
-            root = parse(html)
-            for part in parts:
-                assert got[(str(i), part)] == len(
-                    root.query_selector_all(part)
-                ), (html, part)
+            for i, html in enumerate(htmls):
+                root = parse(html)
+                for part in parts:
+                    assert got[(str(i), part)] == len(
+                        root.query_selector_all(part)
+                    ), (html, part)
+
+        bounded_body(htmls, body)

@@ -3,15 +3,18 @@
 The tokenizer inherits the reference's backtracking blowup on truncated
 ambiguous tags (kernel/parser.py comment; src/index.ts:833 explodes
 identically in V8).  The mitigation keeps tokenizer semantics untouched:
-a linear-time prescan routes suspicious docs to a persistent spawn sidecar with a
-hard wall bound; timeouts yield zero spans + valid=False.
+a linear-time prescan routes suspicious docs to the interruptible `regex`
+copy of the tokenizer pattern under a per-document deadline
+(``parser.run_bounded``); a doc past the deadline yields zero spans +
+valid=False.
 """
 from __future__ import annotations
 
+import os
+import sys
 import time
 
 import pyarrow as pa
-import pytest
 
 from node_html_parser_ray.kernel.parser import is_pathological
 from node_html_parser_ray.sources.corpus import INPUT_SCHEMA, generate_documents
@@ -20,9 +23,19 @@ from node_html_parser_ray.stages.extract_stage import (
     extract_batch,
 )
 
-# ~17 ambiguous chars already cost ~7 s and growth is ~3x per +2 chars, so
-# 40 chars is effectively unbounded without the mitigation.
+# ~17 ambiguous chars already cost ~7 s on CPython re and growth is ~3x per
+# +2 chars, so 40 chars is effectively unbounded there; the bounded `regex`
+# engine parses it in well under a millisecond.
 ADVERSARIAL = "<p>intro</p><a " + "a" * 40
+# A truncated run the bounded engine cannot finish either: its cost is
+# quadratic in the run (~0.1 s at 1 KB, ~10 s at 10 KB), so a 100 KB run
+# exceeds every deadline these tests set.
+BOUNDED_OUT = "<p>intro</p><a " + "a" * 100_000
+
+
+SCRIPTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"
+)
 
 
 def _spans_row(doc_id: str, html: str) -> dict:
@@ -104,6 +117,24 @@ class TestPrescan:
             # minimal shape-5 forms
             "<img a='un><script x>",
             '<img a="un><style x>',
+            # shape 6: TERMINATED tags whose run holds a '/' KMARKUP cannot
+            # consume (outside any '='-anchored value, not directly before
+            # '>'), measured 1.8-21 s on CPython re.  Random tag-soup finds:
+            '<p>x</p><B  /<aa\'=  =\'==aa"  \'"=a"aa\'-a\'"/\'> </<<="a\'"<=/a>'
+            "a- ''< a/",
+            '<p>x</p><b \'""=a==a"="=a-\'=\'"aa-/"-\'aa /  a-"a\'"/ a-></"""/ '
+            ">a<==/ ",
+            '<p>x</p><A "="\'"==-\'""a a=a"a" ==-aaa\'/a\'>=aa-a-\'a=a/\'=a="'
+            "a='",
+            "<a " + "'a" * 10 + "/x>",
+            "<a " + "b" * 14 + "/x>",
+            "<a b=c " + "d" * 12 + " /x>",
+            # every shape starts at a CLOSE tag too, and at the non-ASCII
+            # letters CPython's IGNORECASE folds into [a-z]
+            "</a " + "b" * 20,
+            "<p>x</p></a " + "b" * 16 + "<p>",
+            "<\u017f " + "b" * 20,
+            "<\u0131 " + "b" * 14 + "/x>",
         ):
             assert is_pathological(s), s
 
@@ -136,6 +167,11 @@ class TestPrescan:
             "<pre class='a>b'>" + "x<y " * 10 + "</pre>",
             '<script src=a data-9=\'&notit;\' id="x">' + "if(a<b)" * 8
             + "</script>",
+            # shape 6 leaves every '/' the grammar consumes: inside quoted
+            # and unquoted '='-anchored values, and the self-close
+            '<a href=/x/y.html class="c" target=_blank/>' + "x" * 20 + "</a>",
+            "<img src='/a/b/c.png' alt=\"a/b\" data-long-name=/x/ />tail",
+            "<a title=a/b/c data-x=y/z>" + "w" * 20 + "</a>",
         ):
             assert not is_pathological(s), s
 
@@ -158,7 +194,7 @@ class TestCampaignSkipList:
     showed BOTH also hang CPython — they were prescan false negatives,
     fixed as shape 5.  The pinned list of genuinely-V8-only skips is
     therefore EMPTY, and the two seeds are regression fixtures: their
-    docs must stay prescan-flagged (bounded sidecar lane), never silently
+    docs must stay prescan-flagged (bounded lane), never silently
     skippable again."""
 
     # seed -> sha256[:16] of the generated doc (pins generator determinism)
@@ -170,9 +206,8 @@ class TestCampaignSkipList:
     def test_former_v8_skips_are_prescan_flagged(self):
         import hashlib
         import random
-        import sys as _sys
 
-        _sys.path.insert(0, "/root/repo/scripts")
+        sys.path.insert(0, SCRIPTS_DIR)
         from diff_campaign_attrs import _random_html_attrs
 
         assert len(self.FORMER_V8_SKIPS) == 2  # grows only with evidence
@@ -180,29 +215,40 @@ class TestCampaignSkipList:
             rng = random.Random(seed)
             html = _random_html_attrs(rng, rng.randint(1, 60))
             assert hashlib.sha256(html.encode()).hexdigest()[:16] == sha
-            # the doc hangs BOTH engines; it must route to the bounded
-            # lane (never parse it unbounded in a test)
+            # the doc hangs CPython re; it must route to the bounded
+            # lane (never parse it on re in a test)
             assert is_pathological(html)
 
     def test_former_v8_skips_bounded_through_stage(self, monkeypatch):
+        """Both docs run the bounded engine through the stage within the
+        wall limit; it finishes them in milliseconds (CPython re took
+        130 s on the second), so they carry their real spans."""
         import random
-        import sys as _sys
 
-        _sys.path.insert(0, "/root/repo/scripts")
+        sys.path.insert(0, SCRIPTS_DIR)
         from diff_campaign_attrs import _random_html_attrs
 
+        from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
+        from node_html_parser_ray.kernel.parser import run_bounded
+
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "2.0")
-        rows = []
+        htmls = []
         for seed in self.FORMER_V8_SKIPS:
             rng = random.Random(seed)
-            rows.append(_spans_row(f"skip-{seed}",
-                                   _random_html_attrs(rng, rng.randint(1, 60))))
-        batch = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
+            htmls.append(_random_html_attrs(rng, rng.randint(1, 60)))
+        batch = pa.Table.from_pylist(
+            [_spans_row(f"skip-{i}", h) for i, h in enumerate(htmls)],
+            schema=INPUT_SCHEMA,
+        )
         t0 = time.time()
         out = extract_batch(batch)
         assert time.time() - t0 < 60.0
-        # both dropped bounded: zero spans, valid=False
-        assert out.column("valid").to_pylist() == [False, False]
+        assert out.column("valid").to_pylist() == [False, True]
+        for i, html in enumerate(htmls):
+            spans, _ = run_bounded(extract_spans_fast, html, timeout=60.0)
+            assert spans
+            assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                    for s in out.column("spans")[i].as_py()] == spans
 
 
 class TestBoundedLane:
@@ -211,7 +257,7 @@ class TestBoundedLane:
         batch = pa.Table.from_pylist(
             [
                 _spans_row("good-1", "<p>hello <b>world</b></p>"),
-                _spans_row("bad-1", ADVERSARIAL),
+                _spans_row("bad-1", BOUNDED_OUT),
                 _spans_row("good-2", "<div>more</div>"),
             ],
             schema=INPUT_SCHEMA,
@@ -224,7 +270,7 @@ class TestBoundedLane:
         bad = next(r for r in rows if r["doc_id"] == "bad-1")
         assert bad["valid"] is False
         assert bad["spans"] == []
-        assert bad["metrics"]["n_bytes"] == len(ADVERSARIAL)
+        assert bad["metrics"]["n_bytes"] == len(BOUNDED_OUT)
         # neighbours in the same batch are untouched
         good = next(r for r in rows if r["doc_id"] == "good-1")
         solo = extract_batch(
@@ -235,9 +281,28 @@ class TestBoundedLane:
         ).to_pylist()[0]
         assert good == solo
 
+    def test_adversarial_40_chars_extracts_real_spans(self, monkeypatch):
+        """The 40-char truncated tag that hangs CPython re finishes on the
+        bounded engine: its real spans come back well inside a second."""
+        assert is_pathological(ADVERSARIAL)
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "10")
+        batch = pa.Table.from_pylist(
+            [_spans_row("adv-1", ADVERSARIAL)], schema=INPUT_SCHEMA
+        )
+        t0 = time.time()
+        row = extract_batch(batch).to_pylist()[0]
+        assert time.time() - t0 < 1.0
+        assert row["valid"] is True
+        assert row["spans"] == [
+            {"kind": "text", "text": "intro", "media_ref": "", "order": 0},
+            {"kind": "text", "text": ADVERSARIAL[12:], "media_ref": "",
+             "order": 1},
+        ]
+        assert row["metrics"]["n_bytes"] == len(ADVERSARIAL)
+
     def test_false_positive_is_bit_identical(self, monkeypatch):
-        # flagged by the prescan but parses instantly: the subprocess lane
-        # must return exactly what the in-process kernel returns
+        # flagged by the prescan but parses instantly: the bounded engine
+        # must return exactly what the unbounded re parse returns
         fp_html = '<p>before</p><a x="1<2" y'
         assert is_pathological(fp_html)
         batch = pa.Table.from_pylist(
@@ -248,27 +313,6 @@ class TestBoundedLane:
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "0")  # lane disabled
         inline = extract_batch(batch)
         assert bounded.equals(inline)
-
-    def test_sidecar_respawns_after_timeout(self):
-        # a timeout kills the sidecar; the NEXT flagged doc must get a
-        # fresh one and come back bit-identical (kill-and-respawn path)
-        from node_html_parser_ray.kernel.redos_lane import (
-            RedosSidecar,
-            kernel_extract,
-        )
-
-        sc = RedosSidecar()
-        try:
-            assert sc.call(
-                kernel_extract, (ADVERSARIAL, None, None), 0.5
-            ) is None
-            assert sc._proc is None  # killed, not lingering
-            html = "<p>hello <b>world</b></p>"
-            assert sc.call(
-                kernel_extract, (html, None, None), 30.0
-            ) == kernel_extract(html, None, None)
-        finally:
-            sc._close()
 
     def test_partition_router_salts_pathological(self):
         batch = pa.Table.from_pylist(
@@ -328,8 +372,8 @@ class TestBoundedLane:
         assert pids["media-cut-1"] >= 64
 
     def test_partition_router_follows_lane(self, monkeypatch):
-        """The router salts exactly the rows the lane sends to the sidecar
-        plus the giants, and an unflagged row keeps its partition_id
+        """The router salts exactly the rows the lane parses under its
+        deadline plus the giants, and an unflagged row keeps its partition_id
         through extract_batch (input size = assembled length = n_bytes)."""
         from node_html_parser_ray.stages.extract_stage import (
             htmls_from_batch,
@@ -382,91 +426,9 @@ class TestBoundedLane:
             if not flags[r]:
                 assert after[r] == before[r], rows[r]["doc_id"]
 
-    def test_sidecar_transient_failure_returns_none(self, monkeypatch):
-        """Round-4 review fix: once a spawn has succeeded, a later
-        setup/send failure is transient resource pressure — the flagged doc
-        must be dropped (None), never parsed unbounded in-process."""
-        from node_html_parser_ray.kernel.redos_lane import (
-            RedosSidecar,
-            kernel_extract,
-        )
-
-        sc = RedosSidecar()
-        try:
-            html = "<p>hello</p>"
-            assert sc.call(
-                kernel_extract, (html, None, None), 30.0
-            ) == kernel_extract(html, None, None)
-            assert sc._spawn_ok
-            monkeypatch.setattr(
-                sc, "_ensure",
-                lambda: (_ for _ in ()).throw(OSError("EAGAIN")),
-            )
-            assert sc.call(
-                kernel_extract, (ADVERSARIAL, None, None), 1.0
-            ) is None
-        finally:
-            sc._close()
-
-    def test_sidecar_one_transient_failure_respawns(self):
-        """Round-5 ADVICE fix: a sidecar that died between the is_alive()
-        check and send gets ONE close+respawn+resend — a single transient
-        failure must not drop the doc; only a second consecutive failure
-        is a bounded drop."""
-        from node_html_parser_ray.kernel.redos_lane import (
-            RedosSidecar,
-            kernel_extract,
-        )
-
-        sc = RedosSidecar()
-        try:
-            html = "<p>hello respawn</p>"
-            assert sc.call(
-                kernel_extract, (html, None, None), 30.0
-            ) == kernel_extract(html, None, None)
-            assert sc._spawn_ok
-            # first _ensure/send attempt fails (child OOM-killed between
-            # requests), the retry goes through the real spawn path
-            real_ensure = sc._ensure
-            calls = {"n": 0}
-
-            def flaky_ensure():
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise OSError("child died between requests")
-                real_ensure()
-
-            sc._ensure = flaky_ensure
-            assert sc.call(
-                kernel_extract, (html, None, None), 30.0
-            ) == kernel_extract(html, None, None)
-            assert calls["n"] == 2
-        finally:
-            sc._close()
-
-    def test_sidecar_never_spawned_falls_back_in_process(self, monkeypatch):
-        """Platform-without-spawn fallback: if no spawn EVER succeeded,
-        benign prescan FPs must still parse (in-process, unbounded —
-        reference behavior) rather than become dropped docs."""
-        from node_html_parser_ray.kernel.redos_lane import (
-            RedosSidecar,
-            kernel_extract,
-        )
-
-        sc = RedosSidecar()
-        monkeypatch.setattr(
-            sc, "_ensure",
-            lambda: (_ for _ in ()).throw(OSError("no spawn support")),
-        )
-        html = "<p>benign false positive</p>"
-        assert sc.call(
-            kernel_extract, (html, None, None), 1.0
-        ) == kernel_extract(html, None, None)
-        assert not sc._spawn_ok
-
 
 # flagged by the prescan but parses in well under a second: exercises the
-# sidecar round-trip (false-positive parity) without a long wall
+# bounded engine (false-positive parity) without a long wall
 FLAGGED_FAST = (
     "<p>before</p><a " + "a" * 12
     + "\n<div class='c'><p>real text here</p></div>"
@@ -478,7 +440,7 @@ COUNT_ONLY_PLAIN = "<div class='c'><p>hi</p><p>yo</p></div><p>z</p>"
 
 class TestBoundedSelectorClassifier:
     """The selector and boilerplate stages parse whole documents too — they
-    share the extraction stage's prescan + spawn sidecar (round-4 review:
+    share the extraction stage's prescan + bounded lane (round-4 review:
     previously a pathological doc hung those actors unbounded)."""
 
     def test_selector_stage_bounds_adversarial(self, monkeypatch):
@@ -488,7 +450,7 @@ class TestBoundedSelectorClassifier:
         batch = pa.Table.from_pylist(
             [
                 _spans_row("good-1", "<div class='c'><p>hi</p><p>yo</p></div>"),
-                _spans_row("bad-1", ADVERSARIAL),
+                _spans_row("bad-1", BOUNDED_OUT),
             ],
             schema=INPUT_SCHEMA,
         )
@@ -523,7 +485,7 @@ class TestBoundedSelectorClassifier:
     @staticmethod
     def _count_only(monkeypatch, sels):
         """SelectorStage(sels, emit_text=False) over a plain doc, a prescan
-        false positive and an adversarial doc -> (stage, per-doc counts,
+        false positive and a bounded-out doc -> (stage, per-doc counts,
         the sizes of the batches prescanned)."""
         from node_html_parser_ray.stages import extract_stage
         from node_html_parser_ray.stages.selector_stage import SelectorStage
@@ -536,14 +498,14 @@ class TestBoundedSelectorClassifier:
             return real_prescan(htmls, timeout)
 
         monkeypatch.setattr(extract_stage, "prescan_flags", counting_prescan)
-        # long enough for the false positive's sidecar parse on a loaded
-        # host; the adversarial doc pays the whole bound
+        # long enough for the false positive's bounded parse on a loaded
+        # host; the bounded-out doc pays the whole bound
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "5.0")
         batch = pa.Table.from_pylist(
             [
                 _spans_row("plain-1", COUNT_ONLY_PLAIN),
                 _spans_row("fp-1", FLAGGED_FAST),
-                _spans_row("bad-1", ADVERSARIAL),
+                _spans_row("bad-1", BOUNDED_OUT),
             ],
             schema=INPUT_SCHEMA,
         )
@@ -556,8 +518,8 @@ class TestBoundedSelectorClassifier:
 
     def test_selector_stage_count_only_flagged_docs(self, monkeypatch):
         """Count-only SelectorStage (the columnar node-table path) over a
-        batch holding a plain doc, a prescan false positive and an
-        adversarial doc: the first two count exactly like select_document,
+        batch holding a plain doc, a prescan false positive and a
+        bounded-out doc: the first two count exactly like select_document,
         the third is bounded out (-1 per selector), and the batch is
         prescanned once."""
         from node_html_parser_ray.stages.selector_stage import select_document
@@ -577,8 +539,8 @@ class TestBoundedSelectorClassifier:
         """The same batch with selectors the part grammar skips text of
         (``>``) and a ``~=`` whitespace edge, all counted by the columnar
         masks: counts equal select_document for the plain doc and the
-        false positive (whose node rows come back from the sidecar), the
-        adversarial doc is -1 for every selector, and the batch is
+        false positive (whose node rows come from the bounded engine), the
+        bounded-out doc is -1 for every selector, and the batch is
         prescanned once."""
         from node_html_parser_ray.stages.selector_stage import select_document
 
@@ -599,7 +561,7 @@ class TestBoundedSelectorClassifier:
         batch = pa.Table.from_pylist(
             [
                 _spans_row("good-1", "<div><p>some real content text</p></div>"),
-                _spans_row("bad-1", ADVERSARIAL),
+                _spans_row("bad-1", BOUNDED_OUT),
             ],
             schema=INPUT_SCHEMA,
         )
@@ -628,7 +590,7 @@ class TestBoundedSelectorClassifier:
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
         good = "<div><p>hello</p></div>"
         batch = pa.Table.from_pylist(
-            [_spans_row("good-1", good), _spans_row("bad-1", ADVERSARIAL)],
+            [_spans_row("good-1", good), _spans_row("bad-1", BOUNDED_OUT)],
             schema=INPUT_SCHEMA,
         )
         sels = ["p", "div p", "*"]
@@ -643,8 +605,8 @@ class TestBoundedSelectorClassifier:
         assert got["bad-1"] == [-1, -1, -1]
 
     def test_explode_nodes_false_positive_parity(self, monkeypatch):
-        """A prescan false positive's node rows come back from the sidecar
-        and count exactly like select_document."""
+        """A prescan false positive's node rows come from the bounded
+        engine and count exactly like select_document."""
         from node_html_parser_ray.stages.selector_stage import (
             SelectorStage,
             select_document,
@@ -672,14 +634,15 @@ class TestBoundedSelectorClassifier:
         )
 
         sent = []
-        real_call = extract_stage.SIDECAR.call
+        real_run_bounded = extract_stage.run_bounded
 
-        def recording_call(fn, args, timeout):
+        def recording_run_bounded(fn, *args, timeout):
             sent.append(args[0])
-            return real_call(fn, args, timeout)
+            return real_run_bounded(fn, *args, timeout=timeout)
 
-        monkeypatch.setattr(extract_stage.SIDECAR, "call", recording_call)
-        text = "<a " + "a" * 40  # wild corpus text smuggling the shape
+        monkeypatch.setattr(extract_stage, "run_bounded", recording_run_bounded)
+        # wild corpus text smuggling the shape, too long for either engine
+        text = "<a " + "a" * 100_000
         html = f'<div id="d1" class="a b"> {text} <span>x</span> <!--c--> </div>'
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
         assert list(map_documents([html], dom_api_document)) == [None]
@@ -687,36 +650,27 @@ class TestBoundedSelectorClassifier:
         fp = f'<div id="d1" class="a b"> {FLAGGED_FAST} <span>x</span> <!--c--> </div>'
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         got = list(map_documents([fp], dom_api_document))
-        assert sent == [html, fp]  # flagged, so both ran in the sidecar
+        assert sent == [html, fp]  # flagged, so both ran bounded
         assert got == [tuple(dom_api_document(fp))]
 
-    def test_sidecar_child_exception_is_bounded_drop(self):
-        """A function raising in the child returns None (this one doc is
-        dropped bounded) — review finding: raising in the parent instead
-        made the whole Ray task fail on every retry."""
-        from node_html_parser_ray.kernel.redos_lane import RedosSidecar
+    def test_sidecar_child_exception_is_bounded_drop(self, monkeypatch):
+        """A per-document function raising on a flagged row yields None
+        (this one doc is dropped bounded) — review finding: raising instead
+        made the whole Ray task fail on every retry.  The rows after it
+        still run."""
+        from node_html_parser_ray.kernel.parser import flat_parse
+        from node_html_parser_ray.stages.extract_stage import map_documents
 
-        sc = RedosSidecar()
-        try:
-            assert sc.call(int, ("not-a-number",), 30.0) is None
-            # the sidecar survives the exception and still serves requests
-            assert sc.call(int, ("17",), 30.0) == 17
-        finally:
-            sc._close()
+        def parse_then_int(html, suffix):
+            flat_parse(html)
+            return int(suffix)
 
-    def test_sidecar_refuses_non_module_level_function(self):
-        """The child re-imports the function by its module and name, so a
-        function it could never resolve (lambda, closure) is refused in
-        the parent with TypeError — never sent, never a silent drop."""
-        from node_html_parser_ray.kernel.redos_lane import RedosSidecar
-
-        sc = RedosSidecar()
-        try:
-            with pytest.raises(TypeError):
-                sc.call(lambda html: html, ("<p>x</p>",), 30.0)
-            assert sc._proc is None  # refused before any spawn
-        finally:
-            sc._close()
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
+        htmls = [FLAGGED_FAST, FLAGGED_FAST + " "]
+        assert all(map(is_pathological, htmls))
+        assert list(map_documents(htmls, parse_then_int, "not-a-number")) \
+            == [None, None]
+        assert list(map_documents(htmls, parse_then_int, "17")) == [17, 17]
 
     def test_classifier_false_positive_parity(self, monkeypatch):
         from node_html_parser_ray.stages.classify import (
@@ -751,7 +705,7 @@ class TestBoundedEndToEnd:
         src.mkdir()
         normal = generate_documents(30, seed=11)
         adv = pa.Table.from_pylist(
-            [_spans_row("adv-0", ADVERSARIAL), _spans_row("adv-1", ADVERSARIAL)],
+            [_spans_row("adv-0", BOUNDED_OUT), _spans_row("adv-1", BOUNDED_OUT)],
             schema=INPUT_SCHEMA,
         )
         pq.write_table(normal, str(src / "part-0.parquet"))
@@ -779,7 +733,7 @@ class TestBoundedEndToEnd:
         from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
         from node_html_parser_ray.pipelines.queries import QUERIES
 
-        texts = ["<p>intro</p><img alt='pic' src=x> tail", ADVERSARIAL,
+        texts = ["<p>intro</p><img alt='pic' src=x> tail", BOUNDED_OUT,
                  FLAGGED_FAST, None]
         pq.write_table(
             pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fuzz_bound import require_bounded_parse
+from fuzz_bound import bounded_body
 from node_html_parser_ray.kernel import HTMLElement, Matcher, parse
 from test_tokenizer_golden import CASE_SETS, case_inputs
 
@@ -395,6 +395,12 @@ class TestAutomatonVsDP:
                 exp = {id(e) for e in _dp_query_all(root, sel)}
                 assert got == exp, (html, sel)
 
+    @staticmethod
+    def _check_fuzz(html, sel):
+        root = parse(html)
+        got = {id(e) for e in root.query_selector_all(sel)}
+        assert got == {id(e) for e in _dp_query_all(root, sel)}
+
     def test_fuzz(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -405,10 +411,7 @@ class TestAutomatonVsDP:
         @given(markup, st.sampled_from(self.SELECTORS))
         @settings(max_examples=300, deadline=None)
         def check(html, sel):
-            require_bounded_parse(html)
-            root = parse(html)
-            got = {id(e) for e in root.query_selector_all(sel)}
-            assert got == {id(e) for e in _dp_query_all(root, sel)}
+            bounded_body(html, self._check_fuzz, html, sel)
 
         check()
 
@@ -455,6 +458,13 @@ class TestColumnarDescendant:
                     nid += 1
             assert got == exp, sel
 
+    @staticmethod
+    def _check_fuzz(html, sel):
+        from node_html_parser_ray.stages.flat_select import columnar_select_mask
+
+        n_col = int(columnar_select_mask(_nodes({"x": html}), sel).sum())
+        assert n_col == len(parse(html).query_selector_all(sel)), (html, sel)
+
     def test_fuzz(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -468,9 +478,7 @@ class TestColumnarDescendant:
         @given(markup, sels)
         @settings(max_examples=200, deadline=None)
         def check(html, sel):
-            require_bounded_parse(html)
-            n_col = int(columnar_select_mask(_nodes({"x": html}), sel).sum())
-            assert n_col == len(parse(html).query_selector_all(sel)), (html, sel)
+            bounded_body(html, self._check_fuzz, html, sel)
 
         check()
 
@@ -546,12 +554,33 @@ class TestColumnarAttributeOperators:
 
 
 
+class TestSelectorStageInput:
+    @pytest.mark.parametrize("emit_text", [False, True])
+    def test_lone_surrogate_selector_refused(self, emit_text):
+        """A selector the UTF-8 output column cannot hold is refused when
+        the stage is built, naming it, instead of failing every batch."""
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
+
+        with pytest.raises(ValueError, match=r"p\\ud800"):
+            SelectorStage(["p\ud800", "p"], emit_text=emit_text)
+        # an encodable non-ASCII selector is kept
+        assert _stage_counts({"d": "<p>x</p>"}, ["p", "\ufeff p", "\u00e9"]) \
+            == {("d", "p"): 1, ("d", "\ufeff p"): 1, ("d", "\u00e9"): 0}
+
+
 class TestCountOnlyParity:
     """Count-only SelectorStage counts every selector with the columnar
     masks; its counts must equal select_document's (the automaton) on the
-    tokenizer-golden inputs.  The list holds every selector form the
-    columnar path once refused: combinators the part grammar skips,
-    pseudo-classes, ``~=`` whitespace edges, BOM-only and empty parts."""
+    tokenizer-golden inputs, plus a handwritten ``ws_edge`` set.  The list
+    holds every selector form the columnar path once refused: combinators
+    the part grammar skips, pseudo-classes, ``~=`` whitespace edges,
+    BOM-only and empty parts.
+
+    The golden inputs hold no attribute value that is empty or starts or
+    ends with whitespace, so they cannot tell whether the ``~=`` masks find
+    the empty field ``js_ws_split`` leaves there; ``WS_EDGE_DOCS`` holds
+    such values in ``class`` and ``title``, with ASCII and JS-only
+    whitespace (U+00A0, U+FEFF, U+2028)."""
 
     SELECTORS = [
         "div.c", "img", "section p", '[src^="/img/"]', "div.c img, .missing",
@@ -562,9 +591,21 @@ class TestCountOnlyParity:
         '[class~=""]', '[title~="b c"]', "\ufeff", "\ufeff p", "p \ufeff",
         "a:hover", "p::before", ">>>", "", ", ", "div,,p", "[x y]", "p.",
         '[alt~=""]', '[lang|="en"]', '[href$=".html"]', '[title*=" "]',
+        '[title~=""]', '[title~="b"]', '[class~="a"]',
     ]
 
-    @pytest.mark.parametrize("case_set", CASE_SETS)
+    WS_EDGE_DOCS = [
+        '<p class="">1</p><p title="">2</p><p class=\'\' title=\'\'>3</p>',
+        '<p class=" a">1</p><p class="a ">2</p><p class="\ta\n">3</p>',
+        '<p class="\u00a0a">1</p><p class="a\ufeff">2</p><p class="\u2028">3</p>',
+        '<p class=" ">1</p><p class="a  b">2</p><p class="a b">3</p>',
+        '<p title=" b c ">1</p><p title="b\u00a0c">2</p><p title="\ufeff">3</p>',
+        '<p title="x\u2028">1</p><p title="\u2028b">2</p><p title="b">3</p>',
+        '<div class=" c "><p title=" ">x</p><span class="c\u00a0">y</span></div>',
+        "<a class='\ufeffa\ufeff' title=' b'>z</a><img class=c title=>",
+    ]
+
+    @pytest.mark.parametrize("case_set", CASE_SETS + ("ws_edge",))
     def test_counts_match_select_document(self, case_set):
         from node_html_parser_ray.kernel.parser import is_pathological
         from node_html_parser_ray.stages.selector_stage import (
@@ -574,8 +615,9 @@ class TestCountOnlyParity:
 
         # prescan-flagged inputs would run in the bounded lane, whose wall
         # bound is not under test here
-        docs = {cid: html for cid, html in case_inputs(case_set)
-                if not is_pathological(html)}
+        inputs = ([(f"ws_edge/{i}", h) for i, h in enumerate(self.WS_EDGE_DOCS)]
+                  if case_set == "ws_edge" else case_inputs(case_set))
+        docs = {cid: html for cid, html in inputs if not is_pathological(html)}
         assert set(SelectorStage(self.SELECTORS, emit_text=False).columnar) \
             == set(self.SELECTORS)
         got = _stage_counts(docs, self.SELECTORS)

@@ -11,7 +11,10 @@ and comment nodes, and ``valid`` on the root; the parent index pins
 The cases: the handwritten edge list of ``test_fast_extract``, the 400-doc
 generator corpus (seed 11, ``giant_fraction=0.01``), the ``tests/data`` pages
 and 2000 tag-soup strings drawn with ``random.Random(5)`` from
-``TAG_FRAGMENTS``.  Rewrite the golden (only for an intended change of the
+``TAG_FRAGMENTS``.  Every case is checked twice: parsed on CPython ``re``,
+and parsed under ``parser.run_bounded`` on the interruptible ``regex`` copy
+of the tokenizer pattern that prescan-flagged documents use; both must give
+the same digests.  Rewrite the golden (only for an intended change of the
 parse result) from the repo root with::
 
     PYTHONPATH=. python tests/test_tokenizer_golden.py --write
@@ -27,7 +30,7 @@ import sys
 import pytest
 
 from node_html_parser_ray.kernel.extract import assemble_document
-from node_html_parser_ray.kernel.parser import ParseMetrics, parse
+from node_html_parser_ray.kernel.parser import ParseMetrics, parse, run_bounded
 from node_html_parser_ray.sources.corpus import generate_documents
 from test_fast_extract import EDGE_CASES, OPTION_SETS, TAG_FRAGMENTS
 
@@ -94,15 +97,29 @@ def case_inputs(case_set: str):
                                        for _ in range(n))
 
 
-@pytest.mark.parametrize("case_set", CASE_SETS)
-def test_parse_matches_golden(case_set):
+def bounded_case_digest(html: str) -> str:
+    """:func:`case_digest` with every parse on the bounded engine."""
+    return run_bounded(case_digest, html, timeout=60.0)
+
+
+def assert_golden(case_set: str, digest) -> None:
     with open(GOLDEN, encoding="utf-8") as f:
         golden = {k: v for k, v in json.load(f).items()
                   if k.startswith(case_set + "/")}
-    got = {cid: case_digest(html) for cid, html in case_inputs(case_set)}
+    got = {cid: digest(html) for cid, html in case_inputs(case_set)}
     assert got.keys() == golden.keys()
     changed = sorted(cid for cid in got if got[cid] != golden[cid])
     assert not changed, f"{len(changed)} trees differ, e.g. {changed[:10]}"
+
+
+@pytest.mark.parametrize("case_set", CASE_SETS)
+def test_parse_matches_golden(case_set):
+    assert_golden(case_set, case_digest)
+
+
+@pytest.mark.parametrize("case_set", CASE_SETS)
+def test_bounded_parse_matches_golden(case_set):
+    assert_golden(case_set, bounded_case_digest)
 
 
 if __name__ == "__main__":
