@@ -11,7 +11,6 @@ Layout:
   stages/     Ray Data batch kernels and actor-pool stages
   pipelines/  end-to-end pipeline builders + driver query registry
   state/      partition manifest (checkpoint/resume) + lineage
-  functions/  scalar/vectorized helper functions
 """
 
 __version__ = "0.1.0"

@@ -56,20 +56,34 @@ def _docs(sf_dir: str, columns: list[str] | None = None):
     )
 
 
-def _pool(frac: int = 4) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized to the cluster.
-
-    min=1 keeps the streaming executor deadlock-free at tiny ``num_cpus``
-    (fixed pools summing to num_cpus deadlock — round-1 finding); the cap
-    scales with the cluster so stateful stages are not starved at 32+ CPUs
-    (round-1 verdict #4: a hard cap of 2 starved media/selector/ann stages).
-    """
+def _cluster_cpus() -> int:
+    """The cluster's CPU count (4 when it cannot be read)."""
     import ray
 
     try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
+        return int(ray.cluster_resources().get("CPU", 4))
     except Exception:
-        cpus = 4
+        return 4
+
+
+def _pool(frac: int = 4) -> tuple[int, int]:
+    """Autoscaling actor-pool bounds sized to the cluster.
+
+    min=1 keeps the streaming executor deadlock-free at small ``num_cpus``
+    (fixed pools summing to num_cpus deadlock — round-1 finding); the cap
+    scales with the cluster so stateful stages are not starved at 32+ CPUs
+    (round-1 verdict #4: a hard cap of 2 starved media/selector/ann stages).
+    A cluster with fewer than 2 CPUs is refused: the pool's one actor
+    holds the only CPU, so the read task feeding it never schedules and
+    the query hangs.
+    """
+    cpus = _cluster_cpus()
+    if cpus < 2:
+        raise RuntimeError(
+            f"actor-pool query needs a cluster with at least 2 CPUs, got "
+            f"{cpus}: the pool's actor holds the only CPU, so the read task "
+            f"feeding it never schedules"
+        )
     return (1, max(2, cpus // frac))
 
 
@@ -88,7 +102,7 @@ def _combine_partials(ds):
     (bounded keys, or O(1) counts per entity) — never on raw row streams,
     where natural block sizing must win.
     """
-    return ds.repartition(_pool()[1])
+    return ds.repartition(max(2, _cluster_cpus() // 4))
 
 
 def _coarse_shards(multiple: int = 4, floor: int = 1) -> int:
@@ -113,12 +127,7 @@ def _coarse_shards(multiple: int = 4, floor: int = 1) -> int:
         while n < v:
             n <<= 1
         return n
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
+    cpus = _cluster_cpus()
     n = 1
     while n < cpus * multiple:
         n <<= 1
@@ -496,50 +505,66 @@ def q_events_hourly(sf_dir: str):
     return g.map_batches(finish, batch_format="pyarrow")
 
 
-def q_ann_topk(sf_dir: str):
-    """Brute-force cosine top-10 vs the vec_id=0 query vector (broadcast)."""
+def _ann_query_vector(path: str):
+    """The vec_id=0 query vector as a (1, d) float32 matrix, or ``None``
+    for an empty table or a missing query vector.
+
+    Small-side lookup: a filtered driver read of the one row (no Ray scan),
+    broadcast once by the caller with ``ray.put``."""
     import pyarrow.parquet as pq
+
+    qt = pq.read_table(path, columns=["vec_id", "embedding"],
+                       filters=[("vec_id", "==", 0)])
+    if qt.num_rows == 0:
+        return None
+    return np.asarray(qt.column("embedding")[0].as_py(),
+                      dtype=np.float32).reshape(1, -1)
+
+
+def _ann_top10(candidates=None) -> pa.Table:
+    """Global top-10 ``(rank, vec_id)`` over the per-block candidates of
+    ``topk_cosine_batch`` (cosine descending, vec_id ascending on ties).
+
+    The candidate set can be empty (no dataset, or the corpus / probed
+    cells hold only the excluded query vector); ``concat_tables([])``
+    raises, so that returns the empty result explicitly."""
     import ray
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    ds = ray.data.read_parquet(path)
-    # small-side lookup: read the single query vector directly (no Ray scan),
-    # broadcast it once with ray.put
-    qt = pq.read_table(path, columns=["vec_id", "embedding"], filters=[("vec_id", "==", 0)])
-    if qt.num_rows == 0:  # empty table / missing query vector
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.int64())],
-            names=["rank", "vec_id"],
-        )
-    q = np.asarray(qt.column("embedding")[0].as_py(), dtype=np.float32).reshape(1, -1)
-    q_ref = ray.put(q)
-    candidates = ds.map_batches(
-        similarity.topk_cosine_batch,
-        fn_kwargs={"query_ref": q_ref, "k": 10, "exclude_ids": [0]},
-        batch_format="pyarrow",
+    blocks = [] if candidates is None else _nonempty(
+        [ray.get(r) for r in candidates.to_arrow_refs()]
     )
-    # global top-k over the small per-block candidate set; the corpus can
-    # hold ONLY the query vector (excluded), leaving zero candidates —
-    # concat_tables([]) raises, so return the empty result explicitly
-    blocks = _nonempty([ray.get(r) for r in candidates.to_arrow_refs()])
     if not blocks:
         return pa.Table.from_arrays(
             [pa.array([], pa.int64()), pa.array([], pa.int64())],
             names=["rank", "vec_id"],
         )
     merged = pa.concat_tables(blocks)
-    idx = sorted(
-        range(len(merged)),
-        key=lambda i: (-merged.column("cosine")[i].as_py(), merged.column("vec_id")[i].as_py()),
-    )[:10]
-    ranks = list(range(1, len(idx) + 1))
+    cos = merged.column("cosine").to_pylist()
+    ids = merged.column("vec_id").to_pylist()
+    idx = sorted(range(len(merged)), key=lambda i: (-cos[i], ids[i]))[:10]
     return pa.Table.from_arrays(
         [
-            pa.array(ranks, pa.int64()),
-            pa.array([merged.column("vec_id")[i].as_py() for i in idx], pa.int64()),
+            pa.array(list(range(1, len(idx) + 1)), pa.int64()),
+            pa.array([ids[i] for i in idx], pa.int64()),
         ],
         names=["rank", "vec_id"],
     )
+
+
+def q_ann_topk(sf_dir: str):
+    """Brute-force cosine top-10 vs the vec_id=0 query vector (broadcast)."""
+    import ray
+
+    path = os.path.join(sf_dir, "embeddings.parquet")
+    q = _ann_query_vector(path)
+    if q is None:
+        return _ann_top10()
+    candidates = ray.data.read_parquet(path).map_batches(
+        similarity.topk_cosine_batch,
+        fn_kwargs={"query_ref": ray.put(q), "k": 10, "exclude_ids": [0]},
+        batch_format="pyarrow",
+    )
+    return _ann_top10(candidates)
 
 
 # below 256 vectors/cell x 16 cells, nprobe pruning cannot pay for the cell
@@ -569,15 +594,13 @@ def q_ann_topk_ivf(sf_dir: str):
     import ray
 
     path = os.path.join(sf_dir, "embeddings.parquet")
+    q = _ann_query_vector(path)
+    if q is None:  # empty table (nothing to quantize) or no query vector
+        return _ann_top10()
     # train the coarse quantizer on ONE row-group — never a full-table
     # driver read (at 100 TB that read is the scale-killer IVF exists to
     # avoid; round-1 verdict #2)
     pf = pq.ParquetFile(path)
-    if pf.metadata.num_rows == 0:  # empty table: nothing to quantize
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.int64())],
-            names=["rank", "vec_id"],
-        )
     # slice BEFORE to_pylist: a row group can hold 10^5+ vectors at scale
     # and the quantizer sample needs only the first 2048 (review finding)
     sample = pf.read_row_group(0, columns=["embedding"])
@@ -585,14 +608,6 @@ def q_ann_topk_ivf(sf_dir: str):
         sample.slice(0, 2048).column("embedding").to_pylist(), dtype=np.float32
     )
     centroids = similarity.spherical_kmeans(sample_mat, k=16)
-    qt = pq.read_table(path, columns=["vec_id", "embedding"],
-                       filters=[("vec_id", "==", 0)])
-    if qt.num_rows == 0:  # missing query vector (same guard as q_ann_topk)
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.int64())],
-            names=["rank", "vec_id"],
-        )
-    q = np.asarray(qt.column("embedding")[0].as_py(), dtype=np.float32).reshape(1, -1)
     n_cells = centroids.shape[0]
     nprobe = n_cells if pf.metadata.num_rows <= _IVF_EXHAUSTIVE_ROWS else 4
     cells = similarity.probe_cells(q, centroids, nprobe=nprobe)
@@ -615,25 +630,7 @@ def q_ann_topk_ivf(sf_dir: str):
         fn_kwargs={"query_ref": q_ref, "k": 10, "exclude_ids": [0]},
         batch_format="pyarrow",
     )
-    blocks = _nonempty([ray.get(r) for r in candidates.to_arrow_refs()])
-    if not blocks:  # probed cells held only the (excluded) query vector
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.int64())],
-            names=["rank", "vec_id"],
-        )
-    merged = pa.concat_tables(blocks)
-    idx = sorted(
-        range(len(merged)),
-        key=lambda i: (-merged.column("cosine")[i].as_py(),
-                       merged.column("vec_id")[i].as_py()),
-    )[:10]
-    return pa.Table.from_arrays(
-        [
-            pa.array(list(range(1, len(idx) + 1)), pa.int64()),
-            pa.array([merged.column("vec_id")[i].as_py() for i in idx], pa.int64()),
-        ],
-        names=["rank", "vec_id"],
-    )
+    return _ann_top10(candidates)
 
 
 def q_orders_by_nation(sf_dir: str):
@@ -1995,10 +1992,6 @@ def q_pdf_extract(sf_dir: str):
     return out.map_batches(summarize, batch_format="pyarrow")
 
 
-def q_simhash(sf_dir: str):
-    return _docs(sf_dir, columns=["doc_id", "text"]).map_batches(dedup.simhash_batch, batch_format="pyarrow")
-
-
 def q_simhash_neardup(sf_dir: str):
     """SimHash near-dup: 64-bit codes -> 4x16-bit band keys (Hamming<=3
     guarantee: two codes within distance 3 share at least one untouched
@@ -2058,10 +2051,6 @@ def q_embedding_neardup(sf_dir: str):
     recall and the emit-once dedup).  The per-vector summary (not the raw
     pair list) is the driver output because a 0-row Ray dataset surfaces
     without schema; the pair list stays the stage-level product.
-    Per-bucket top-1 candidate mining (always_top1) stays available on the
-    stage function and is pytest-covered; it is LSH-construction-dependent
-    and therefore not SQL-expressible, so it is no longer in this query's
-    driver output.
 
     Plane count scales with corpus size (parquet metadata row count — a
     footer read, no data scan) so expected bucket size stays ~constant and
@@ -2089,15 +2078,15 @@ def q_embedding_neardup(sf_dir: str):
         t = similarity.multitable_bucket_rows(b, n_planes=n_planes, n_tables=16)
         return t.append_column("bucket_shard", _shard_col(t.column("bucket"), n_shards))
 
-    # emit-once (n_planes passed): the pair set comes out duplicate-free —
-    # each pair from its first colliding table only — so no second dedup
-    # shuffle and the counts below are exact
+    # emit-once: the pair set comes out duplicate-free — each pair from its
+    # first colliding table only — so no second dedup shuffle and the
+    # counts below are exact
     pairs = (
         ds.map_batches(bucketize, batch_format="pyarrow")
         .groupby("bucket_shard")
         .map_groups(
             lambda g: similarity.shard_embedding_neardup_pairs(
-                g, threshold=0.9, always_top1=False, n_planes=n_planes
+                g, threshold=0.9, n_planes=n_planes
             ),
             batch_format="pandas",
         )
@@ -3020,8 +3009,7 @@ def q_resume_lineage(sf_dir: str):
 
 # Ordered marquee-first: the driver records at most ~50 CORRECTNESS rows in
 # dict order (round 2 truncated the last two entries), so the north-star
-# interleaved pipelines lead and the redundant per-doc `simhash` entry was
-# dropped (subsumed by simhash_neardup; q_simhash stays tested in pytest).
+# interleaved pipelines lead.
 QUERIES = {
     "extract_interleaved": q_extract_interleaved,
     "interleaved_media_features": q_interleaved_media_features,

@@ -157,8 +157,8 @@ def prescan_flags(htmls: list[str], timeout: float):
     measured 2 µs/doc vs 38 µs/doc for the Python engine on the bench
     corpus (~8% of total extraction cost).  Only the rare stage-1 hits pay
     the per-doc Python refinement (is_pathological: raw-text/comment
-    '<>'-sentinel strip + re-test).  The package's only prescan: run once
-    per batch by :func:`map_documents`, and by the partition router."""
+    '<>'-sentinel strip + re-test).  The package's only prescan, run once
+    per batch by :func:`map_documents`."""
     if timeout <= 0 or not htmls:
         return None
     import pyarrow.compute as pc
@@ -210,18 +210,16 @@ def dom_api_document(html: str) -> tuple[int, int, int]:
     """ONE document through the q_dom_api operator sweep — the per-document
     function :func:`map_documents` runs in either lane: pure args in,
     plain ints out.  Returns ``(n_structure_lines, n_json_children,
-    n_children_after_rw)``; parses twice so the
-    removeWhitespace/trimRight mutations never affect the first two
-    metrics."""
+    n_children_after_rw)``; the first two are read before the
+    removeWhitespace/trimRight mutations of the same tree."""
     from ..kernel.parser import parse
 
     root = parse(html, {"comment": True})
     n_struct = len(root.first_child.structure.splitlines())
     n_json = len(root.to_json()["children"])
-    clone = parse(html, {"comment": True})
-    clone.first_child.remove_whitespace()
-    clone.first_child.trim_right("x")
-    return n_struct, n_json, len(clone.first_child.child_nodes)
+    root.first_child.remove_whitespace()
+    root.first_child.trim_right("x")
+    return n_struct, n_json, len(root.first_child.child_nodes)
 
 
 def kernel_extract(html: str, media_map: Optional[dict], options: Optional[dict]):
@@ -359,30 +357,18 @@ def add_partition_column(
     clause).  Works on both input schemas and the output schema: an output
     row's size is its ``metrics.n_bytes``, an input row's is the length of
     its assembled HTML (:func:`htmls_from_batch`), which is the number
-    :func:`extract_batch` writes as ``n_bytes``, so a document keeps its
-    ``partition_id`` through extraction.
-
-    Input rows ALSO salt every document the ReDoS lane would parse under
-    its deadline (:func:`prescan_flags` under :func:`parse_timeout`), so
-    bounded-time stragglers co-locate instead of sitting in ordinary
-    partitions.
+    :func:`extract_batch` writes as ``n_bytes`` for every row, bounded-out
+    ones included, so every document keeps its ``partition_id`` through
+    extraction.
     """
     doc_ids = batch.column("doc_id").to_pylist()
     base = partition_ids(doc_ids, num_partitions)
     if "metrics" in batch.column_names:
         sizes = batch.column("metrics").combine_chunks().field("n_bytes").to_pylist()
-        # already-extracted rows carry no raw html to re-scan
-        flags = None
     else:
-        htmls = htmls_from_batch(batch)
-        sizes = [len(html) for html in htmls]
-        flags = prescan_flags(htmls, parse_timeout())
-    if flags is None:
-        flags = [False] * len(doc_ids)
+        sizes = [len(html) for html in htmls_from_batch(batch)]
     pids = [
-        num_partitions + (p % giant_partitions)
-        if (size > giant_bytes or bad)
-        else p
-        for p, size, bad in zip(base, sizes, flags)
+        num_partitions + (p % giant_partitions) if size > giant_bytes else p
+        for p, size in zip(base, sizes)
     ]
     return batch.append_column("partition_id", pa.array(pids, pa.int32()))

@@ -19,10 +19,9 @@ import pyarrow as pa
 __all__ = [
     "embedding_matrix",
     "TopKCosine",
-    "hyperplane_bucket_batch",
     "multitable_bucket_rows",
     "scaled_n_planes",
-    "embedding_neardup_pairs",
+    "shard_embedding_neardup_pairs",
     "spherical_kmeans",
     "IVFAssign",
     "probe_cells",
@@ -348,74 +347,23 @@ def multitable_bucket_rows(
     )
 
 
-def hyperplane_bucket_batch(
-    batch: pa.Table, n_planes: int = 12, column: str = "embedding",
-    id_column: str = "vec_id",
-) -> pa.Table:
-    """Assign each vector an LSH bucket = sign pattern on random hyperplanes."""
-    emb = embedding_matrix(batch, column)
-    planes = _hyperplanes(emb.shape[1], n_planes)
-    signs = (emb @ planes) > 0  # (n, p)
-    keys = np.zeros(len(emb), dtype=np.int64)
-    for p in range(n_planes):
-        keys |= signs[:, p].astype(np.int64) << p
-    return pa.Table.from_arrays(
-        [batch.column(id_column), pa.array(keys, pa.int64())],
-        names=[id_column, "bucket"],
-    )
-
-
-def shard_embedding_neardup_pairs(
-    group, threshold: float = 0.95, always_top1: bool = True,
-    n_planes: int | None = None,
-):
-    """Coarse-shard verifier: resolve every LSH bucket inside one group.
+def shard_embedding_neardup_pairs(group, threshold: float, n_planes: int):
+    """Coarse-shard verifier: resolve every banded LSH bucket inside one
+    group of :func:`multitable_bucket_rows` output.
 
     The shuffle groups by ``bucket_shard`` (bucket mod n_shards — FIXED
     group count at any corpus size); buckets stay whole within a shard and
-    are brute-forced one by one here, avoiding one Ray map_groups callable
-    per bucket (bucket count is 2^n_planes ~ N/64 at scale).
-
-    With ``n_planes`` set and the banded ``all_buckets`` column present
-    (:func:`multitable_bucket_rows`), the exact emit-once rule applies: a
-    pair is emitted only from its FIRST colliding table (min t with equal
-    keys, read off the authoritative key vectors; the threshold decision
-    itself is a table-independent float64 dot, see
-    :func:`_shard_pairs_emit_once`), so the global pair set is
-    duplicate-free without a second dedup shuffle.
-
-    ``always_top1`` is a single-table-path knob only (candidate mining:
-    emit each vector's best in-bucket neighbour even below threshold);
-    the banded emit-once path returns verified >=threshold pairs
-    exclusively and ignores it.
-    """
-    import pandas as pd
-
-    emit_once = n_planes is not None and "all_buckets" in group.columns
-    if emit_once:
-        return _shard_pairs_emit_once(group, threshold, n_planes)
-    frames = []
-    for bucket, sub in group.groupby("bucket", sort=True):
-        f = embedding_neardup_pairs(sub, threshold, always_top1)
-        if len(f):
-            frames.append(f)
-    if not frames:
-        return pd.DataFrame(
-            {"vec_a": pd.Series(dtype=np.int64), "vec_b": pd.Series(dtype=np.int64),
-             "cosine": pd.Series(dtype=float), "is_neardup": pd.Series(dtype=bool)}
-        )
-    return pd.concat(frames, ignore_index=True)
-
-
-def _shard_pairs_emit_once(group, threshold: float, n_planes: int):
-    """Vectorized emit-once shard verifier: ONE normalize + bucket-sliced
-    numpy matmuls, no per-bucket pandas machinery (measured: the pandas
-    groupby path spent ~5 s on 4096 tiny buckets at sf0.1 — ~1 ms of
-    frame overhead per bucket dwarfing the actual math).
+    are brute-forced here with ONE normalize + bucket-sliced numpy
+    matmuls, avoiding one Ray map_groups callable per bucket (bucket count
+    is L x 2^n_planes ~ L x N/64 at scale) and any per-bucket pandas
+    machinery (measured: a pandas groupby per bucket spent ~5 s on 4096
+    tiny buckets at sf0.1 — ~1 ms of frame overhead per bucket dwarfing
+    the actual math).
 
     Per bucket of table t: exact-cosine pairs >= threshold, kept only when
     t is the pair's FIRST colliding table (read off the authoritative
-    all_buckets key vectors), so the global pair set is duplicate-free.
+    all_buckets key vectors), so the global pair set is duplicate-free
+    without a second dedup shuffle.
     """
     import pandas as pd
 
@@ -482,41 +430,4 @@ def _shard_pairs_emit_once(group, threshold: float, n_planes: int):
          "vec_b": np.concatenate(out_b).astype(np.int64),
          "cosine": np.concatenate(out_v).astype(np.float64),
          "is_neardup": np.ones(sum(len(x) for x in out_a), dtype=bool)}
-    )
-
-
-def embedding_neardup_pairs(group, threshold: float = 0.95, always_top1: bool = True):
-    """map_groups: brute-force cosine within an LSH bucket; emit near-dups.
-
-    With ``always_top1`` the single highest-cosine pair of each bucket is
-    emitted even below threshold, so candidate mining stays observable on
-    corpora with no true near-duplicates.
-    """
-    import pandas as pd
-
-    rows = group.drop_duplicates("vec_id").sort_values("vec_id")
-    ids = rows["vec_id"].to_numpy()
-    if len(ids) < 2:
-        return pd.DataFrame(
-            {"vec_a": pd.Series(dtype=np.int64), "vec_b": pd.Series(dtype=np.int64),
-             "cosine": pd.Series(dtype=float), "is_neardup": pd.Series(dtype=bool)}
-        )
-    emb = np.stack(rows["embedding"].to_numpy()).astype(np.float32)
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    emb = emb / norms
-    cos = emb @ emb.T
-    ai, bi = np.triu_indices(len(ids), k=1)
-    vals = cos[ai, bi]
-    mask = vals >= threshold
-    if always_top1 and len(vals):
-        mask = mask.copy()
-        mask[int(np.argmax(vals))] = True
-    return pd.DataFrame(
-        {
-            "vec_a": ids[ai[mask]].astype(np.int64),
-            "vec_b": ids[bi[mask]].astype(np.int64),
-            "cosine": vals[mask].astype(np.float64),
-            "is_neardup": (vals[mask] >= threshold),
-        }
     )

@@ -632,6 +632,22 @@ class TestPartitioning:
 
 
 class TestStatefulStages:
+    def test_actor_pool_refuses_one_cpu_cluster(self, monkeypatch):
+        """An actor pool on a 1-CPU cluster hangs: its one actor holds the
+        only CPU and the read task feeding it never schedules.  ``_pool``
+        (every actor-pool query's sizing) refuses such a cluster by name
+        instead; 2 CPUs keep the (1, 2) pool."""
+        import ray
+
+        from node_html_parser_ray.pipelines import queries
+
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+        with pytest.raises(RuntimeError, match=r"at least 2 CPUs, got 1\b.*"
+                           r"holds the only CPU"):
+            queries._pool()
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 2.0})
+        assert queries._pool() == (1, 2)
+
     def test_selector_stage_matches_kernel(self, ray_session):
         import ray
 
@@ -840,9 +856,9 @@ class TestDedupStages:
         import ray
 
         from node_html_parser_ray.stages.dedup import (
-            bucket_candidate_pairs,
             lsh_band_rows,
             minhash_signatures_batch,
+            shard_candidate_pairs,
         )
 
         # near-dup must sit clearly ABOVE the 16x8 LSH threshold (~0.71
@@ -859,13 +875,12 @@ class TestDedupStages:
         )
         pairs = (
             ds.map_batches(lsh_band_rows, batch_format="pyarrow")
-            .groupby("band_key")
-            .map_groups(bucket_candidate_pairs, batch_format="pandas")
+            .groupby("band_shard")
+            .map_groups(shard_candidate_pairs, batch_format="pandas")
             .take_all()
         )
         found = {(r["doc_a"], r["doc_b"]) for r in pairs}
-        assert ("a", "b") in found
-        assert ("a", "c") not in found and ("b", "c") not in found
+        assert found == {("a", "b")}
 
 
 class TestMultimodal:
@@ -1564,38 +1579,6 @@ class TestEmbeddingNearDupScaling:
         assert got["n_dups"].to_numpy().tolist() == want.tolist()
         assert got["is_dup"].to_numpy().tolist() == (want > 0).tolist()
 
-    def test_always_top1_candidate_mining(self):
-        """Stage-level: always_top1 emits each bucket's single
-        highest-cosine pair even below threshold (candidate-mining
-        observability on dup-free corpora) — kept out of the driver query
-        (LSH-construction-dependent, not SQL-expressible) but still a
-        supported verifier mode."""
-        import numpy as np
-        import pandas as pd
-
-        from node_html_parser_ray.stages.similarity import (
-            embedding_neardup_pairs,
-        )
-
-        rng = np.random.RandomState(7)
-        emb = rng.standard_normal((10, 16)).astype(np.float32)
-        g = pd.DataFrame({
-            "vec_id": np.arange(10, dtype=np.int64),
-            "embedding": list(emb),
-        })
-        out = embedding_neardup_pairs(g, threshold=0.99, always_top1=True)
-        assert len(out) == 1  # dissimilar gaussians: top-1 only
-        assert not bool(out["is_neardup"].iloc[0])
-        u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        cos = u @ u.T
-        ai, bi = np.triu_indices(10, k=1)
-        best = int(np.argmax(cos[ai, bi]))
-        assert (int(out["vec_a"].iloc[0]), int(out["vec_b"].iloc[0])) == (
-            int(ai[best]), int(bi[best])
-        )
-        strict = embedding_neardup_pairs(g, threshold=0.99, always_top1=False)
-        assert len(strict) == 0
-
     def test_emit_once_threshold_is_table_independent(self):
         """Regression: a pair whose float32 in-bucket cosine reads BELOW
         threshold while the float64 value reads at/above it must still be
@@ -1607,7 +1590,7 @@ class TestEmbeddingNearDupScaling:
         import pandas as pd
 
         from node_html_parser_ray.stages.similarity import (
-            _shard_pairs_emit_once,
+            shard_embedding_neardup_pairs,
         )
 
         n_planes = 4
@@ -1642,7 +1625,7 @@ class TestEmbeddingNearDupScaling:
         })
         # threshold sits in the straddle window: float32 fails, float64
         # passes — the pair must be emitted exactly once, from table 0
-        out = _shard_pairs_emit_once(g, threshold=v64, n_planes=n_planes)
+        out = shard_embedding_neardup_pairs(g, threshold=v64, n_planes=n_planes)
         assert len(out) == 1
         assert (int(out["vec_a"].iloc[0]), int(out["vec_b"].iloc[0])) == (1, 2)
         assert out["cosine"].iloc[0] >= v64
@@ -1652,7 +1635,7 @@ class TestEmbeddingNearDupScaling:
         import numpy as np
 
         from node_html_parser_ray.stages.similarity import (
-            hyperplane_bucket_batch,
+            multitable_bucket_rows,
             scaled_n_planes,
         )
 
@@ -1673,7 +1656,7 @@ class TestEmbeddingNearDupScaling:
              pa.array(list(emb), pa.list_(pa.float32()))],
             names=["vec_id", "embedding"],
         )
-        out = hyperplane_bucket_batch(t, n_planes=p)
+        out = multitable_bucket_rows(t, n_planes=p, n_tables=1)
         import collections
 
         sizes = collections.Counter(out.column("bucket").to_pylist()).values()

@@ -314,7 +314,16 @@ class TestBoundedLane:
         inline = extract_batch(batch)
         assert bounded.equals(inline)
 
-    def test_partition_router_salts_pathological(self):
+    def test_lane_flags_pathological_router_does_not_salt(self):
+        """The bounded lane (``prescan_flags`` over the assembled docs)
+        picks the pathological doc; the partition router salts by size
+        only, so neither row leaves the ordinary range."""
+        from node_html_parser_ray.stages.extract_stage import (
+            htmls_from_batch,
+            parse_timeout,
+            prescan_flags,
+        )
+
         batch = pa.Table.from_pylist(
             [
                 _spans_row("good-1", "<p>tiny</p>"),
@@ -322,18 +331,22 @@ class TestBoundedLane:
             ],
             schema=INPUT_SCHEMA,
         )
+        flags = prescan_flags(htmls_from_batch(batch), parse_timeout())
+        assert flags.tolist() == [False, True]
         out = add_partition_column(batch, num_partitions=64)
-        pids = {
-            r["doc_id"]: r["partition_id"] for r in out.to_pylist()
-        }
-        assert pids["good-1"] < 64
-        assert pids["bad-1"] >= 64  # salted giant/pathological lane
+        assert all(p < 64 for p in out.column("partition_id").to_pylist())
 
-    def test_partition_router_scans_joined_doc_not_spans(self):
-        """Round-4 review fix: the router prescan runs over each doc's
-        JOINED span text, matching extract_batch's own lane decision —
-        a trigger split across two html spans is salted, and a benign
-        script-heavy span is not (the per-span scan got both wrong)."""
+    def test_lane_scans_joined_doc_not_spans(self):
+        """Round-4 review fix: the lane's prescan runs over each doc's
+        JOINED span text (:func:`htmls_from_batch`) — a trigger split
+        across two html spans is flagged, and a benign script-heavy span
+        is not (a per-span scan got both wrong)."""
+        from node_html_parser_ray.stages.extract_stage import (
+            htmls_from_batch,
+            parse_timeout,
+            prescan_flags,
+        )
+
         half = len(ADVERSARIAL) // 2
         batch = pa.Table.from_pylist(
             [
@@ -365,16 +378,15 @@ class TestBoundedLane:
             ],
             schema=INPUT_SCHEMA,
         )
-        out = add_partition_column(batch, num_partitions=64)
-        pids = {r["doc_id"]: r["partition_id"] for r in out.to_pylist()}
-        assert pids["split-1"] >= 64
-        assert pids["scripty-1"] < 64
-        assert pids["media-cut-1"] >= 64
+        flags = prescan_flags(htmls_from_batch(batch), parse_timeout())
+        assert flags.tolist() == [True, False, True]
 
-    def test_partition_router_follows_lane(self, monkeypatch):
-        """The router salts exactly the rows the lane parses under its
-        deadline plus the giants, and an unflagged row keeps its partition_id
-        through extract_batch (input size = assembled length = n_bytes)."""
+    def test_partition_router_salts_giants_only(self, monkeypatch):
+        """The lane flags the same rows as before, the router salts exactly
+        the giants (the lane's flags play no part), and every row keeps
+        its partition_id through extract_batch — flagged and bounded-out
+        rows too, since extraction writes ``n_bytes = len(html)`` for
+        every row (input size = assembled length = n_bytes)."""
         from node_html_parser_ray.stages.extract_stage import (
             htmls_from_batch,
             parse_timeout,
@@ -402,6 +414,8 @@ class TestBoundedLane:
                  "media_ref": "m://x/0", "offset": 1}]},
             _spans_row("fp-1", FLAGGED_FAST),
             _spans_row("bad-1", ADVERSARIAL),
+            # bounded out under the 1 s deadline, yet below giant_bytes
+            _spans_row("out-1", BOUNDED_OUT[:20_000]),
             *giants,
             {"doc_id": "null-spans", "spans": None},
             _spans_row(None, "<p>no id</p>"),
@@ -410,9 +424,9 @@ class TestBoundedLane:
         giant_bytes = 100_000
         htmls = htmls_from_batch(batch)
         flags = prescan_flags(htmls, parse_timeout())
-        want = {r for r, html in enumerate(htmls)
-                if flags[r] or len(html) > giant_bytes}
-        assert want == {0, 2, 3, 4, 5, 6}
+        assert set(flags.nonzero()[0].tolist()) == {0, 2, 3, 4, 5}
+        assert {r for r, html in enumerate(htmls)
+                if len(html) > giant_bytes} == {6, 7}
 
         def route(table):
             return add_partition_column(
@@ -420,11 +434,13 @@ class TestBoundedLane:
             ).column("partition_id").to_pylist()
 
         before = route(batch)
-        assert {r for r, p in enumerate(before) if p >= 64} == want
-        after = route(extract_batch(batch))
-        for r in range(len(rows)):
-            if not flags[r]:
-                assert after[r] == before[r], rows[r]["doc_id"]
+        assert {r for r, p in enumerate(before) if p >= 64} == {6, 7}
+        extracted = extract_batch(batch)
+        # the 20 KB run is bounded out: zero spans, n_bytes = len(html)
+        out_row = extracted.slice(5, 1).to_pylist()[0]
+        assert out_row["spans"] == [] and not out_row["valid"]
+        assert out_row["metrics"]["n_bytes"] == 20_000
+        assert route(extracted) == before
 
 
 # flagged by the prescan but parses in well under a second: exercises the
