@@ -35,11 +35,10 @@ __all__ = ["build_extraction_dataset", "run_checkpointed", "DEFAULT_BATCH_SIZE"]
 # Modest batch size so a batch of multi-MB giant docs stays well under the
 # object-store slice (SURVEY.md §4 memory row); Ray's dynamic block splitting
 # handles the output side.  Heap multiplier (round-4 ADVICE): extract_batch
-# assembles the whole batch's html strings before the per-doc loop and the
-# ReDoS prescan makes one transient Arrow copy, so peak per-actor heap is
-# ~2x the batch's html bytes during the prescan, dropping to ~1x in the
-# loop (assembled strings are released as consumed).  Size batch_size x
-# concurrency x 2 x max_doc_bytes against the worker heap.
+# assembles the whole batch's html strings before the per-doc loop and
+# releases each as it is consumed, so peak per-task heap is ~1x the batch's
+# html bytes.  Size batch_size x concurrency x max_doc_bytes against the
+# worker heap.
 DEFAULT_BATCH_SIZE = 64
 
 

@@ -1567,7 +1567,7 @@ def q_dom_api(sf_dir: str):
     could smuggle a ReDoS shape: the sweep runs through
     ``extract_stage.map_documents`` like every other whole-document parse,
     and a bounded-out doc emits (-1, -1, -1) sentinels (no sf corpus doc
-    flags)."""
+    is bounded out)."""
 
     def fn(batch: pa.Table) -> pa.Table:
         from ..stages.extract_stage import dom_api_document, map_documents

@@ -61,7 +61,7 @@ def _text_lengths(tag: list, kids: list, texts: list, k: int) -> tuple[int, int]
 
 def classify_document(html, options, min_text_len, max_link_density):
     """ONE document through flat_parse + classify — the per-document
-    function :func:`extract_stage.map_documents` runs in either lane: pure
+    function :func:`extract_stage.map_documents` runs: pure
     args in, plain tuple ``(main_text, n_content, n_boiler)`` out.
 
     Decision regions are LEAF blocks (block elements with no direct

@@ -2,8 +2,8 @@
 
 Stateless pure-CPU stage (reference semantics per row), so it runs as Ray
 *tasks*, not actors (SURVEY.md §2.1); the CPython regexes compile at module
-import — once per Ray worker process — and the bounded tokenizer's `regex`
-copy on a worker's first prescan-flagged document.  Batch I/O is zero-copy Arrow
+import — once per Ray worker process — and the tokenizer's `regex` copy at
+a worker's first site that needs the full pattern.  Batch I/O is zero-copy Arrow
 (``batch_format="pyarrow"``); the output list<struct> column is built from
 flat arrays + offsets (no per-row Python object churn on the Arrow side).
 
@@ -25,7 +25,7 @@ import pyarrow as pa
 
 from ..kernel.extract import assemble_document
 from ..kernel.fast_extract import extract_spans_into
-from ..kernel.parser import PATHOLOGICAL_RE2, ParseMetrics, is_pathological, run_bounded
+from ..kernel.parser import ParseMetrics, run_bounded
 
 __all__ = [
     "OUT_SPAN_STRUCT",
@@ -136,10 +136,9 @@ def htmls_from_batch(batch: pa.Table) -> list[str]:
 
 
 def parse_timeout() -> float:
-    """Per-document tokenizer deadline for prescan-flagged parses (seconds).
-    ``NHPR_PARSE_TIMEOUT`` overrides; <=0 disables the bounded lane
-    (flagged docs then parse on CPython ``re`` like every other doc,
-    reference behavior)."""
+    """Per-document tokenizer deadline of the whole-document stages
+    (seconds).  ``NHPR_PARSE_TIMEOUT`` overrides; <=0 runs every document
+    with no deadline."""
     import os
 
     env = os.environ.get("NHPR_PARSE_TIMEOUT")
@@ -147,60 +146,38 @@ def parse_timeout() -> float:
 
 
 def prescan_flags(htmls: list[str], timeout: float):
-    """ReDoS prescan for a batch of assembled documents -> bool ndarray
-    (True = parse under the bounded tokenizer), or ``None`` when the lane
-    is disabled (``timeout <= 0``) or the batch is empty.
+    """Always ``None``: no document is routed to a second tokenizer path.
 
-    Stage 1 runs VECTORIZED (round-4 review follow-up): the pattern is
-    lookaround/backreference-free, so RE2's linear DFA (pyarrow
-    match_substring_regex) accepts exactly the same language as Python re —
-    measured 2 µs/doc vs 38 µs/doc for the Python engine on the bench
-    corpus (~8% of total extraction cost).  Only the rare stage-1 hits pay
-    the per-doc Python refinement (is_pathological: raw-text/comment
-    '<>'-sentinel strip + re-test).  The package's only prescan, run once
-    per batch by :func:`map_documents`."""
-    if timeout <= 0 or not htmls:
-        return None
-    import pyarrow.compute as pc
-
-    stage1 = pc.match_substring_regex(
-        pa.array(htmls, pa.large_string()), PATHOLOGICAL_RE2
-    ).to_numpy(zero_copy_only=False)
-    flags = np.zeros(len(htmls), dtype=bool)
-    for i in np.flatnonzero(stage1):
-        flags[i] = is_pathological(htmls[i])
-    return flags if flags.any() else None
+    Kept only because the benchmark still imports it
+    (``perfbench/inputs.py`` for its corpus stats and
+    ``perfbench/kernels.py`` for ``prescan_us_per_doc``); ROADMAP item 5
+    deletes it together with those two callers.  Nothing in the package
+    calls it."""
+    return None
 
 
 def map_documents(htmls: list[str], fn, *args, per_row=None):
     """``fn(htmls[r], *args)`` for every row ``r``, yielded in row order —
-    the ONE place that reads :func:`parse_timeout` and runs
-    :func:`prescan_flags` for a whole-document stage.
+    the ONE place that reads :func:`parse_timeout` for a whole-document
+    stage.
 
-    The batch is prescanned once.  A flagged row runs in-process under
-    :func:`parser.run_bounded` with the ``NHPR_PARSE_TIMEOUT`` deadline:
-    its tokenizer searches run on the interruptible `regex` copy of
-    KMARKUP, so the exponential ``re`` backtracking cannot hang the worker.
-    A ``None`` result means the row was bounded out (the deadline passed,
-    or ``fn`` raised on it), and the caller emits its stage's out-of-band
-    sentinel.  Every other row runs on CPython ``re``.  Each row runs when
-    the generator reaches it, so a caller may drop its reference to row
-    ``r``'s inputs once that row's result is consumed.  ``per_row`` is a
-    sequence aligned with ``htmls`` whose ``r``-th item goes right after
-    the document (extraction's media maps).  Both engines give the same
-    trees (tests/test_engine_parity.py), so a prescan false positive comes
-    back with the result an unflagged parse would give.  With the lane
-    disabled (``NHPR_PARSE_TIMEOUT<=0``) every row runs on ``re``,
-    reference behavior."""
+    Every row runs under :func:`parser.run_bounded` with the
+    ``NHPR_PARSE_TIMEOUT`` deadline, so no document can hang the worker
+    (with ``NHPR_PARSE_TIMEOUT<=0`` rows run with no deadline).  A ``None``
+    result means the row was bounded out (the deadline passed, or ``fn``
+    raised on it), and the caller emits its stage's out-of-band sentinel.
+    Each row runs when the generator reaches it, so a caller may drop its
+    reference to row ``r``'s inputs once that row's result is consumed.
+    ``per_row`` is a sequence aligned with ``htmls`` whose ``r``-th item
+    goes right after the document (extraction's media maps)."""
     timeout = parse_timeout()
-    flags = prescan_flags(htmls, timeout)
     for r in range(len(htmls)):
         row = (htmls[r],) if per_row is None else (htmls[r], per_row[r])
-        if flags is None or not flags[r]:
-            yield fn(*row, *args)
-            continue
         try:
-            res = run_bounded(fn, *row, *args, timeout=timeout)
+            if timeout > 0:
+                res = run_bounded(fn, *row, *args, timeout=timeout)
+            else:
+                res = fn(*row, *args)
         except Exception:  # noqa: BLE001 — one bounded-out row, not the batch
             res = None
         yield res
@@ -208,7 +185,7 @@ def map_documents(htmls: list[str], fn, *args, per_row=None):
 
 def dom_api_document(html: str) -> tuple[int, int, int]:
     """ONE document through the q_dom_api operator sweep — the per-document
-    function :func:`map_documents` runs in either lane: pure args in,
+    function :func:`map_documents` runs: pure args in,
     plain ints out.  Returns ``(n_structure_lines, n_json_children,
     n_children_after_rw)``; the first two are read before the
     removeWhitespace/trimRight mutations of the same tree."""
@@ -247,7 +224,7 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
     (doc_id, html) schema where the whole payload is one html span.
 
     Every row runs :func:`kernel_extract` through :func:`map_documents`; a
-    doc the ReDoS lane bounds out yields zero spans with ``valid=False``
+    doc bounded out by its deadline yields zero spans with ``valid=False``
     and ``n_bytes=len(html)`` (a dropped truncated crawl page, recorded in
     lineage like any other invalid doc).
     """
@@ -283,10 +260,9 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
             texts.extend(c_texts)
             refs.extend(c_refs)
         # release the assembled string as soon as this row is consumed:
-        # peak heap stays ~1x the batch's html bytes after the (transient)
-        # prescan Arrow copy is freed, instead of holding every assembled
-        # doc through the whole loop (the multiplier is documented next to
-        # DEFAULT_BATCH_SIZE)
+        # peak heap stays ~1x the batch's html bytes instead of holding
+        # every assembled doc through the whole loop (the multiplier is
+        # documented next to DEFAULT_BATCH_SIZE)
         htmls[r] = media_maps[r] = None
         total_spans += n_spans
         offsets.append(total_spans)

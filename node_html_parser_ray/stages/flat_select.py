@@ -119,7 +119,7 @@ def _attr_op_mask(col, key: str, op: str, value: str):
 def explode_document(html: str):
     """ONE document's node rows, in pre-order, read straight off
     :func:`flat_parse`'s tree (no node objects): the per-document function
-    :func:`extract_stage.map_documents` runs in either lane, pure args in,
+    :func:`extract_stage.map_documents` runs, pure args in,
     plain lists ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
     tag, val, kids, _, _, _ = flat_parse(html or "")
     out_pid: list[int] = []

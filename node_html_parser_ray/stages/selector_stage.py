@@ -7,9 +7,9 @@ batch and counts every selector with the vectorized masks of
 stages/flat_select.py.  Text emission runs :func:`select_document` — parse
 plus the per-document automaton of kernel/selector.py, which gives the
 reference's result order — per document.  Both modes read the one
-selector parse ``kernel.selector.selector_chains``, and every document,
-flagged by the ReDoS prescan or not, goes through
-:func:`extract_stage.map_documents`.
+selector parse ``kernel.selector.selector_chains``, and every document
+goes through :func:`extract_stage.map_documents` under its tokenizer
+deadline.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from ..kernel.selector import compile_parts, select_union
 
 __all__ = ["SelectorStage", "SELECTOR_OUTPUT_SCHEMA", "select_document"]
 
-# n_matches is -1 for a document the bounded ReDoS lane dropped (tokenizer
+# n_matches is -1 for a document bounded out by map_documents (tokenizer
 # deadline passed): the reference itself would never terminate on such a
 # document, so an explicit out-of-band count beats both hanging and a
 # silent 0.
@@ -118,7 +118,7 @@ class SelectorStage:
         flat_matches: list[str] = []
         offsets: list[int] = [0]
         for doc_id, res in zip(doc_ids, results):
-            if res is None:  # bounded out by the lane
+            if res is None:  # bounded out by its deadline
                 res = repeat((-1, []))
             for sel, (n, txts) in zip(self.selectors, res):
                 out_doc.append(doc_id)

@@ -5,12 +5,13 @@ single-attribute pool in the in-suite generator.
 
 Usage: python scripts/diff_campaign_attrs.py [n_docs] [seed0]
 (defaults 300000 / 9_000_000; the round-4/round-5 1M campaigns used
-1000000 9000000).  Prints every V8SKIP with its seed so engine-cost skips
-are auditable; tests/test_redos.py::TestCampaignSkipList pins the known
-list (currently EMPTY: the two skips the round-4 campaign recorded as
-"V8-only" turned out to hang CPython too and are now prescan shape 5 —
-they route to the bounded lane, and this campaign skips them at
-the is_pathological gate as shared blowups)."""
+1000000 9000000).  Every document goes to both sides; a document the
+reference's own backtracking blows up on is skipped by the Node side's
+timeout (``ask``), and each such V8SKIP prints with its seed so
+engine-cost skips are auditable.  tests/test_redos.py::TestCampaignSkipList
+pins the two skips the round-4 campaign recorded as "V8-only", which turned
+out to hang the full pattern on CPython re too; our tokenizer parses them
+in milliseconds."""
 import json
 import os
 import random
@@ -148,8 +149,6 @@ def main(n_docs, seed0):
 
     from test_differential_reference import _KEYS, _ours, _random_selector
 
-    from node_html_parser_ray.kernel.parser import is_pathological
-
     ATTR_SELECTORS = ["[class]", "[id=main]", "[data-k^=v]", "[lang|=en]",
                       "[href*=x]", "[x~=c]", "[CHECKED]", "a[href]", "[a-b$=b]"]
     t0 = time.time()
@@ -159,17 +158,14 @@ def main(n_docs, seed0):
         for i in range(n_docs):
             rng = random.Random(seed0 + i)
             html = _random_html_attrs(rng, rng.randint(1, 60))
-            if is_pathological(html):
-                # the attr soup can form the reference's own ReDoS shape;
-                # BOTH engines share that blowup (kernel parity by design),
-                # so a hang is not a useful differential — skip
-                continue
             if rng.random() < 0.5:
                 sels = [_random_selector(rng) for _ in range(3)]
             else:
                 sels = rng.sample(ATTR_SELECTORS, 3)
             options = {"comment": True} if rng.random() < 0.15 else None
             theirs = ask(html, options, sels)
+            # the attr soup can form the reference's own ReDoS shape: the
+            # Node side's timeout skips it; ours parses it in polynomial time
             if theirs is None:  # V8-side blowup: skip, count
                 n_v8_skip += 1; print(f"V8SKIP seed={seed0 + i} html={html!r}", flush=True)
                 continue

@@ -12,9 +12,8 @@ This is the exact driver behind the 3M-doc tag-soup campaign slices
 recorded in SURVEY.md (seed ranges 4,000,000+ / 8,000,000+ /
 12,000,000+, zero divergences); its attribute-soup sibling is
 scripts/diff_campaign_attrs.py.  The generator (`_random_html` in the
-test module) produces small 1-80-token documents that never trip the
-ReDoS prescan, so unlike the attrs sibling no pathological-skip gate is
-needed; a divergence OR a hang here is a real finding.
+test module) produces small 1-80-token documents; a divergence OR a hang
+here is a real finding.
 
 Usage: python scripts/diff_campaign_tagsoup.py [n_docs] [seed0] [lo,hi]
 (defaults 50000 / 4_000_000 / 1,80; pick a FRESH seed0 per campaign so

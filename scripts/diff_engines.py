@@ -1,26 +1,33 @@
-"""Engine differential: ``flat_parse`` on CPython ``re`` against the bounded
-``regex`` copy of the tokenizer pattern (``parser.run_bounded``).
+"""Tokenizer differential: the shipped ``flat_parse`` (KMARKUP's first-path
+copy, with the full pattern retried on the ``regex`` copy at the sites where
+that copy fails) against ``flat_parse`` driven by the full ``KMARKUP`` on
+CPython ``re``.
 
 Draws seeded random tag soup (attribute-heavy fragments, JS-only whitespace
 and the four letters CPython's IGNORECASE folds into ``[a-z]``) and parses
 every input under each of the four option sets of
-``tests/test_fast_extract.OPTION_SETS`` on both engines, comparing the flat
-trees and ``ParseMetrics``.  The ``re`` parse runs under a per-input
+``tests/test_fast_extract.OPTION_SETS`` both ways, comparing the flat trees
+and ``ParseMetrics``.  The full-pattern parse runs under a per-input
 watchdog (SIGALRM, which CPython's regex engine honours between steps in the
-main thread).  Prints every mismatch, every ``re`` timeout, and every ``re``
-timeout the prescan does not flag (a prescan miss: such a document would
-tokenize on unbounded ``re`` in the stages).  Exit status 1 on any mismatch
-or prescan miss.
+main thread); where it times out, the shipped parse must still finish under
+``parser.run_bounded``'s 60 s deadline.  Prints every mismatch, every
+full-pattern timeout and every shipped parse that did not finish, then the
+number of fallback sites (sites the first-path copy failed at and the full
+pattern was retried at) and of fallback matches (sites the full pattern
+matched only through give-back).  Exit status 1 on any mismatch or
+unfinished shipped parse.
 
 Usage, from the repo root:
 
     python scripts/diff_engines.py [n_inputs] [seed] [watchdog_s]
 
 (defaults 5000 / 0 / 2.0).  Run it after any change to the tokenizer
-pattern (``parser._KMARKUP_SRC``) or to the prescan shapes.
+patterns (``parser._KMARKUP_SRC``, ``parser._KMARKUP_FIRST_PATH_SRC``) or to
+``flat_parse``'s fallback.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import signal
@@ -31,10 +38,10 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
 
+from node_html_parser_ray.kernel import parser  # noqa: E402
 from node_html_parser_ray.kernel.parser import (  # noqa: E402
     ParseMetrics,
     flat_parse,
-    is_pathological,
     run_bounded,
 )
 
@@ -83,6 +90,47 @@ def parse_result(html: str, options):
     return tree, [getattr(metrics, f) for f in ParseMetrics.__slots__]
 
 
+def shipped_result(html: str, options):
+    """:func:`parse_result` as the stages run it: the shipped tokenizer
+    under a 60 s deadline (TimeoutError past it)."""
+    return run_bounded(parse_result, html, options, timeout=60.0)
+
+
+@contextlib.contextmanager
+def full_pattern(pattern=parser.KMARKUP):
+    """``flat_parse`` searching with the full KMARKUP instead of its
+    first-path copy (on ``re``, or pass the ``regex`` copy
+    ``parser._bounded_kmarkup()``): the full pattern's matches never set
+    the ``fail`` group, so no site falls back."""
+    saved = parser.KMARKUP_FIRST_PATH
+    parser.KMARKUP_FIRST_PATH = pattern
+    try:
+        yield
+    finally:
+        parser.KMARKUP_FIRST_PATH = saved
+
+
+@contextlib.contextmanager
+def count_fallbacks():
+    """Yields a two-item list ``[sites, matches]`` that counts the full-
+    pattern retries ``flat_parse`` makes inside the block, and those that
+    matched."""
+    real = parser._full_match
+    counts = [0, 0]
+
+    def counting(data, q, deadline):
+        m = real(data, q, deadline)
+        counts[0] += 1
+        counts[1] += m is not None
+        return m
+
+    parser._full_match = counting
+    try:
+        yield counts
+    finally:
+        parser._full_match = real
+
+
 class _Watchdog(Exception):
     pass
 
@@ -92,41 +140,46 @@ def _alarm(signum, frame):
 
 
 def re_result(html: str, options, watchdog_s: float):
-    """:func:`parse_result` on CPython ``re``, or ``None`` past the watchdog."""
-    signal.setitimer(signal.ITIMER_REAL, watchdog_s)
-    try:
-        return parse_result(html, options)
-    except _Watchdog:
-        return None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+    """:func:`parse_result` with the full KMARKUP on CPython ``re``, or
+    ``None`` past the watchdog."""
+    with full_pattern():
+        signal.setitimer(signal.ITIMER_REAL, watchdog_s)
+        try:
+            return parse_result(html, options)
+        except _Watchdog:
+            return None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def main(n_inputs: int = 5000, seed: int = 0, watchdog_s: float = 2.0) -> int:
     signal.signal(signal.SIGALRM, _alarm)
     rng = random.Random(seed)
     inputs = fold_letter_cases() + [random_soup(rng) for _ in range(n_inputs)]
-    mismatches = timeouts = misses = 0
+    mismatches = timeouts = unfinished = 0
     t0 = time.time()
-    for html in inputs:
-        for options in OPTION_SETS:
-            want = re_result(html, options, watchdog_s)
-            if want is None:
-                timeouts += 1
-                flagged = is_pathological(html)
-                print(f"re timeout (flagged={flagged}): {html!r} {options}")
-                if not flagged:
-                    misses += 1
-                    print(f"PRESCAN MISS: {html!r}")
-                break
-            got = run_bounded(parse_result, html, options, timeout=60.0)
-            if got != want:
-                mismatches += 1
-                print(f"MISMATCH {options}: {html!r}")
+    with count_fallbacks() as fallbacks:
+        for html in inputs:
+            for options in OPTION_SETS:
+                try:
+                    got = shipped_result(html, options)
+                except TimeoutError:
+                    unfinished += 1
+                    print(f"SHIPPED PARSE PAST 60 s {options}: {html!r}")
+                    break
+                want = re_result(html, options, watchdog_s)
+                if want is None:
+                    timeouts += 1
+                    print(f"full-pattern re timeout: {html!r} {options}")
+                    break
+                if got != want:
+                    mismatches += 1
+                    print(f"MISMATCH {options}: {html!r}")
     print(f"{len(inputs)} inputs x {len(OPTION_SETS)} option sets in "
-          f"{time.time() - t0:.1f} s: {mismatches} mismatches, {timeouts} re "
-          f"timeouts, {misses} unflagged re timeouts (prescan misses)")
-    return 1 if mismatches or misses else 0
+          f"{time.time() - t0:.1f} s: {mismatches} mismatches, {timeouts} "
+          f"full-pattern re timeouts, {unfinished} shipped parses past 60 s, "
+          f"{fallbacks[0]} fallback sites, {fallbacks[1]} fallback matches")
+    return 1 if mismatches or unfinished else 0
 
 
 if __name__ == "__main__":

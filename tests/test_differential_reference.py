@@ -307,23 +307,33 @@ class TestFuzzParity:
         (scripts/diff_campaign_attrs.py — multi-attribute tags, mixed
         quote styles, entity/bracket-bearing values): keeps the campaign's
         doc grammar permanently under pytest, not only in one-off bulk
-        runs.  Prescan-flagged docs are skipped exactly like the campaign
-        (both engines share the kernel blowup by design; the bounded lane
-        covers them — tests/test_redos.py)."""
-        import sys as _sys
-
-        _sys.path.insert(0, "/root/repo/scripts")
+        runs.  The generator indices listed in ``SKIP`` are skipped: the
+        ones the since-deleted ReDoS prescan flagged for this seed, whose
+        shapes can blow up the reference's own backtracking in V8 (the
+        bounded parse of such shapes is tests/test_redos.py's subject)."""
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "scripts"))
         from diff_campaign_attrs import _random_html_attrs
 
-        from node_html_parser_ray.kernel.parser import is_pathological
-
+        SKIP = frozenset((
+            1, 4, 6, 7, 8, 9, 11, 13, 14, 16, 17, 20, 21, 23, 24, 25, 26, 27,
+            28, 30, 31, 32, 34, 35, 37, 39, 41, 42, 44, 46, 48, 50, 51, 52,
+            53, 54, 55, 56, 57, 59, 60, 61, 62, 64, 65, 67, 68, 69, 71, 76,
+            77, 79, 80, 81, 83, 85, 86, 87, 89, 90, 93, 96, 97, 99, 100, 103,
+            104, 105, 106, 108, 109, 111, 112, 118, 120, 121, 123, 124, 125,
+            127, 128, 130, 133, 134, 135, 138, 142, 143, 144, 146, 147, 148,
+            149, 150, 151, 152, 153, 154, 155, 156, 157, 158, 159, 161, 162,
+            163, 164, 166, 167, 169, 171, 173, 175, 176, 177, 178, 179, 180,
+            181, 182, 183, 184, 185, 187, 190, 191, 192, 193, 196, 197, 201,
+            203, 204, 205, 206, 207, 208, 209, 210, 213, 218, 219, 221, 223,
+        ))
         rng = random.Random(20260818)
         n_done = 0
         i = 0
         while n_done < 80:
             i += 1
             html = _random_html_attrs(rng, rng.randint(1, 60))
-            if is_pathological(html):
+            if i in SKIP:
                 continue
             _compare(ref, html, selectors=["[class]", "[id=main]", "a[href]"],
                      label=f"attr-fuzz[{i}]")

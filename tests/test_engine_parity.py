@@ -1,15 +1,15 @@
-"""Engine parity: ``flat_parse`` on CPython ``re`` and on the bounded
-``regex`` copy of the tokenizer pattern give the same trees and metrics.
+"""Tokenizer parity: the shipped ``flat_parse`` gives the full pattern's trees.
 
-Prescan-flagged documents tokenize on the ``regex`` copy (under
-``parser.run_bounded``) and every other document on ``re``, so a prescan
-false positive must parse exactly as it would unflagged.  The inputs come
-from ``scripts/diff_engines.py`` (the same check, run at scale): the four
-non-ASCII letters CPython's IGNORECASE folds into ``[a-z]`` in tag and
-attribute names, and seeded random tag soup.  The ``re`` side of the soup
-runs under the script's SIGALRM watchdog; an input ``re`` cannot finish is
-left out of the comparison, and must be prescan-flagged (otherwise the
-stages would parse it on unbounded ``re``).
+``flat_parse`` searches with KMARKUP's first-path copy and retries the full
+pattern on the ``regex`` copy at each site where that copy fails.  These
+tests compare it with ``flat_parse`` driven by the full ``KMARKUP`` on
+CPython ``re`` (``diff_engines.full_pattern``), trees and metrics.  The
+inputs come from ``scripts/diff_engines.py`` (the same check, run at scale):
+the four non-ASCII letters CPython's IGNORECASE folds into ``[a-z]`` in tag
+and attribute names, seeded random tag soup, and the give-back sites that
+only the fallback matches.  The full-pattern side of the soup runs under
+the script's SIGALRM watchdog; where it cannot finish, the shipped parse
+must still finish under ``run_bounded``.
 """
 from __future__ import annotations
 
@@ -26,22 +26,18 @@ import diff_engines  # noqa: E402
 from diff_engines import (  # noqa: E402
     FOLD_LETTERS,
     OPTION_SETS,
+    count_fallbacks,
     fold_letter_cases,
+    full_pattern,
     parse_result,
     random_soup,
+    shipped_result,
 )
 
-from node_html_parser_ray.kernel.parser import (  # noqa: E402
-    flat_parse,
-    is_pathological,
-    run_bounded,
-)
+from node_html_parser_ray.kernel import parser  # noqa: E402
+from node_html_parser_ray.kernel.parser import flat_parse, run_bounded  # noqa: E402
 
 WATCHDOG_S = 5.0
-
-
-def bounded_result(html, options):
-    return run_bounded(parse_result, html, options, timeout=60.0)
 
 
 @pytest.fixture
@@ -63,20 +59,45 @@ def test_fold_letters_are_tag_and_attr_name_letters():
 def test_fold_letter_cases_match():
     for html in fold_letter_cases():
         for options in OPTION_SETS:
-            assert bounded_result(html, options) == parse_result(html, options), \
-                (html, options)
+            with full_pattern():
+                want = parse_result(html, options)
+            assert shipped_result(html, options) == want, (html, options)
 
 
 def test_random_tag_soup_matches(watchdog):
     rng = random.Random(2026)
     compared = 0
-    for _ in range(1500):
-        html = random_soup(rng, 30)
-        for options in OPTION_SETS:
-            want = diff_engines.re_result(html, options, WATCHDOG_S)
-            if want is None:
-                assert is_pathological(html), f"prescan miss: {html!r}"
-                break
-            assert bounded_result(html, options) == want, (html, options)
-            compared += 1
+    with count_fallbacks() as fallbacks:
+        for _ in range(1500):
+            html = random_soup(rng, 30)
+            for options in OPTION_SETS:
+                got = shipped_result(html, options)  # raises past 60 s
+                want = diff_engines.re_result(html, options, WATCHDOG_S)
+                if want is None:
+                    break
+                assert got == want, (html, options)
+                compared += 1
     assert compared >= 5800
+    # the soup reaches the give-back sites the fallback exists for
+    assert fallbacks[1] > 0
+
+
+@pytest.mark.parametrize("html, tag, attrs", [
+    ("<BA=/x>", "B", "A=/x"),
+    # a drawn soup input: the first path's tag name takes 'ſK', which
+    # leaves the value's '/' unconsumable
+    ("<ſK=\xa0 =v/w></script><!--<p><!--ı", "ſ",
+     "K=\xa0 =v/w"),
+])
+def test_give_back_only_through_fallback(monkeypatch, html, tag, attrs):
+    """These tags match the full pattern only through give-back: the
+    shipped parse gets them from one fallback match, and the first path
+    alone does not."""
+    with count_fallbacks() as fallbacks:
+        got = parse_result(html, None)
+    assert fallbacks == [1, 1]
+    assert got[0][0][1] == tag and got[0][1][1] == attrs
+    with full_pattern():
+        assert parse_result(html, None) == got
+    monkeypatch.setattr(parser, "_full_match", lambda data, q, deadline: None)
+    assert flat_parse(html)[0][1:2] != [tag]

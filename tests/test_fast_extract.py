@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzz_bound import bounded_body
 from node_html_parser_ray.kernel.extract import (
     assemble_document,
     extract_spans,
@@ -140,29 +139,26 @@ class TestFastExtractDifferential:
     @settings(max_examples=300, deadline=None)
     @given(markup_text)
     def test_fuzz_parity(self, s):
-        bounded_body(s, assert_equal, s)
+        assert_equal(s)
 
     @settings(max_examples=120, deadline=None)
     @given(markup_text)
     def test_fuzz_parity_comment_option(self, s):
-        bounded_body(s, assert_equal, s, None, {"comment": True})
+        assert_equal(s, None, {"comment": True})
 
     @settings(max_examples=120, deadline=None)
     @given(markup_text)
     def test_fuzz_parity_rawtext_options(self, s):
         options = {"script": True, "style": True, "pre": True}
-        bounded_body(s, assert_equal, s, None, options)
+        assert_equal(s, None, options)
 
     @settings(max_examples=300, deadline=None)
     @given(tag_fragments)
     def test_fuzz_parity_tag_soup(self, s):
         options = {"script": True, "style": True, "pre": True, "noscript": True}
 
-        def body():
-            assert_equal(s)
-            assert_equal(s, options=options)
-
-        bounded_body(s, body)
+        assert_equal(s)
+        assert_equal(s, options=options)
 
     def test_structured_text_from_every_element(self):
         """The flat walk from element k == HTMLElement.structured_text, for

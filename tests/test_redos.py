@@ -1,12 +1,13 @@
-"""ReDoS mitigation: prescan + bounded-time parse lane (round-3 verdict #6).
+"""ReDoS bound: every document parses on one tokenizer path under a deadline.
 
-The tokenizer inherits the reference's backtracking blowup on truncated
-ambiguous tags (kernel/parser.py comment; src/index.ts:833 explodes
-identically in V8).  The mitigation keeps tokenizer semantics untouched:
-a linear-time prescan routes suspicious docs to the interruptible `regex`
-copy of the tokenizer pattern under a per-document deadline
-(``parser.run_bounded``); a doc past the deadline yields zero spans +
-valid=False.
+The tokenizer pattern inherits the reference's backtracking blowup on
+truncated ambiguous tags (kernel/parser.py comment; src/index.ts:833
+explodes identically in V8).  ``flat_parse`` searches with KMARKUP's
+first-path copy, which is linear per attempt, and retries the full pattern
+on the interruptible `regex` copy only at the sites where that copy fails.
+The whole-document stages run every row under ``parser.run_bounded``
+(``extract_stage.map_documents``); a doc past its deadline yields zero
+spans + valid=False, or its stage's out-of-band sentinel.
 """
 from __future__ import annotations
 
@@ -16,25 +17,32 @@ import time
 
 import pyarrow as pa
 
-from node_html_parser_ray.kernel.parser import is_pathological
+from node_html_parser_ray.kernel import parser
 from node_html_parser_ray.sources.corpus import INPUT_SCHEMA, generate_documents
 from node_html_parser_ray.stages.extract_stage import (
     add_partition_column,
     extract_batch,
 )
 
-# ~17 ambiguous chars already cost ~7 s on CPython re and growth is ~3x per
-# +2 chars, so 40 chars is effectively unbounded there; the bounded `regex`
-# engine parses it in well under a millisecond.
+# ~17 ambiguous chars already cost ~7 s with the full pattern on CPython re
+# and growth is ~3x per +2 chars, so 40 chars is effectively unbounded
+# there; the shipped tokenizer parses it in well under a millisecond.
 ADVERSARIAL = "<p>intro</p><a " + "a" * 40
-# A truncated run the bounded engine cannot finish either: its cost is
-# quadratic in the run (~0.1 s at 1 KB, ~10 s at 10 KB), so a 100 KB run
+# A truncated run the full-pattern retry cannot finish either: its cost is
+# quadratic in the run (~0.1 s at 1 KB, ~2 s at 5 KB), so a 100 KB run
 # exceeds every deadline these tests set.
 BOUNDED_OUT = "<p>intro</p><a " + "a" * 100_000
 
 
 SCRIPTS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"
+)
+sys.path.insert(0, SCRIPTS_DIR)
+from diff_engines import (  # noqa: E402
+    OPTION_SETS,
+    count_fallbacks,
+    full_pattern,
+    parse_result,
 )
 
 
@@ -45,64 +53,69 @@ def _spans_row(doc_id: str, html: str) -> dict:
     }
 
 
-class TestPrescan:
-    def test_flags_adversarial_shapes(self):
+def full_pattern_results(html: str) -> list:
+    """``parse_result`` under every option set with ``flat_parse`` driven by
+    the full KMARKUP on the `regex` copy: the trees the reference pattern
+    gives, without CPython re's exponential worst case."""
+    with full_pattern(parser._bounded_kmarkup()):
+        return [parse_result(html, options) for options in OPTION_SETS]
+
+
+def record_bounded(monkeypatch) -> list:
+    """Record the document each ``run_bounded`` call of the stages gets, in
+    call order."""
+    from node_html_parser_ray.stages import extract_stage
+
+    sent = []
+    real_run_bounded = extract_stage.run_bounded
+
+    def recording_run_bounded(fn, *args, timeout):
+        sent.append(args[0])
+        return real_run_bounded(fn, *args, timeout=timeout)
+
+    monkeypatch.setattr(extract_stage, "run_bounded", recording_run_bounded)
+    return sent
+
+
+def shipped_results(html: str) -> tuple[list, list]:
+    """(``parse_result`` under every option set with no deadline, the
+    ``[sites, matches]`` of the full-pattern retries they made)."""
+    with count_fallbacks() as fallbacks:
+        got = [parse_result(html, options) for options in OPTION_SETS]
+    return got, fallbacks
+
+
+class TestFirstPath:
+    def test_adversarial_shapes_match_full_pattern(self):
+        """The shapes that blow up the full pattern on CPython re, each of
+        which once hung a worker: every one parses with no deadline, in
+        milliseconds, to the full pattern's tree."""
         for s in (
             "<a " + "a" * 30,                      # truncated ambiguous tag
             "<p>ok</p><a " + "b" * 40 + "<p>x",    # run ends at '<'
             '<a x="1<2" y',                        # quoted bracket, unterminated
             '<a x="unclosed quote to eof ' + "a" * 10,
-            # round-4 review bypass: short pre-bracket run, bracket-free
-            # FIRST quoted value — only the quote-aware shape-3 branch
-            # catches it (measured ~3x per +2 trailing chars)
+            # short pre-bracket run, bracket-free first quoted value
             '<a q="" w="1<2" ' + "e" * 12,
             '<a q = "" w = "1<2" ' + "e" * 12,     # JS-WS around '='
-            # round-4 review fix: a stripped comment/raw-text region must
-            # not MERGE its neighbours — the '<' that terminates the
-            # failing run is the region's own first char, and the real
-            # tokenizer still backtracks across the run (measured ~9.9 s
-            # at run 16).  With the old ''-substitution these looked like
-            # terminated '<a run>' tags and went unflagged.
+            # the run ends at a comment's or raw-text open's own '<'
             "<a " + "a" * 16 + "<!--c-->>",
             "<a " + "a" * 16 + "<script>x</script>>",
-            # round-4 review fix: raw-text is CASE-SENSITIVE in parse()
-            # (t in K_BLOCK_TEXT_ELEMENTS, close via exact '</script>'
-            # find), so an uppercase body IS scanned by the tokenizer
-            # (measured ~8.5 s at run 16) and must stay visible to the
-            # prescan.
+            # raw text is case-sensitive, so an uppercase body is scanned
             "<SCRIPT><a " + "a" * 16 + "</SCRIPT>",
             "<PRE>a<b " + "q" * 20 + "</PRE>",
-            # round-4 fuzz find (seed 9,000,980, 548-char doc parsed ~20 s
-            # unflagged): the strip's old [^>]* attrs crossed an UNQUOTED
-            # '<', removing a region the tokenizer actually scans — the
-            # tag-open attempt dies at that '<' so no raw-text jump ever
-            # happens.  The strip's attr grammar now mirrors KMARKUP
-            # (brackets only inside '='-anchored quotes).
+            # an unquoted '<' inside a raw-text open tag
             '<pre style&#5;e"_u1<></pre><p ',
             "<pre style=\"un&#65;e\" _u=1<2 a='un></pre>",
-            # round-4 fuzz find #2 (seed 9,039,100): shape 4 — an
-            # '='-anchored quoted value containing '<' followed by a
-            # >=8-char quote-free run blows up EVEN WHEN the tag
-            # ultimately matches ('<' in the value is load-bearing;
-            # spacing is not; measured ~3x per +2 run chars).  Fires on
-            # the RAW doc, bypassing the stage-2 strip: the quoted
-            # "<pre>" can double as a real raw-text open whose body the
-            # PRECEDING failing tag attempt still scans.
+            # an '='-anchored quoted value holding '<' followed by a long
+            # quote-free run: slow even where the tag matches
             '<Phref="<pre>"datanknown/V>',
             '<P href="<pre>"datanknown/V>',
             "<Pdata-k='<x>'datanknown/V>",
-            # prefix crosses earlier complete quoted attrs (shape-3-style
-            # units), as in the original fuzz document
             '<P href="/x?y=1&z=2" a=\'un /><pre>tail</ul>'
             "<div lang='un&#65;e'>",
-            # round-5 fuzz finds (seeds 9,175,218 / 9,619,904 — recorded
-            # as "V8-only" skips by the round-4 campaign but CPython hangs
-            # too; shape 5): an '='-anchored quoted value whose span
-            # swallows a raw-text open.  The stage-2 strip removes the
-            # later well-formed <script>..</script> region, but the
-            # PRECEDING tag-open attempt (holding the quote) scans across
-            # it and explodes (~15 s at 20 chars of core, ~3x per +2).
-            # Contiguous cores of both campaign docs:
+            # attribute-soup campaign finds: an '='-anchored quoted value
+            # whose span swallows a raw-text open
             '<img a-b="un&#65;e" a=\'un><b src>&#x41;'
             '<P href=v href="a=b" />&copy;<script data-9=\'its\' x="qq" '
             'lang=">x" />tail  spaces &copy;</P>1<2&copy;a&amp;b</br>'
@@ -114,12 +127,10 @@ class TestPrescan:
             "<ul data-k=a class='x' href='  pad  ' _u=\"  pad  \">"
             "<DIV data-9='  pad  ' data-k=&copy;>"
             '<a lang="c" lang=a=b lang',
-            # minimal shape-5 forms
             "<img a='un><script x>",
             '<img a="un><style x>',
-            # shape 6: TERMINATED tags whose run holds a '/' KMARKUP cannot
-            # consume (outside any '='-anchored value, not directly before
-            # '>'), measured 1.8-21 s on CPython re.  Random tag-soup finds:
+            # terminated tags whose run holds a '/' KMARKUP cannot consume
+            # (outside any '='-anchored value, not directly before '>')
             '<p>x</p><B  /<aa\'=  =\'==aa"  \'"=a"aa\'-a\'"/\'> </<<="a\'"<=/a>'
             "a- ''< a/",
             '<p>x</p><b \'""=a==a"="=a-\'=\'"aa-/"-\'aa /  a-"a\'"/ a-></"""/ '
@@ -129,16 +140,21 @@ class TestPrescan:
             "<a " + "'a" * 10 + "/x>",
             "<a " + "b" * 14 + "/x>",
             "<a b=c " + "d" * 12 + " /x>",
-            # every shape starts at a CLOSE tag too, and at the non-ASCII
-            # letters CPython's IGNORECASE folds into [a-z]
+            # close tags, and the non-ASCII letters CPython's IGNORECASE
+            # folds into [a-z]
             "</a " + "b" * 20,
             "<p>x</p></a " + "b" * 16 + "<p>",
             "<\u017f " + "b" * 20,
             "<\u0131 " + "b" * 14 + "/x>",
         ):
-            assert is_pathological(s), s
+            t0 = time.perf_counter()
+            got, _ = shipped_results(s)
+            assert time.perf_counter() - t0 < 5.0, s
+            assert got == full_pattern_results(s), s
 
-    def test_clears_normal_shapes(self):
+    def test_normal_shapes_need_no_fallback(self):
+        """Benign markup, brackets and slashes included, parses to the full
+        pattern's tree on the first path alone: no site is retried."""
         for s in (
             '<a href="https://example.com/long/url?with=queryparams">x</a>',
             '<a href="x">tail with no more quotes to end of document',
@@ -146,56 +162,49 @@ class TestPrescan:
             '<div data-x="a>b">terminated quoted bracket</div>',
             "<script>if (a<b) { run(thing, other); }</script><p>x</p>",
             "<td>1 < 2</td>",
-            # quote re-pairing FP (round-4): a closing quote must not pair
-            # with the next attribute's opening quote and walk out of a
-            # normally terminated tag — shape-3 units are '='-anchored
             "<span id='s32' ;=\"\" \"=\"\" class='editable'>x</span><div>y</div>",
-            # unterminated quote to EOF after benign attrs is LINEAR in
-            # KMARKUP (chars past '<' inside it are unreachable): not flagged
-            '<a q="" w="1<2' + "e" * 30,
-            # round-4 review fix: the '<>' sentinel replacing a stripped
-            # region must not fuse with FOLLOWING text into a phantom
-            # '<letter' run (a bare '<' sentinel would flag this)
             "<script>if(a<b){" + "x" * 40 + "}</script>" + "plaintext" * 10,
-            # true lowercase raw-text body stays skipped
             "<script><a " + "a" * 30 + "</script>ok",
             "<pre>a<b " + "q" * 30 + "</pre>",
-            # quote-aware strip: '='-anchored quoted values may cross
-            # brackets in a REAL raw-text open tag (KMARKUP's own quoted
-            # branch does), so these must still strip and stay unflagged
             '<pre class="a<b">' + "x<y " * 10 + "</pre>",
             "<pre class='a>b'>" + "x<y " * 10 + "</pre>",
             '<script src=a data-9=\'&notit;\' id="x">' + "if(a<b)" * 8
             + "</script>",
-            # shape 6 leaves every '/' the grammar consumes: inside quoted
-            # and unquoted '='-anchored values, and the self-close
             '<a href=/x/y.html class="c" target=_blank/>' + "x" * 20 + "</a>",
             "<img src='/a/b/c.png' alt=\"a/b\" data-long-name=/x/ />tail",
             "<a title=a/b/c data-x=y/z>" + "w" * 20 + "</a>",
         ):
-            assert not is_pathological(s), s
+            got, fallbacks = shipped_results(s)
+            assert fallbacks == [0, 0], s
+            assert got == full_pattern_results(s), s
+        # an unterminated quote to EOF: KMARKUP fails at the tag open, so
+        # the site is retried (linearly: chars past the '<' inside the
+        # quote are unreachable) and the full pattern fails there too
+        s = '<a q="" w="1<2' + "e" * 30
+        got, fallbacks = shipped_results(s)
+        assert fallbacks == [len(OPTION_SETS), 0]
+        assert got == full_pattern_results(s)
 
-    def test_clears_reference_fixtures(self):
-        # real-world pages (script bodies full of '<') must NOT be flagged
+    def test_reference_fixtures_match_full_pattern(self):
+        # real-world pages (script bodies full of '<')
         import glob
 
         for f in glob.glob("/root/reference/test/html/*.html"):
             s = open(f, encoding="utf-8", errors="replace").read()
-            assert not is_pathological(s), f
+            assert shipped_results(s)[0] == full_pattern_results(s), f
 
 
 class TestCampaignSkipList:
-    """Round-4 verdict #6: pin the bulk-campaign engine-cost skip list so
-    divergences can't silently accumulate behind 'engine constant' skips.
+    """Pin the bulk-campaign engine-cost skip list so divergences can't
+    silently accumulate behind 'engine constant' skips.
 
     The round-4 attribute-soup campaign (1M docs, seeds 9,000,000-
     9,999,999) skipped exactly 2 documents as 'V8-only' blowups.  Round-5
     re-measurement (scripts/diff_campaign_attrs.py logs each skip's seed)
-    showed BOTH also hang CPython — they were prescan false negatives,
-    fixed as shape 5.  The pinned list of genuinely-V8-only skips is
-    therefore EMPTY, and the two seeds are regression fixtures: their
-    docs must stay prescan-flagged (bounded lane), never silently
-    skippable again."""
+    showed BOTH also hang the full pattern on CPython re.  The pinned list
+    of genuinely-V8-only skips is therefore EMPTY, and the two seeds are
+    regression fixtures: their docs must parse, with no deadline, to the
+    full pattern's tree."""
 
     # seed -> sha256[:16] of the generated doc (pins generator determinism)
     FORMER_V8_SKIPS = {
@@ -203,11 +212,10 @@ class TestCampaignSkipList:
         9619904: "2a4de2053f55fa0d",
     }
 
-    def test_former_v8_skips_are_prescan_flagged(self):
+    def test_former_v8_skips_match_full_pattern(self):
         import hashlib
         import random
 
-        sys.path.insert(0, SCRIPTS_DIR)
         from diff_campaign_attrs import _random_html_attrs
 
         assert len(self.FORMER_V8_SKIPS) == 2  # grows only with evidence
@@ -215,21 +223,20 @@ class TestCampaignSkipList:
             rng = random.Random(seed)
             html = _random_html_attrs(rng, rng.randint(1, 60))
             assert hashlib.sha256(html.encode()).hexdigest()[:16] == sha
-            # the doc hangs CPython re; it must route to the bounded
-            # lane (never parse it on re in a test)
-            assert is_pathological(html)
+            # the doc hangs the full pattern on CPython re: never parse it
+            # that way in a test
+            assert shipped_results(html)[0] == full_pattern_results(html)
 
     def test_former_v8_skips_bounded_through_stage(self, monkeypatch):
-        """Both docs run the bounded engine through the stage within the
-        wall limit; it finishes them in milliseconds (CPython re took
-        130 s on the second), so they carry their real spans."""
+        """Both docs run through the stage within the wall limit; the
+        shipped tokenizer finishes them in milliseconds (the full pattern
+        on CPython re took 130 s on the second), so they carry their real
+        spans."""
         import random
 
-        sys.path.insert(0, SCRIPTS_DIR)
         from diff_campaign_attrs import _random_html_attrs
 
         from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
-        from node_html_parser_ray.kernel.parser import run_bounded
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "2.0")
         htmls = []
@@ -245,7 +252,7 @@ class TestCampaignSkipList:
         assert time.time() - t0 < 60.0
         assert out.column("valid").to_pylist() == [False, True]
         for i, html in enumerate(htmls):
-            spans, _ = run_bounded(extract_spans_fast, html, timeout=60.0)
+            spans, _ = extract_spans_fast(html)
             assert spans
             assert [(s["kind"], s["text"], s["media_ref"], s["order"])
                     for s in out.column("spans")[i].as_py()] == spans
@@ -281,10 +288,34 @@ class TestBoundedLane:
         ).to_pylist()[0]
         assert good == solo
 
+    def test_unclosed_comments_and_quote_shift_bounded_out(self, monkeypatch):
+        """Two documents the first path alone is quadratic on: 20 000
+        unclosed comment opens (each one's comment attempt scans to EOF)
+        and a tag whose quoted values each hold a '<a' (every one a
+        tag-open site scanning to EOF; the full-pattern retry at the first
+        site cannot finish either).  Every failing site returns control to
+        the deadline check, so both rows are bounded out within it."""
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1")
+        comments = "<!--" * 20000
+        quote_shift = "<a" + ' x="<a"' * 64000
+        batch = pa.Table.from_pylist(
+            [_spans_row("comments", comments),
+             _spans_row("quote-shift", quote_shift),
+             _spans_row("good", "<p>ok</p>")],
+            schema=INPUT_SCHEMA,
+        )
+        t0 = time.time()
+        rows = extract_batch(batch).to_pylist()
+        assert time.time() - t0 < 5.0
+        for row, html in zip(rows[:2], (comments, quote_shift)):
+            assert row["valid"] is False and row["spans"] == []
+            assert row["metrics"]["n_bytes"] == len(html)
+        assert rows[2]["valid"] is True and rows[2]["spans"] != []
+
     def test_adversarial_40_chars_extracts_real_spans(self, monkeypatch):
-        """The 40-char truncated tag that hangs CPython re finishes on the
-        bounded engine: its real spans come back well inside a second."""
-        assert is_pathological(ADVERSARIAL)
+        """The 40-char truncated tag that hangs the full pattern on CPython
+        re needs one full-pattern retry: its real spans come back well
+        inside a second."""
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "10")
         batch = pa.Table.from_pylist(
             [_spans_row("adv-1", ADVERSARIAL)], schema=INPUT_SCHEMA
@@ -301,29 +332,23 @@ class TestBoundedLane:
         assert row["metrics"]["n_bytes"] == len(ADVERSARIAL)
 
     def test_false_positive_is_bit_identical(self, monkeypatch):
-        # flagged by the prescan but parses instantly: the bounded engine
-        # must return exactly what the unbounded re parse returns
+        # a fallback site that fails fast: the result under a deadline must
+        # be exactly the result with no deadline
         fp_html = '<p>before</p><a x="1<2" y'
-        assert is_pathological(fp_html)
         batch = pa.Table.from_pylist(
             [_spans_row("fp-1", fp_html)], schema=INPUT_SCHEMA
         )
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         bounded = extract_batch(batch)
-        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "0")  # lane disabled
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "0")  # no deadline
         inline = extract_batch(batch)
         assert bounded.equals(inline)
 
-    def test_lane_flags_pathological_router_does_not_salt(self):
-        """The bounded lane (``prescan_flags`` over the assembled docs)
-        picks the pathological doc; the partition router salts by size
-        only, so neither row leaves the ordinary range."""
-        from node_html_parser_ray.stages.extract_stage import (
-            htmls_from_batch,
-            parse_timeout,
-            prescan_flags,
-        )
-
+    def test_lane_flags_pathological_router_does_not_salt(self, monkeypatch):
+        """Every row, the pathological one included, runs under one
+        ``run_bounded`` call; the partition router salts by size only, so
+        neither row leaves the ordinary range."""
+        sent = record_bounded(monkeypatch)
         batch = pa.Table.from_pylist(
             [
                 _spans_row("good-1", "<p>tiny</p>"),
@@ -331,22 +356,19 @@ class TestBoundedLane:
             ],
             schema=INPUT_SCHEMA,
         )
-        flags = prescan_flags(htmls_from_batch(batch), parse_timeout())
-        assert flags.tolist() == [False, True]
+        extract_batch(batch)
+        assert sent == ["<p>tiny</p>", ADVERSARIAL]
         out = add_partition_column(batch, num_partitions=64)
         assert all(p < 64 for p in out.column("partition_id").to_pylist())
 
-    def test_lane_scans_joined_doc_not_spans(self):
-        """Round-4 review fix: the lane's prescan runs over each doc's
-        JOINED span text (:func:`htmls_from_batch`) — a trigger split
-        across two html spans is flagged, and a benign script-heavy span
-        is not (a per-span scan got both wrong)."""
-        from node_html_parser_ray.stages.extract_stage import (
-            htmls_from_batch,
-            parse_timeout,
-            prescan_flags,
-        )
+    def test_lane_scans_joined_doc_not_spans(self, monkeypatch):
+        """Each row is parsed as its JOINED span text
+        (:func:`htmls_from_batch`): a trigger split across two html spans
+        parses like the whole trigger, and a media placeholder's '<' ends
+        a truncated tag."""
+        from node_html_parser_ray.stages.extract_stage import htmls_from_batch
 
+        sent = record_bounded(monkeypatch)
         half = len(ADVERSARIAL) // 2
         batch = pa.Table.from_pylist(
             [
@@ -359,8 +381,6 @@ class TestBoundedLane:
                          "media_ref": "", "offset": 1},
                     ],
                 },
-                # per-span stage 1 would flag this (script body '<' run);
-                # the doc-level scan applies the raw-text refinement
                 _spans_row(
                     "scripty-1",
                     "<script>if (a<b) { " + "x" * 40 + " }</script><p>ok</p>",
@@ -378,20 +398,21 @@ class TestBoundedLane:
             ],
             schema=INPUT_SCHEMA,
         )
-        flags = prescan_flags(htmls_from_batch(batch), parse_timeout())
-        assert flags.tolist() == [True, False, True]
+        out = extract_batch(batch).to_pylist()
+        htmls = htmls_from_batch(batch)
+        assert sent == htmls and htmls[0] == ADVERSARIAL
+        whole = extract_batch(pa.Table.from_pylist(
+            [_spans_row("split-1", ADVERSARIAL)], schema=INPUT_SCHEMA
+        )).to_pylist()[0]
+        assert out[0]["spans"] == whole["spans"]
+        assert [s["kind"] for s in out[2]["spans"]] == ["text", "image"]
 
     def test_partition_router_salts_giants_only(self, monkeypatch):
-        """The lane flags the same rows as before, the router salts exactly
-        the giants (the lane's flags play no part), and every row keeps
-        its partition_id through extract_batch — flagged and bounded-out
-        rows too, since extraction writes ``n_bytes = len(html)`` for
-        every row (input size = assembled length = n_bytes)."""
-        from node_html_parser_ray.stages.extract_stage import (
-            htmls_from_batch,
-            parse_timeout,
-            prescan_flags,
-        )
+        """Every row runs bounded, the router salts exactly the giants, and
+        every row keeps its partition_id through extract_batch — bounded-out
+        rows too, since extraction writes ``n_bytes = len(html)`` for every
+        row (input size = assembled length = n_bytes)."""
+        from node_html_parser_ray.stages.extract_stage import htmls_from_batch
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
         half = len(ADVERSARIAL) // 2
@@ -412,7 +433,7 @@ class TestBoundedLane:
                  "media_ref": "", "offset": 0},
                 {"kind": "image", "text": "cap",
                  "media_ref": "m://x/0", "offset": 1}]},
-            _spans_row("fp-1", FLAGGED_FAST),
+            _spans_row("fp-1", FALLBACK_FAST),
             _spans_row("bad-1", ADVERSARIAL),
             # bounded out under the 1 s deadline, yet below giant_bytes
             _spans_row("out-1", BOUNDED_OUT[:20_000]),
@@ -423,8 +444,6 @@ class TestBoundedLane:
         batch = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
         giant_bytes = 100_000
         htmls = htmls_from_batch(batch)
-        flags = prescan_flags(htmls, parse_timeout())
-        assert set(flags.nonzero()[0].tolist()) == {0, 2, 3, 4, 5}
         assert {r for r, html in enumerate(htmls)
                 if len(html) > giant_bytes} == {6, 7}
 
@@ -435,7 +454,9 @@ class TestBoundedLane:
 
         before = route(batch)
         assert {r for r, p in enumerate(before) if p >= 64} == {6, 7}
+        sent = record_bounded(monkeypatch)
         extracted = extract_batch(batch)
+        assert sent == htmls
         # the 20 KB run is bounded out: zero spans, n_bytes = len(html)
         out_row = extracted.slice(5, 1).to_pylist()[0]
         assert out_row["spans"] == [] and not out_row["valid"]
@@ -443,9 +464,9 @@ class TestBoundedLane:
         assert route(extracted) == before
 
 
-# flagged by the prescan but parses in well under a second: exercises the
-# bounded engine (false-positive parity) without a long wall
-FLAGGED_FAST = (
+# one fallback site, whose full-pattern retry fails in well under a
+# second: exercises the fallback without a long wall
+FALLBACK_FAST = (
     "<p>before</p><a " + "a" * 12
     + "\n<div class='c'><p>real text here</p></div>"
 )
@@ -456,8 +477,8 @@ COUNT_ONLY_PLAIN = "<div class='c'><p>hi</p><p>yo</p></div><p>z</p>"
 
 class TestBoundedSelectorClassifier:
     """The selector and boilerplate stages parse whole documents too — they
-    share the extraction stage's prescan + bounded lane (round-4 review:
-    previously a pathological doc hung those actors unbounded)."""
+    run every row under the same deadline as extraction
+    (``map_documents``)."""
 
     def test_selector_stage_bounds_adversarial(self, monkeypatch):
         from node_html_parser_ray.stages.selector_stage import SelectorStage
@@ -487,40 +508,31 @@ class TestBoundedSelectorClassifier:
             select_document,
         )
 
-        assert is_pathological(FLAGGED_FAST)  # prescan FP by construction
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         batch = pa.Table.from_pylist(
-            [_spans_row("fp-1", FLAGGED_FAST)], schema=INPUT_SCHEMA
+            [_spans_row("fp-1", FALLBACK_FAST)], schema=INPUT_SCHEMA
         )
         out = SelectorStage(["p", "div.c"])(batch)
-        direct = select_document(FLAGGED_FAST, ["p", "div.c"], None, True)
+        direct = select_document(FALLBACK_FAST, ["p", "div.c"], None, True)
         got = [(r["n_matches"], list(r["matches"])) for r in out.to_pylist()]
         assert got == [(n, txts) for n, txts in direct]
         assert got[0] == (2, ["before", "real text here"])
 
     @staticmethod
     def _count_only(monkeypatch, sels):
-        """SelectorStage(sels, emit_text=False) over a plain doc, a prescan
-        false positive and a bounded-out doc -> (stage, per-doc counts,
-        the sizes of the batches prescanned)."""
-        from node_html_parser_ray.stages import extract_stage
+        """SelectorStage(sels, emit_text=False) over a plain doc, a doc
+        with a fallback site and a bounded-out doc -> (stage, per-doc
+        counts, the documents run under ``run_bounded``, in call order)."""
         from node_html_parser_ray.stages.selector_stage import SelectorStage
 
-        real_prescan = extract_stage.prescan_flags
-        calls = []
-
-        def counting_prescan(htmls, timeout):
-            calls.append(len(htmls))
-            return real_prescan(htmls, timeout)
-
-        monkeypatch.setattr(extract_stage, "prescan_flags", counting_prescan)
-        # long enough for the false positive's bounded parse on a loaded
-        # host; the bounded-out doc pays the whole bound
+        calls = record_bounded(monkeypatch)
+        # long enough for the fallback site's parse on a loaded host; the
+        # bounded-out doc pays the whole bound
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "5.0")
         batch = pa.Table.from_pylist(
             [
                 _spans_row("plain-1", COUNT_ONLY_PLAIN),
-                _spans_row("fp-1", FLAGGED_FAST),
+                _spans_row("fp-1", FALLBACK_FAST),
                 _spans_row("bad-1", BOUNDED_OUT),
             ],
             schema=INPUT_SCHEMA,
@@ -534,17 +546,17 @@ class TestBoundedSelectorClassifier:
 
     def test_selector_stage_count_only_flagged_docs(self, monkeypatch):
         """Count-only SelectorStage (the columnar node-table path) over a
-        batch holding a plain doc, a prescan false positive and a
+        batch holding a plain doc, a doc with a fallback site and a
         bounded-out doc: the first two count exactly like select_document,
-        the third is bounded out (-1 per selector), and the batch is
-        prescanned once."""
+        the third is bounded out (-1 per selector), and each row runs under
+        one ``run_bounded`` call."""
         from node_html_parser_ray.stages.selector_stage import select_document
 
         sels = ["p", "div.c"]
         stage, got, calls = self._count_only(monkeypatch, sels)
         assert stage.columnar == set(sels)
-        assert calls == [3]
-        for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FLAGGED_FAST)):
+        assert calls == [COUNT_ONLY_PLAIN, FALLBACK_FAST, BOUNDED_OUT]
+        for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FALLBACK_FAST)):
             direct = select_document(html, sels, None, False)
             assert got[doc_id] == [n for n, _ in direct]
         assert got["plain-1"] == [3, 1]
@@ -555,16 +567,15 @@ class TestBoundedSelectorClassifier:
         """The same batch with selectors the part grammar skips text of
         (``>``) and a ``~=`` whitespace edge, all counted by the columnar
         masks: counts equal select_document for the plain doc and the
-        false positive (whose node rows come from the bounded engine), the
-        bounded-out doc is -1 for every selector, and the batch is
-        prescanned once."""
+        doc with a fallback site, the bounded-out doc is -1 for every
+        selector, and each row runs under one ``run_bounded`` call."""
         from node_html_parser_ray.stages.selector_stage import select_document
 
         sels = ["p", "div.c", "div > p", '[class~=""]']
         stage, got, calls = self._count_only(monkeypatch, sels)
         assert stage.columnar == set(sels)
-        assert calls == [3]
-        for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FLAGGED_FAST)):
+        assert calls == [COUNT_ONLY_PLAIN, FALLBACK_FAST, BOUNDED_OUT]
+        for doc_id, html in (("plain-1", COUNT_ONLY_PLAIN), ("fp-1", FALLBACK_FAST)):
             direct = select_document(html, sels, None, False)
             assert got[doc_id] == [n for n, _ in direct]
         assert got["plain-1"] == [3, 1, 2, 0]
@@ -587,7 +598,7 @@ class TestBoundedSelectorClassifier:
         res = {r["doc_id"]: r for r in out.to_pylist()}
         assert res["good-1"]["n_content_blocks"] == 1
         # bounded-out doc carries the out-of-band drop sentinel
-        # (n_content_blocks=-1, consistent with the selector lane's
+        # (n_content_blocks=-1, consistent with the selector stage's
         # n_matches=-1) so lineage can count dropped docs
         assert res["bad-1"]["main_text"] == ""
         assert res["bad-1"]["n_content_blocks"] == -1
@@ -595,8 +606,8 @@ class TestBoundedSelectorClassifier:
         assert res["bad-1"]["content_ratio"] == 0.0
 
     def test_explode_nodes_bounds_adversarial(self, monkeypatch):
-        """The columnar node-explode path (count-only SelectorStage) shares
-        the lane: a bounded-out doc contributes no node rows and counts -1
+        """The columnar node-explode path (count-only SelectorStage) runs
+        through map_documents too: a bounded-out doc contributes no node rows and counts -1
         for every selector."""
         from node_html_parser_ray.stages.selector_stage import (
             SelectorStage,
@@ -621,8 +632,8 @@ class TestBoundedSelectorClassifier:
         assert got["bad-1"] == [-1, -1, -1]
 
     def test_explode_nodes_false_positive_parity(self, monkeypatch):
-        """A prescan false positive's node rows come from the bounded
-        engine and count exactly like select_document."""
+        """A doc with a fallback site counts exactly like
+        select_document."""
         from node_html_parser_ray.stages.selector_stage import (
             SelectorStage,
             select_document,
@@ -630,50 +641,42 @@ class TestBoundedSelectorClassifier:
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         batch = pa.Table.from_pylist(
-            [_spans_row("fp-1", FLAGGED_FAST)], schema=INPUT_SCHEMA
+            [_spans_row("fp-1", FALLBACK_FAST)], schema=INPUT_SCHEMA
         )
         sels = ["p", "div.c p", "*", "a"]
         out = SelectorStage(sels, emit_text=False)(batch)
-        direct = select_document(FLAGGED_FAST, sels, None, False)
+        direct = select_document(FALLBACK_FAST, sels, None, False)
         assert [r["n_matches"] for r in out.to_pylist()] == [
             n for n, _ in direct]
 
     def test_dom_api_query_bounds_adversarial(self, monkeypatch):
         """q_dom_api embeds corpus text raw in its synthesized html
-        (review finding) — flagged docs route through the lane, with the
-        same map_documents call q_dom_api makes; a bounded-out doc comes
-        back None (q_dom_api emits its (-1,-1,-1) sentinels for it)."""
-        from node_html_parser_ray.stages import extract_stage
+        (review finding) — every doc runs bounded, through the same
+        map_documents call q_dom_api makes; a bounded-out doc comes back
+        None (q_dom_api emits its (-1,-1,-1) sentinels for it)."""
         from node_html_parser_ray.stages.extract_stage import (
             dom_api_document,
             map_documents,
         )
 
-        sent = []
-        real_run_bounded = extract_stage.run_bounded
-
-        def recording_run_bounded(fn, *args, timeout):
-            sent.append(args[0])
-            return real_run_bounded(fn, *args, timeout=timeout)
-
-        monkeypatch.setattr(extract_stage, "run_bounded", recording_run_bounded)
-        # wild corpus text smuggling the shape, too long for either engine
+        sent = record_bounded(monkeypatch)
+        # wild corpus text smuggling the shape, too long for the deadline
         text = "<a " + "a" * 100_000
         html = f'<div id="d1" class="a b"> {text} <span>x</span> <!--c--> </div>'
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
         assert list(map_documents([html], dom_api_document)) == [None]
-        # FP parity: a benign flagged doc returns real values via the lane
-        fp = f'<div id="d1" class="a b"> {FLAGGED_FAST} <span>x</span> <!--c--> </div>'
+        # a doc with a fast fallback site returns its real values
+        fp = f'<div id="d1" class="a b"> {FALLBACK_FAST} <span>x</span> <!--c--> </div>'
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         got = list(map_documents([fp], dom_api_document))
-        assert sent == [html, fp]  # flagged, so both ran bounded
+        assert sent == [html, fp]
         assert got == [tuple(dom_api_document(fp))]
 
     def test_sidecar_child_exception_is_bounded_drop(self, monkeypatch):
-        """A per-document function raising on a flagged row yields None
-        (this one doc is dropped bounded) — review finding: raising instead
-        made the whole Ray task fail on every retry.  The rows after it
-        still run."""
+        """A per-document function raising on a row yields None (this one
+        doc is dropped bounded) — review finding: raising instead made the
+        whole Ray task fail on every retry.  The rows after it still run,
+        with or without a deadline."""
         from node_html_parser_ray.kernel.parser import flat_parse
         from node_html_parser_ray.stages.extract_stage import map_documents
 
@@ -681,12 +684,12 @@ class TestBoundedSelectorClassifier:
             flat_parse(html)
             return int(suffix)
 
-        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
-        htmls = [FLAGGED_FAST, FLAGGED_FAST + " "]
-        assert all(map(is_pathological, htmls))
-        assert list(map_documents(htmls, parse_then_int, "not-a-number")) \
-            == [None, None]
-        assert list(map_documents(htmls, parse_then_int, "17")) == [17, 17]
+        htmls = [FALLBACK_FAST, "<p>plain</p>"]
+        for timeout in ("30", "0"):
+            monkeypatch.setenv("NHPR_PARSE_TIMEOUT", timeout)
+            assert list(map_documents(htmls, parse_then_int, "not-a-number")) \
+                == [None, None]
+            assert list(map_documents(htmls, parse_then_int, "17")) == [17, 17]
 
     def test_classifier_false_positive_parity(self, monkeypatch):
         from node_html_parser_ray.stages.classify import (
@@ -696,10 +699,10 @@ class TestBoundedSelectorClassifier:
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "30")
         batch = pa.Table.from_pylist(
-            [_spans_row("fp-1", FLAGGED_FAST)], schema=INPUT_SCHEMA
+            [_spans_row("fp-1", FALLBACK_FAST)], schema=INPUT_SCHEMA
         )
         out = BoilerplateClassifier(min_text_len=4)(batch).to_pylist()[0]
-        mt, nc, nb = classify_document(FLAGGED_FAST, None, 4, 0.5)
+        mt, nc, nb = classify_document(FALLBACK_FAST, None, 4, 0.5)
         assert (out["main_text"], out["n_content_blocks"],
                 out["n_boilerplate_blocks"]) == (mt, nc, nb)
         assert nc == 2
@@ -741,7 +744,7 @@ class TestBoundedEndToEnd:
 
     def test_structured_text_query_bounds_adversarial(self, ray_session, tmp_path):
         """q_structured_text parses raw corpus text as whole documents, so
-        it shares the lane: a bounded-out doc emits "" within the wall
+        it runs through map_documents: a bounded-out doc emits "" within the wall
         bound, and every other doc keeps its joined span text (media alt
         text included)."""
         import pyarrow.parquet as pq
@@ -750,7 +753,7 @@ class TestBoundedEndToEnd:
         from node_html_parser_ray.pipelines.queries import QUERIES
 
         texts = ["<p>intro</p><img alt='pic' src=x> tail", BOUNDED_OUT,
-                 FLAGGED_FAST, None]
+                 FALLBACK_FAST, None]
         pq.write_table(
             pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                       "text": pa.array(texts, pa.string())}),

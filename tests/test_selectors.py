@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from fuzz_bound import bounded_body
 from node_html_parser_ray.kernel import HTMLElement, Matcher, parse
 from test_tokenizer_golden import CASE_SETS, case_inputs
 
@@ -411,7 +410,7 @@ class TestAutomatonVsDP:
         @given(markup, st.sampled_from(self.SELECTORS))
         @settings(max_examples=300, deadline=None)
         def check(html, sel):
-            bounded_body(html, self._check_fuzz, html, sel)
+            self._check_fuzz(html, sel)
 
         check()
 
@@ -478,7 +477,7 @@ class TestColumnarDescendant:
         @given(markup, sels)
         @settings(max_examples=200, deadline=None)
         def check(html, sel):
-            bounded_body(html, self._check_fuzz, html, sel)
+            self._check_fuzz(html, sel)
 
         check()
 
@@ -612,8 +611,6 @@ class TestCountOnlyParity:
             select_document,
         )
 
-        # a prescan-flagged input (soup/28) is counted in the bounded lane,
-        # which gives it its real counts
         inputs = ([(f"ws_edge/{i}", h) for i, h in enumerate(self.WS_EDGE_DOCS)]
                   if case_set == "ws_edge" else case_inputs(case_set))
         docs = dict(inputs)

@@ -11,10 +11,10 @@ and comment nodes, and ``valid`` on the root; the parent index pins
 The cases: the handwritten edge list of ``test_fast_extract``, the 400-doc
 generator corpus (seed 11, ``giant_fraction=0.01``), the ``tests/data`` pages
 and 2000 tag-soup strings drawn with ``random.Random(5)`` from
-``TAG_FRAGMENTS``.  Every case is checked twice: parsed on CPython ``re``,
-and parsed under ``parser.run_bounded`` on the interruptible ``regex`` copy
-of the tokenizer pattern that prescan-flagged documents use; both must give
-the same digests.  Rewrite the golden (only for an intended change of the
+``TAG_FRAGMENTS``.  Every case is checked twice: parsed with no deadline,
+and parsed under ``parser.run_bounded`` with one, as the whole-document
+stages run every document (the deadline also bounds the full-pattern retries
+on the ``regex`` copy); both must give the same digests.  Rewrite the golden (only for an intended change of the
 parse result) from the repo root with::
 
     PYTHONPATH=. python tests/test_tokenizer_golden.py --write
@@ -98,7 +98,7 @@ def case_inputs(case_set: str):
 
 
 def bounded_case_digest(html: str) -> str:
-    """:func:`case_digest` with every parse on the bounded engine."""
+    """:func:`case_digest` with every parse under a deadline."""
     return run_bounded(case_digest, html, timeout=60.0)
 
 
