@@ -47,9 +47,10 @@ __all__ = ["flat_parse", "parse", "ParseMetrics", "run_bounded"]
 # possessive.  flat_parse therefore searches with a first-path copy below
 # and retries the full pattern only at the sites where that copy fails.
 _S = f"[{WS}]"
+_COMMENT_SRC = r"<!--[\s\S]*?(?=-->)-->"
 _KMARKUP_SRC = (
-    r"<!--[\s\S]*?(?=-->)-->"
-    r"|<(?P<close>/?)"
+    _COMMENT_SRC
+    + r"|<(?P<close>/?)"
     r"(?P<tag>[a-z][-.:0-9_a-z]*)"
     r"(?P<attrs>(?:" + _S + r"*(?:[a-z][-.:0-9_a-z]*"
     r"(?:" + _S + r"*=" + _S + r"*(?:\"[^\"]*?\"|'[^']*?'|(?:/(?!>)|[^" + WS + r"\"'<>/])+))?"
@@ -67,18 +68,25 @@ KMARKUP = re.compile(_KMARKUP_SRC, re.IGNORECASE)
 # tag-open or comment-open site (group 5, ``fail``), so one search returns
 # either a token or the first failing site; its '<' stays outside the group
 # so that `re` keeps its literal-prefix scan.
-_KMARKUP_FIRST_PATH_SRC = (
-    r"<!--[\s\S]*?(?=-->)-->"
-    r"|<(?P<close>/?+)"
+_TAG_FIRST_PATH_SRC = (
+    r"<(?P<close>/?+)"
     r"(?P<tag>[a-z][-.:0-9_a-z]*+)"
     r"(?P<attrs>(?:" + _S + r"*+(?>[a-z][-.:0-9_a-z]*+"
     r"(?:" + _S + r"*+=" + _S + r"*+(?>\"[^\"]*+\"|'[^']*+'"
     r"|(?>/(?!>)|[^" + WS + r"\"'<>/])++))?+"
     r"|[^</>" + WS + r"]++))*+)"
     + _S + r"*+(?P<selfclose>/?+)>"
-    r"|<(?P<fail>/?[a-z]|!--)"
+)
+_KMARKUP_FIRST_PATH_SRC = (
+    _COMMENT_SRC + "|" + _TAG_FIRST_PATH_SRC + r"|<(?P<fail>/?[a-z]|!--)"
 )
 KMARKUP_FIRST_PATH = re.compile(_KMARKUP_FIRST_PATH_SRC, re.IGNORECASE)
+# The same copy without the comment branch, searched once a comment open
+# has failed: no '-->' follows that site, so no later comment open can
+# match either, and each would otherwise rescan to the end of the document.
+_KMARKUP_NO_COMMENT = re.compile(
+    _TAG_FIRST_PATH_SRC + r"|<(?P<fail>/?[a-z])", re.IGNORECASE
+)
 # The letters CPython's IGNORECASE folds into [a-z]: ASCII plus dotted
 # capital I, dotless i, long s and the Kelvin sign.  The `regex` copy spells
 # them out instead of folding, because `regex` folds differently ('<ı>' is a
@@ -251,7 +259,11 @@ def flat_parse(
             q = m.start()
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("flat_parse deadline passed")
-            m = None if m.group(5) == "!--" else _full_match(data, q, deadline)
+            if m.group(5) == "!--":
+                search = _KMARKUP_NO_COMMENT.search
+                m = None
+            else:
+                m = _full_match(data, q, deadline)
             if m is None:
                 pos = q + 1
                 continue

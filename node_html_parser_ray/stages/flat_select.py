@@ -1,9 +1,14 @@
 """Columnar selector evaluation over an exploded node table.
 
 Each document's flat tree (kernel/parser.flat_parse) becomes rows of a
-corpus-wide Arrow node table — one row per DOM node, in pre-order:
+batch-wide Arrow node table — one row per element reachable from the
+fictive root, in pre-order (text nodes and the root match no selector part,
+so they have no row):
 
-    doc_id, node_id, parent_id, kind, tag, id, classes, attrs_enc
+    parent, tag, id, classes, attrs_enc
+
+``parent`` is the batch-global row of the parent element, -1 for a
+top-level element.
 
 A selector is parsed once, by ``kernel.selector.selector_chains`` — the
 same parse the per-document automaton compiles — and every part of every
@@ -40,15 +45,12 @@ __all__ = [
 
 NODE_TABLE_SCHEMA = pa.schema(
     [
-        ("doc_id", pa.string()),
-        ("node_id", pa.int32()),
-        ("parent_id", pa.int32()),
-        ("kind", pa.int8()),
+        ("parent", pa.int32()),
         ("tag", pa.string()),
         ("id", pa.string()),
         ("classes", pa.string()),
         # decoded attribute map, one string: \x02k\x01v\x02k\x01v\x02
-        # (control chars \x00-\x02 escaped; "" when the node has no attrs)
+        # (control chars \x00-\x02 escaped; "" when the element has none)
         ("attrs_enc", pa.string()),
     ]
 )
@@ -117,72 +119,61 @@ def _attr_op_mask(col, key: str, op: str, value: str):
 
 
 def explode_document(html: str):
-    """ONE document's node rows, in pre-order, read straight off
+    """ONE document's element rows, in pre-order, read straight off
     :func:`flat_parse`'s tree (no node objects): the per-document function
-    :func:`extract_stage.map_documents` runs, pure args in,
-    plain lists ``(nid, pid, kind, tag, id, cls, attrs)`` out."""
+    :func:`extract_stage.map_documents` runs, pure args in, plain lists
+    ``(parent, tag, id, classes, attrs_enc)`` out.  ``parent[i]`` is the
+    row of element ``i``'s parent, -1 for a top-level element."""
     tag, val, kids, _, _, _ = flat_parse(html or "")
-    out_pid: list[int] = []
-    out_kind: list[int] = []
+    out_par: list[int] = []
     out_tag: list[str] = []
     out_id: list[str] = []
     out_cls: list[str] = []
     out_attrs: list[str] = []
-    stack = [(0, -1)]
+    # flat_parse(html) stores no comments: every kid c >= 0 is an element
+    stack = [(c, -1) for c in reversed(kids[0]) if c >= 0]
     while stack:
-        k, pid = stack.pop()
-        nid = len(out_pid)
-        out_pid.append(pid)
-        if k >= 0:
-            # flat_parse(html) stores no comments: every k >= 0 is an element
-            out_kind.append(1)
-            out_tag.append(tag[k])
-            v = val[k]
-            if v:
-                id_, classes = id_and_classes(v)
-                out_id.append(id_)
-                out_cls.append(" ".join(classes))
-                out_attrs.append(_encode_attrs(attribute_map(v)))
-            else:
-                out_id.append("")
-                out_cls.append("")
-                out_attrs.append("")
-            stack.extend([(c, nid) for c in reversed(kids[k])])
+        k, parent = stack.pop()
+        row = len(out_par)
+        out_par.append(parent)
+        out_tag.append(tag[k])
+        v = val[k]
+        if v:
+            id_, classes = id_and_classes(v)
+            out_id.append(id_)
+            out_cls.append(" ".join(classes))
+            out_attrs.append(_encode_attrs(attribute_map(v)))
         else:
-            out_kind.append(3)
-            out_tag.append("")
             out_id.append("")
             out_cls.append("")
             out_attrs.append("")
-    return (list(range(len(out_pid))), out_pid, out_kind, out_tag, out_id,
-            out_cls, out_attrs)
+        stack.extend([(c, row) for c in reversed(kids[k]) if c >= 0])
+    return out_par, out_tag, out_id, out_cls, out_attrs
 
 
-def node_table(doc_ids: list[str], docs: list[tuple]) -> pa.Table:
-    """Node table from :func:`explode_document` results; ``doc_ids[i]``
-    labels the rows of ``docs[i]``."""
+def node_table(docs: list[tuple]) -> pa.Table:
+    """Node table from :func:`explode_document` results, one doc's rows
+    after another; each doc's parents are offset by its first row."""
     cols: list[list] = [[] for _ in NODE_TABLE_SCHEMA]
-    for doc_id, doc in zip(doc_ids, docs):
-        cols[0].extend([doc_id] * len(doc[0]))
-        for col, vals in zip(cols[1:], doc):
+    for doc in docs:
+        for col, vals in zip(cols, doc):
             col.extend(vals)
+    sizes = np.fromiter((len(doc[0]) for doc in docs), np.int64, len(docs))
+    parent = np.asarray(cols[0], np.int32)
+    first_row = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols[0] = np.where(parent >= 0, parent + first_row, -1).astype(np.int32)
     return pa.Table.from_arrays(
         [pa.array(col, f.type) for col, f in zip(cols, NODE_TABLE_SCHEMA)],
         schema=NODE_TABLE_SCHEMA,
     )
 
 
-def columnar_part_mask(nodes: pa.Table, part: Part) -> pa.ChunkedArray:
-    """Boolean mask of the nodes one parsed selector part matches: the
+def columnar_part_mask(nodes: pa.Table, part: Part):
+    """Boolean mask of the elements one parsed selector part matches: the
     AND of its tag / ``*`` / ``#id`` / ``.cls`` / attribute tests, the
     part predicate of the reference's Matcher (src/index.ts:713-738)."""
     tag, id_, classes, attrs = part
-    # element nodes only; fictive roots (tag == '') never match (the
-    # reference only advances the matcher when node.tagName is truthy)
-    mask = pc.and_(
-        pc.equal(nodes.column("kind"), pa.scalar(1, pa.int8())),
-        pc.not_equal(nodes.column("tag"), ""),
-    )
+    mask = pa.scalar(True)
     if tag and tag != "*":
         mask = pc.and_(mask, pc.equal(nodes.column("tag"), tag))
     if id_:
@@ -199,49 +190,45 @@ def columnar_part_mask(nodes: pa.Table, part: Part) -> pa.ChunkedArray:
     return mask
 
 
-def _bool(mask) -> np.ndarray:
-    """An Arrow boolean mask as a numpy bool array."""
+def _bool(mask, n: int) -> np.ndarray:
+    """An Arrow boolean mask, or one scalar for all ``n`` rows, as numpy."""
+    if isinstance(mask, pa.Scalar):
+        return np.full(n, mask.as_py(), dtype=bool)
     return np.asarray(mask.to_numpy(zero_copy_only=False), dtype=bool)
 
 
 def columnar_select_mask(nodes: pa.Table, selector: str) -> np.ndarray:
-    """Boolean numpy mask of the nodes ``selector`` matches, evaluated
-    columnar over the whole corpus node table: the OR over the comma parts
+    """Boolean numpy mask of the elements ``selector`` matches, evaluated
+    columnar over the whole batch node table: the OR over the comma parts
     of :func:`kernel.selector.selector_chains`.
 
     Per level k of a chain: ``consumed_k = part_mask_k & (some proper
     ancestor has consumed_{k-1})``.  The ancestor flag is computed by a
-    depth-bounded vectorized fixpoint over the parent-pointer array
-    (node_id is pre-order, so parents always precede children; propagation
-    is one gather + OR per tree level, O(depth) numpy passes over the
-    corpus — no per-document Python loop).  Match SET equals the
-    per-document automaton (query_selector_all), which the parity tests
-    assert; result ORDER is a caller concern (the node table is pre-order).
+    depth-bounded vectorized fixpoint over the ``parent`` column (rows are
+    pre-order, so parents always precede children; propagation is one
+    gather + OR per tree level, O(depth) numpy passes over the batch — no
+    per-document Python loop).  Match SET equals the per-document automaton
+    (query_selector_all), which the parity tests assert; result ORDER is a
+    caller concern (the node table is pre-order).
     """
-    node_ids = nodes.column("node_id").to_numpy(zero_copy_only=False)
-    parent_ids = nodes.column("parent_id").to_numpy(zero_copy_only=False)
-    n = len(node_ids)
-    # global row index of each node's parent: rows are consecutive per doc
-    # (node_id == 0 marks a doc start) and parent_id is doc-local
-    doc_start = np.maximum.accumulate(
-        np.where(node_ids == 0, np.arange(n), 0)
-    )
-    has_parent = parent_ids >= 0
-    gparent = np.where(has_parent, doc_start + parent_ids, 0)
+    parent = nodes.column("parent").to_numpy(zero_copy_only=False)
+    n = len(parent)
+    has_parent = parent >= 0
 
     matched = np.zeros(n, dtype=bool)
     for chain in selector_chains(selector):
         if not chain:
             continue
-        consumed = _bool(columnar_part_mask(nodes, chain[0]))
+        consumed = _bool(columnar_part_mask(nodes, chain[0]), n)
         for part in chain[1:]:
             # anc[i] = True iff some proper ancestor of i is in `consumed`
+            # (a -1 parent gathers the last row, which has_parent masks)
             anc = np.zeros(n, dtype=bool)
             while True:
-                new_anc = has_parent & (anc[gparent] | consumed[gparent])
+                new_anc = has_parent & (anc[parent] | consumed[parent])
                 if (new_anc == anc).all():
                     break
                 anc = new_anc
-            consumed = _bool(columnar_part_mask(nodes, part)) & anc
+            consumed = _bool(columnar_part_mask(nodes, part), n) & anc
         matched |= consumed
     return matched

@@ -2,14 +2,14 @@
 
 ``ds.map_batches(SelectorStage(selectors), concurrency=N, batch_size=B)``.
 The stage runs in one of two whole-stage modes.  Count-only
-(``emit_text=False``) explodes every document into one node table per
-batch and counts every selector with the vectorized masks of
-stages/flat_select.py.  Text emission runs :func:`select_document` — parse
-plus the per-document automaton of kernel/selector.py, which gives the
-reference's result order — per document.  Both modes read the one
-selector parse ``kernel.selector.selector_chains``, and every document
-goes through :func:`extract_stage.map_documents` under its tokenizer
-deadline.
+(``emit_text=False``) explodes every document into element rows of one
+node table per batch (``parent, tag, id, classes, attrs_enc``) and counts
+every selector with the vectorized masks of stages/flat_select.py.  Text
+emission runs :func:`select_document` — parse plus the per-document
+automaton of kernel/selector.py, which gives the reference's result order
+— per document.  Both modes read the one selector parse
+``kernel.selector.selector_chains``, and every document goes through
+:func:`extract_stage.map_documents` under its tokenizer deadline.
 """
 from __future__ import annotations
 
@@ -80,13 +80,12 @@ class SelectorStage:
         # result order, so it counts none there
         self.columnar: set[str] = set() if emit_text else set(self.selectors)
 
-    def _count(self, doc_ids: list, docs: list) -> list:
+    def _count(self, docs: list) -> list:
         """:func:`select_document`-shaped results (``None`` for a bounded-out
         doc) from one node table over the :func:`explode_document` rows of
         the batch's docs."""
         keep = [r for r, doc in enumerate(docs) if doc is not None]
-        nodes = node_table([str(doc_ids[r]) for r in keep],
-                           [docs[r] for r in keep])
+        nodes = node_table([docs[r] for r in keep])
         node_row = np.repeat(
             np.asarray(keep, np.int64), [len(docs[r][0]) for r in keep]
         )
@@ -108,9 +107,7 @@ class SelectorStage:
                 htmls, select_document, self.selectors, None, True
             ))
         else:
-            results = self._count(
-                doc_ids, list(map_documents(htmls, explode_document))
-            )
+            results = self._count(list(map_documents(htmls, explode_document)))
 
         out_doc: list[str] = []
         out_sel: list[str] = []

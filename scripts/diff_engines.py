@@ -4,7 +4,10 @@ that copy fails) against ``flat_parse`` driven by the full ``KMARKUP`` on
 CPython ``re``.
 
 Draws seeded random tag soup (attribute-heavy fragments, JS-only whitespace
-and the four letters CPython's IGNORECASE folds into ``[a-z]``) and parses
+and the four letters CPython's IGNORECASE folds into ``[a-z]``), plus a
+fifth as many soup inputs holding an unclosed comment open with every
+``-->`` stripped (so ``flat_parse`` drops the comment branch after the
+first open fails), and parses
 every input under each of the four option sets of
 ``tests/test_fast_extract.OPTION_SETS`` both ways, comparing the flat trees
 and ``ParseMetrics``.  The full-pattern parse runs under a per-input
@@ -68,6 +71,19 @@ def random_soup(rng: random.Random, max_pieces: int = 40) -> str:
     head = rng.choice(("", "<p>x</p>", "<div>"))
     body = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, max_pieces)))
     return head + "<" + rng.choice(_TAG_STARTS) + body
+
+
+def unclosed_comment_soup(rng: random.Random) -> str:
+    """One :func:`random_soup` input with a comment open spliced in at a
+    random point, then every ``-->`` stripped: each of its comment opens
+    fails, so the shipped parse searches on without the comment branch
+    from the first one."""
+    html = random_soup(rng)
+    cut = rng.randint(0, len(html))
+    html = html[:cut] + "<!--" + html[cut:]
+    while "-->" in html:
+        html = html.replace("-->", "")
+    return html
 
 
 def fold_letter_cases() -> list[str]:
@@ -156,6 +172,7 @@ def main(n_inputs: int = 5000, seed: int = 0, watchdog_s: float = 2.0) -> int:
     signal.signal(signal.SIGALRM, _alarm)
     rng = random.Random(seed)
     inputs = fold_letter_cases() + [random_soup(rng) for _ in range(n_inputs)]
+    inputs += [unclosed_comment_soup(rng) for _ in range(n_inputs // 5)]
     mismatches = timeouts = unfinished = 0
     t0 = time.time()
     with count_fallbacks() as fallbacks:

@@ -136,10 +136,9 @@ class TestAssembleDocument:
 
 class TestFlatten:
     def test_preorder_ids(self):
-        node_id, parent_id, _, tag = explode_document("<a><b></b><c></c></a>")[:4]
-        assert node_id == [0, 1, 2, 3]
-        assert parent_id == [-1, 0, 1, 1]
-        assert tag == ["", "a", "b", "c"]
+        parent, tag = explode_document("<a><b></b><c></c></a>")[:2]
+        assert parent == [-1, 0, 0]
+        assert tag == ["a", "b", "c"]
 
 
 class TestPlaceholderAttrRobustness:

@@ -194,6 +194,24 @@ class TestFirstPath:
             assert shipped_results(s)[0] == full_pattern_results(s), f
 
 
+    def test_unclosed_comment_opens_linear(self):
+        """Once one comment open fails, no '-->' follows it, so no later
+        comment open can match: flat_parse searches on without the comment
+        branch instead of rescanning to EOF at every open.  20 000 opens
+        parse in well under 2 s with no deadline, and mixed inputs keep the
+        full pattern's trees under every option set."""
+        t0 = time.time()
+        parser.flat_parse("<!--" * 20000)
+        assert time.time() - t0 < 2.0
+        opens = "<!--" * 300
+        for html in ("<p>x</p>" + opens + "<b>y</b>",
+                     "<p>x</p><!--c-->" + opens + "<b>y</b>",
+                     "<p>x</p>-->" + opens + "<b>y</b>"):
+            with full_pattern():
+                want = [parse_result(html, o) for o in OPTION_SETS]
+            assert [parse_result(html, o) for o in OPTION_SETS] == want, html
+
+
 class TestCampaignSkipList:
     """Pin the bulk-campaign engine-cost skip list so divergences can't
     silently accumulate behind 'engine constant' skips.
@@ -289,12 +307,15 @@ class TestBoundedLane:
         assert good == solo
 
     def test_unclosed_comments_and_quote_shift_bounded_out(self, monkeypatch):
-        """Two documents the first path alone is quadratic on: 20 000
-        unclosed comment opens (each one's comment attempt scans to EOF)
-        and a tag whose quoted values each hold a '<a' (every one a
-        tag-open site scanning to EOF; the full-pattern retry at the first
-        site cannot finish either).  Every failing site returns control to
-        the deadline check, so both rows are bounded out within it."""
+        """Two documents the first path alone was quadratic on.  20 000
+        unclosed comment opens now parse inside the deadline: once one
+        comment open fails, no later one is tried.  A tag whose quoted
+        values each hold a '<a' is still bounded out (every '<a' is a
+        tag-open site scanning to EOF, and the full-pattern retry at the
+        first site cannot finish either): every failing site returns
+        control to the deadline check."""
+        from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
+
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1")
         comments = "<!--" * 20000
         quote_shift = "<a" + ' x="<a"' * 64000
@@ -307,9 +328,14 @@ class TestBoundedLane:
         t0 = time.time()
         rows = extract_batch(batch).to_pylist()
         assert time.time() - t0 < 5.0
-        for row, html in zip(rows[:2], (comments, quote_shift)):
-            assert row["valid"] is False and row["spans"] == []
-            assert row["metrics"]["n_bytes"] == len(html)
+        spans, valid = extract_spans_fast(comments)
+        assert valid is True and spans
+        assert rows[0]["valid"] is True
+        assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                for s in rows[0]["spans"]] == spans
+        assert rows[0]["metrics"]["n_bytes"] == len(comments)
+        assert rows[1]["valid"] is False and rows[1]["spans"] == []
+        assert rows[1]["metrics"]["n_bytes"] == len(quote_shift)
         assert rows[2]["valid"] is True and rows[2]["spans"] != []
 
     def test_adversarial_40_chars_extracts_real_spans(self, monkeypatch):

@@ -23,13 +23,32 @@ def _stage_counts(docs: dict, selectors: list) -> dict:
 
 
 def _nodes(docs: dict):
-    """The node table of ``{doc_id: html}``."""
+    """The node table of ``{doc_id: html}`` and the ``(doc_id, element row)``
+    of each of its rows."""
     from node_html_parser_ray.stages.flat_select import (
         explode_document,
         node_table,
     )
 
-    return node_table(list(docs), [explode_document(h) for h in docs.values()])
+    exploded = [explode_document(h) for h in docs.values()]
+    keys = [(doc_id, row) for doc_id, doc in zip(docs, exploded)
+            for row in range(len(doc[0]))]
+    return node_table(exploded), keys
+
+
+def _element_rows(root) -> list:
+    """``(element, parent row)`` for the elements under ``root`` in
+    pre-order: the rows explode_document gives, parents as row indexes
+    (-1 for a top-level element)."""
+    rows = []
+    stack = [(c, -1) for c in reversed(root.child_nodes) if c.node_type == 1]
+    while stack:
+        node, parent = stack.pop()
+        rows.append((node, parent))
+        row = len(rows) - 1
+        stack.extend((c, row) for c in reversed(node.child_nodes)
+                     if c.node_type == 1)
+    return rows
 
 
 class TestMatcher:
@@ -433,35 +452,26 @@ class TestColumnarDescendant:
     def test_fixed_corpus(self):
         from node_html_parser_ray.stages.flat_select import columnar_select_mask
 
-        nodes = _nodes(self.DOCS)
-        doc_col = nodes.column("doc_id").to_pylist()
-        nid_col = nodes.column("node_id").to_pylist()
+        nodes, keys = _nodes(self.DOCS)
         for sel in self.SELECTORS:
             mask = columnar_select_mask(nodes, sel)
-            got = {
-                (d, n) for d, n, m in zip(doc_col, nid_col, mask) if m
-            }
+            got = {key for key, m in zip(keys, mask) if m}
             exp = set()
             for doc_id, html in self.DOCS.items():
                 root = parse(html)
                 matched = set(map(id, root.query_selector_all(sel)))
-                # recover node ids by pre-order walk (same order as explode)
-                nid = 0
-                stack = [root]
-                while stack:
-                    node = stack.pop()
-                    if id(node) in matched:
-                        exp.add((doc_id, nid))
-                    if node.node_type == 1:
-                        stack.extend(reversed(node.child_nodes))
-                    nid += 1
+                exp.update(
+                    (doc_id, row)
+                    for row, (el, _) in enumerate(_element_rows(root))
+                    if id(el) in matched
+                )
             assert got == exp, sel
 
     @staticmethod
     def _check_fuzz(html, sel):
         from node_html_parser_ray.stages.flat_select import columnar_select_mask
 
-        n_col = int(columnar_select_mask(_nodes({"x": html}), sel).sum())
+        n_col = int(columnar_select_mask(_nodes({"x": html})[0], sel).sum())
         assert n_col == len(parse(html).query_selector_all(sel)), (html, sel)
 
     def test_fuzz(self):
@@ -624,10 +634,13 @@ class TestCountOnlyParity:
 
 
 class TestNodeRows:
-    """explode_document's rows equal a pre-order walk of parse(html).  The
-    row builder reads the flat tree, not node objects, so its id / class /
-    attrs columns are checked against the object DOM here: a drift that
-    matches no selector would pass the count-parity tests."""
+    """explode_document's rows equal the pre-order elements of
+    parse(html), each parent as an element row.  The row builder reads the
+    flat tree, not node objects, so its id / class / attrs columns are
+    checked against the object DOM here: a drift that matches no selector
+    would pass the count-parity tests.  EDGE_CASES holds the repair shapes
+    (``<div><h3>…</div>``, ``<h3>a<h3>…``, ``<a><b>…</a>``), whose
+    detached elements must have no row."""
 
     ATTR_CASES = [
         '<p ID="up" id=" " class="  a\tb  ">x</p>',
@@ -642,19 +655,9 @@ class TestNodeRows:
     def object_rows(html):
         from node_html_parser_ray.stages.flat_select import _encode_attrs
 
-        rows = []
-        stack = [(parse(html), -1)]
-        while stack:
-            node, pid = stack.pop()
-            nid = len(rows)
-            if node.node_type == 1:
-                rows.append((nid, pid, 1, node.tag_name, node.id,
-                             " ".join(node.class_names),
-                             _encode_attrs(node.attributes)))
-                stack.extend((c, nid) for c in reversed(node.child_nodes))
-            else:
-                rows.append((nid, pid, node.node_type, "", "", "", ""))
-        return rows
+        return [(parent, el.tag_name, el.id, " ".join(el.class_names),
+                 _encode_attrs(el.attributes))
+                for el, parent in _element_rows(parse(html))]
 
     def assert_rows(self, html):
         from node_html_parser_ray.stages.flat_select import explode_document
