@@ -22,8 +22,9 @@ a worker's first such site.
 """
 from __future__ import annotations
 
-import contextvars
 import functools
+import math
+import os
 import re
 import time
 from typing import Optional
@@ -31,7 +32,7 @@ from typing import Optional
 from .dom import CommentNode, HTMLElement, TextNode
 from .jsregex import WS, js_trim
 
-__all__ = ["flat_parse", "parse", "ParseMetrics", "run_bounded"]
+__all__ = ["flat_parse", "parse", "parse_timeout", "ParseMetrics"]
 
 # reference src/index.ts:833 — kMarkupPattern, translated:
 #   [^]        -> [\s\S]
@@ -93,10 +94,23 @@ _KMARKUP_NO_COMMENT = re.compile(
 # tag for `re` and text for `regex` under IGNORECASE); no other part of the
 # pattern holds a letter.
 _RE_FOLDED_AZ = "a-zA-Z\u0130\u0131\u017f\u212a"
-# absolute time.monotonic() deadline of the innermost run_bounded, or None
-_DEADLINE: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
-    "flat_parse_deadline", default=None
-)
+# `regex` reads a timeout= of 2**63 microseconds (~9.2e12 s) or more as
+# already expired; a deadline from half that on is taken as none.
+_TIMEOUT_LIMIT = 2.0**62 / 1e6
+
+
+def parse_timeout() -> float:
+    """Seconds each :func:`flat_parse` may run: ``NHPR_PARSE_TIMEOUT``,
+    10 by default.  Returns 0, meaning no deadline, for a value <= 0 and
+    for ``inf`` or any value too large for `regex`'s ``timeout=``; raises
+    ValueError for ``nan`` or a value ``float()`` rejects."""
+    env = os.environ.get("NHPR_PARSE_TIMEOUT")
+    if not env:
+        return 10.0
+    timeout = float(env)
+    if math.isnan(timeout):
+        raise ValueError("NHPR_PARSE_TIMEOUT is nan")
+    return timeout if 0 < timeout < _TIMEOUT_LIMIT else 0.0
 
 
 @functools.cache
@@ -119,20 +133,6 @@ def _full_match(data: str, q: int, deadline: Optional[float]):
     if left <= 0:
         raise TimeoutError("flat_parse deadline passed")
     return _bounded_kmarkup().match(data, q, timeout=left)
-
-
-def run_bounded(fn, *args, timeout: float):
-    """``fn(*args)`` with every :func:`flat_parse` inside it under one
-    deadline ``timeout`` seconds from now: a parse still running at the
-    deadline raises TimeoutError at its next failing tag-open site or
-    inside a full-pattern retry, which propagates out of ``fn`` like any
-    exception it raises.  The deadline lives in a context variable that is
-    reset on return, so it never reaches code that runs after ``fn``."""
-    token = _DEADLINE.set(time.monotonic() + timeout)
-    try:
-        return fn(*args)
-    finally:
-        _DEADLINE.reset(token)
 
 
 # reference src/index.ts:836-847 — kSelfClosingElements (void tags).
@@ -200,8 +200,9 @@ def flat_parse(
 
     Tokens come from KMARKUP's first-path copy, and from the full pattern
     at the sites where that copy fails (:func:`_full_match`), so the trees
-    are KMARKUP's.  Under :func:`run_bounded` the whole parse is bounded by
-    its deadline; without one it always terminates, in polynomial time.
+    are KMARKUP's.  The whole parse is bounded by a deadline
+    :func:`parse_timeout` seconds after entry: past it, the next failing
+    site or full-pattern retry raises TimeoutError.
 
     Returns ``(tag, val, kids, par, texts, valid)``.  Elements are indexes
     into the parallel lists ``tag`` / ``val`` (the raw, untrimmed attribute
@@ -237,9 +238,11 @@ def flat_parse(
     pos = 0
     data_len = len(data)
 
+    timeout = parse_timeout()
+    deadline = time.monotonic() + timeout if timeout else None
+
     # local aliases: the token loop is pure interpreter time, and attribute
     # lookups per token are a measurable share of it
-    deadline = _DEADLINE.get()
     search = KMARKUP_FIRST_PATH.search
     tag_append = tag.append
     val_append = val.append
@@ -403,7 +406,8 @@ def parse(
     Materialises :func:`flat_parse`'s tree: ``raw_attrs`` is the trimmed
     attribute text, ``parent_node`` is set on elements only (appendChild,
     reference src/index.ts:485-487), and a node listed twice (children the
-    repair moved out of a detached element) is one shared object.
+    repair moved out of a detached element) is one shared object.  Raises
+    TimeoutError past :func:`flat_parse`'s deadline.
     """
     tag, val, kids, par, texts, valid = flat_parse(data, options, metrics)
     nodes: list = []

@@ -3,7 +3,10 @@
 Stateless pure-CPU stage (reference semantics per row), so it runs as Ray
 *tasks*, not actors (SURVEY.md §2.1); the CPython regexes compile at module
 import — once per Ray worker process — and the tokenizer's `regex` copy at
-a worker's first site that needs the full pattern.  Batch I/O is zero-copy Arrow
+a worker's first site that needs the full pattern.  The tokenizer bounds
+every parse with its own deadline (``parser.parse_timeout``, re-exported
+here); :func:`map_documents` turns a row whose parse raised into a
+bounded-out row.  Batch I/O is zero-copy Arrow
 (``batch_format="pyarrow"``); the output list<struct> column is built from
 flat arrays + offsets (no per-row Python object churn on the Arrow side).
 
@@ -25,7 +28,7 @@ import pyarrow as pa
 
 from ..kernel.extract import assemble_document
 from ..kernel.fast_extract import extract_spans_into
-from ..kernel.parser import ParseMetrics, run_bounded
+from ..kernel.parser import ParseMetrics, parse_timeout
 
 __all__ = [
     "OUT_SPAN_STRUCT",
@@ -135,16 +138,6 @@ def htmls_from_batch(batch: pa.Table) -> list[str]:
     ]
 
 
-def parse_timeout() -> float:
-    """Per-document tokenizer deadline of the whole-document stages
-    (seconds).  ``NHPR_PARSE_TIMEOUT`` overrides; <=0 runs every document
-    with no deadline."""
-    import os
-
-    env = os.environ.get("NHPR_PARSE_TIMEOUT")
-    return float(env) if env else 10.0
-
-
 def prescan_flags(htmls: list[str], timeout: float):
     """Always ``None``: no document is routed to a second tokenizer path.
 
@@ -157,27 +150,22 @@ def prescan_flags(htmls: list[str], timeout: float):
 
 
 def map_documents(htmls: list[str], fn, *args, per_row=None):
-    """``fn(htmls[r], *args)`` for every row ``r``, yielded in row order —
-    the ONE place that reads :func:`parse_timeout` for a whole-document
-    stage.
+    """``fn(htmls[r], *args)`` for every row ``r``, yielded in row order.
 
-    Every row runs under :func:`parser.run_bounded` with the
-    ``NHPR_PARSE_TIMEOUT`` deadline, so no document can hang the worker
-    (with ``NHPR_PARSE_TIMEOUT<=0`` rows run with no deadline).  A ``None``
-    result means the row was bounded out (the deadline passed, or ``fn``
-    raised on it), and the caller emits its stage's out-of-band sentinel.
-    Each row runs when the generator reaches it, so a caller may drop its
-    reference to row ``r``'s inputs once that row's result is consumed.
-    ``per_row`` is a sequence aligned with ``htmls`` whose ``r``-th item
-    goes right after the document (extraction's media maps)."""
-    timeout = parse_timeout()
+    A ``None`` result means the row was bounded out: ``fn`` raised on it
+    (a parse past its deadline raises TimeoutError), and the caller emits
+    its stage's out-of-band sentinel.  A malformed ``NHPR_PARSE_TIMEOUT``
+    fails the whole batch instead (:func:`parse_timeout` is read once
+    before the first row).  Each row runs when the generator reaches it,
+    so a caller may drop its reference to row ``r``'s inputs once that
+    row's result is consumed.  ``per_row`` is a sequence aligned with
+    ``htmls`` whose ``r``-th item goes right after the document
+    (extraction's media maps)."""
+    parse_timeout()
     for r in range(len(htmls)):
         row = (htmls[r],) if per_row is None else (htmls[r], per_row[r])
         try:
-            if timeout > 0:
-                res = run_bounded(fn, *row, *args, timeout=timeout)
-            else:
-                res = fn(*row, *args)
+            res = fn(*row, *args)
         except Exception:  # noqa: BLE001 — one bounded-out row, not the batch
             res = None
         yield res

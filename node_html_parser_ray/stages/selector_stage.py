@@ -9,7 +9,8 @@ emission runs :func:`select_document` — parse plus the per-document
 automaton of kernel/selector.py, which gives the reference's result order
 — per document.  Both modes read the one selector parse
 ``kernel.selector.selector_chains``, and every document goes through
-:func:`extract_stage.map_documents` under its tokenizer deadline.
+:func:`extract_stage.map_documents`, which bounds out a row whose parse
+raised.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from ..kernel.selector import compile_parts, select_union
 
 __all__ = ["SelectorStage", "SELECTOR_OUTPUT_SCHEMA", "select_document"]
 
-# n_matches is -1 for a document bounded out by map_documents (tokenizer
-# deadline passed): the reference itself would never terminate on such a
-# document, so an explicit out-of-band count beats both hanging and a
-# silent 0.
+# n_matches is -1 for a document bounded out by map_documents (its parse
+# raised, e.g. past the tokenizer's deadline): the reference itself would
+# never terminate on such a document, so an explicit out-of-band count
+# beats both hanging and a silent 0.
 SELECTOR_OUTPUT_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),

@@ -13,11 +13,11 @@ every input under each of the four option sets of
 and ``ParseMetrics``.  The full-pattern parse runs under a per-input
 watchdog (SIGALRM, which CPython's regex engine honours between steps in the
 main thread); where it times out, the shipped parse must still finish under
-``parser.run_bounded``'s 60 s deadline.  Prints every mismatch, every
-full-pattern timeout and every shipped parse that did not finish, then the
-number of fallback sites (sites the first-path copy failed at and the full
-pattern was retried at) and of fallback matches (sites the full pattern
-matched only through give-back).  Exit status 1 on any mismatch or
+its 60 s deadline (the script sets ``NHPR_PARSE_TIMEOUT=60``).  Prints every
+mismatch, every full-pattern timeout and every shipped parse that did not
+finish, then the number of fallback sites (sites the first-path copy failed
+at and the full pattern was retried at) and of fallback matches (sites the
+full pattern matched only through give-back).  Exit status 1 on any mismatch or
 unfinished shipped parse.
 
 Usage, from the repo root:
@@ -42,11 +42,7 @@ if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
 
 from node_html_parser_ray.kernel import parser  # noqa: E402
-from node_html_parser_ray.kernel.parser import (  # noqa: E402
-    ParseMetrics,
-    flat_parse,
-    run_bounded,
-)
+from node_html_parser_ray.kernel.parser import ParseMetrics, flat_parse  # noqa: E402
 
 # the letters CPython's IGNORECASE folds into [a-z] besides ASCII
 FOLD_LETTERS = "\u0130\u0131\u017f\u212a"
@@ -100,16 +96,11 @@ def fold_letter_cases() -> list[str]:
 
 
 def parse_result(html: str, options):
-    """``flat_parse``'s tree plus the ParseMetrics fields it sets."""
+    """``flat_parse``'s tree plus the ParseMetrics fields it sets
+    (TimeoutError past its ``NHPR_PARSE_TIMEOUT`` deadline)."""
     metrics = ParseMetrics()
     tree = flat_parse(html, options, metrics)
     return tree, [getattr(metrics, f) for f in ParseMetrics.__slots__]
-
-
-def shipped_result(html: str, options):
-    """:func:`parse_result` as the stages run it: the shipped tokenizer
-    under a 60 s deadline (TimeoutError past it)."""
-    return run_bounded(parse_result, html, options, timeout=60.0)
 
 
 @contextlib.contextmanager
@@ -169,6 +160,7 @@ def re_result(html: str, options, watchdog_s: float):
 
 
 def main(n_inputs: int = 5000, seed: int = 0, watchdog_s: float = 2.0) -> int:
+    os.environ["NHPR_PARSE_TIMEOUT"] = "60"
     signal.signal(signal.SIGALRM, _alarm)
     rng = random.Random(seed)
     inputs = fold_letter_cases() + [random_soup(rng) for _ in range(n_inputs)]
@@ -179,7 +171,7 @@ def main(n_inputs: int = 5000, seed: int = 0, watchdog_s: float = 2.0) -> int:
         for html in inputs:
             for options in OPTION_SETS:
                 try:
-                    got = shipped_result(html, options)
+                    got = parse_result(html, options)
                 except TimeoutError:
                     unfinished += 1
                     print(f"SHIPPED PARSE PAST 60 s {options}: {html!r}")

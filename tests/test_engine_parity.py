@@ -9,7 +9,7 @@ the four non-ASCII letters CPython's IGNORECASE folds into ``[a-z]`` in tag
 and attribute names, seeded random tag soup, and the give-back sites that
 only the fallback matches.  The full-pattern side of the soup runs under
 the script's SIGALRM watchdog; where it cannot finish, the shipped parse
-must still finish under ``run_bounded``.
+must still finish under a 60 s ``NHPR_PARSE_TIMEOUT`` deadline.
 """
 from __future__ import annotations
 
@@ -31,11 +31,10 @@ from diff_engines import (  # noqa: E402
     full_pattern,
     parse_result,
     random_soup,
-    shipped_result,
 )
 
 from node_html_parser_ray.kernel import parser  # noqa: E402
-from node_html_parser_ray.kernel.parser import flat_parse, run_bounded  # noqa: E402
+from node_html_parser_ray.kernel.parser import flat_parse  # noqa: E402
 
 WATCHDOG_S = 5.0
 
@@ -49,29 +48,34 @@ def watchdog():
         signal.signal(signal.SIGALRM, old)
 
 
-def test_fold_letters_are_tag_and_attr_name_letters():
+@pytest.fixture
+def deadline_60s(monkeypatch):
+    monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "60")
+
+
+def test_fold_letters_are_tag_and_attr_name_letters(monkeypatch):
     for c in FOLD_LETTERS:
-        for tree in (flat_parse(f"<{c}>x</{c}>"),
-                     run_bounded(flat_parse, f"<{c}>x</{c}>", timeout=60.0)):
-            assert tree[0] == ["", c], c
+        for timeout in ("0", "60"):  # with no deadline, then with one
+            monkeypatch.setenv("NHPR_PARSE_TIMEOUT", timeout)
+            assert flat_parse(f"<{c}>x</{c}>")[0] == ["", c], c
 
 
-def test_fold_letter_cases_match():
+def test_fold_letter_cases_match(deadline_60s):
     for html in fold_letter_cases():
         for options in OPTION_SETS:
             with full_pattern():
                 want = parse_result(html, options)
-            assert shipped_result(html, options) == want, (html, options)
+            assert parse_result(html, options) == want, (html, options)
 
 
-def test_random_tag_soup_matches(watchdog):
+def test_random_tag_soup_matches(watchdog, deadline_60s):
     rng = random.Random(2026)
     compared = 0
     with count_fallbacks() as fallbacks:
         for _ in range(1500):
             html = random_soup(rng, 30)
             for options in OPTION_SETS:
-                got = shipped_result(html, options)  # raises past 60 s
+                got = parse_result(html, options)  # raises past 60 s
                 want = diff_engines.re_result(html, options, WATCHDOG_S)
                 if want is None:
                     break

@@ -5,9 +5,11 @@ truncated ambiguous tags (kernel/parser.py comment; src/index.ts:833
 explodes identically in V8).  ``flat_parse`` searches with KMARKUP's
 first-path copy, which is linear per attempt, and retries the full pattern
 on the interruptible `regex` copy only at the sites where that copy fails.
-The whole-document stages run every row under ``parser.run_bounded``
-(``extract_stage.map_documents``); a doc past its deadline yields zero
-spans + valid=False, or its stage's out-of-band sentinel.
+Every parse, direct calls included, runs under its own
+``NHPR_PARSE_TIMEOUT`` deadline and raises TimeoutError past it; the
+whole-document stages run every row through ``extract_stage.map_documents``,
+where a doc whose parse raised yields zero spans + valid=False, or its
+stage's out-of-band sentinel.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import sys
 import time
 
 import pyarrow as pa
+import pytest
 
 from node_html_parser_ray.kernel import parser
 from node_html_parser_ray.sources.corpus import INPUT_SCHEMA, generate_documents
@@ -61,20 +64,30 @@ def full_pattern_results(html: str) -> list:
         return [parse_result(html, options) for options in OPTION_SETS]
 
 
-def record_bounded(monkeypatch) -> list:
-    """Record the document each ``run_bounded`` call of the stages gets, in
-    call order."""
-    from node_html_parser_ray.stages import extract_stage
+def record_rows(monkeypatch) -> list:
+    """Record the document of each row the stages' ``map_documents`` calls
+    run, in call order: ``map_documents`` is wrapped in each stage module's
+    namespace."""
+    from node_html_parser_ray.stages import classify, extract_stage, selector_stage
 
     sent = []
-    real_run_bounded = extract_stage.run_bounded
+    real_map_documents = extract_stage.map_documents
 
-    def recording_run_bounded(fn, *args, timeout):
-        sent.append(args[0])
-        return real_run_bounded(fn, *args, timeout=timeout)
+    def recording_map_documents(htmls, fn, *args, per_row=None):
+        def recording_fn(html, *rest):
+            sent.append(html)
+            return fn(html, *rest)
 
-    monkeypatch.setattr(extract_stage, "run_bounded", recording_run_bounded)
+        return real_map_documents(htmls, recording_fn, *args, per_row=per_row)
+
+    for module in (extract_stage, selector_stage, classify):
+        monkeypatch.setattr(module, "map_documents", recording_map_documents)
     return sent
+
+
+@pytest.fixture
+def no_deadline(monkeypatch):
+    monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "0")
 
 
 def shipped_results(html: str) -> tuple[list, list]:
@@ -85,6 +98,7 @@ def shipped_results(html: str) -> tuple[list, list]:
     return got, fallbacks
 
 
+@pytest.mark.usefixtures("no_deadline")
 class TestFirstPath:
     def test_adversarial_shapes_match_full_pattern(self):
         """The shapes that blow up the full pattern on CPython re, each of
@@ -212,6 +226,7 @@ class TestFirstPath:
             assert [parse_result(html, o) for o in OPTION_SETS] == want, html
 
 
+@pytest.mark.usefixtures("no_deadline")
 class TestCampaignSkipList:
     """Pin the bulk-campaign engine-cost skip list so divergences can't
     silently accumulate behind 'engine constant' skips.
@@ -371,10 +386,10 @@ class TestBoundedLane:
         assert bounded.equals(inline)
 
     def test_lane_flags_pathological_router_does_not_salt(self, monkeypatch):
-        """Every row, the pathological one included, runs under one
-        ``run_bounded`` call; the partition router salts by size only, so
+        """Every row, the pathological one included, runs once through
+        ``map_documents``; the partition router salts by size only, so
         neither row leaves the ordinary range."""
-        sent = record_bounded(monkeypatch)
+        sent = record_rows(monkeypatch)
         batch = pa.Table.from_pylist(
             [
                 _spans_row("good-1", "<p>tiny</p>"),
@@ -394,7 +409,7 @@ class TestBoundedLane:
         a truncated tag."""
         from node_html_parser_ray.stages.extract_stage import htmls_from_batch
 
-        sent = record_bounded(monkeypatch)
+        sent = record_rows(monkeypatch)
         half = len(ADVERSARIAL) // 2
         batch = pa.Table.from_pylist(
             [
@@ -480,7 +495,7 @@ class TestBoundedLane:
 
         before = route(batch)
         assert {r for r, p in enumerate(before) if p >= 64} == {6, 7}
-        sent = record_bounded(monkeypatch)
+        sent = record_rows(monkeypatch)
         extracted = extract_batch(batch)
         assert sent == htmls
         # the 20 KB run is bounded out: zero spans, n_bytes = len(html)
@@ -488,6 +503,70 @@ class TestBoundedLane:
         assert out_row["spans"] == [] and not out_row["valid"]
         assert out_row["metrics"]["n_bytes"] == 20_000
         assert route(extracted) == before
+
+
+class TestDeadlineSetting:
+    """``NHPR_PARSE_TIMEOUT`` is read by the tokenizer itself, so every
+    parse is bounded, and a value the deadline cannot use either means no
+    deadline or fails the whole batch."""
+
+    # a tag '<BA=/x>' that only a full-pattern retry matches
+    GIVE_BACK = "<p>hi</p><BA=/x>yo"
+
+    @pytest.mark.parametrize("env, want", [
+        (None, 10.0), ("", 10.0), ("2.5", 2.5), ("0", 0.0), ("-1", 0.0),
+        ("-inf", 0.0), ("inf", 0.0), ("1e300", 0.0), ("9.3e12", 0.0),
+    ])
+    def test_parse_timeout_values(self, monkeypatch, env, want):
+        if env is None:
+            monkeypatch.delenv("NHPR_PARSE_TIMEOUT", raising=False)
+        else:
+            monkeypatch.setenv("NHPR_PARSE_TIMEOUT", env)
+        assert parser.parse_timeout() == want
+
+    def test_direct_parse_past_deadline_raises(self, monkeypatch):
+        """A tag whose quoted values each hold a tag open: every '<a' is a
+        failing site whose full-pattern retry scans on through the later
+        quotes (~3 s for this 7 KB input with no deadline).  A direct
+        ``parse()`` now stops at its own deadline."""
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1")
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            parser.parse("<a" + ' x="<a"' * 1000)
+        assert time.monotonic() - t0 < 2.0
+
+    @pytest.mark.parametrize("env", ["inf", "1e300"])
+    def test_unrepresentable_timeout_means_no_deadline(self, monkeypatch, env):
+        """`regex` reads a ``timeout=`` this large as already expired: the
+        row with a full-pattern retry gets the spans it gets with no
+        deadline instead of being bounded out."""
+        batch = pa.Table.from_pylist(
+            [_spans_row("give-back", self.GIVE_BACK)], schema=INPUT_SCHEMA
+        )
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "0")
+        want = extract_batch(batch)
+        assert [s["text"] for s in want.column("spans")[0].as_py()] == [
+            "hi", "yo"]
+        assert want.column("metrics")[0]["n_elements"].as_py() == 2
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", env)
+        assert extract_batch(batch).equals(want)
+
+    @pytest.mark.parametrize("env", ["abc", "nan"])
+    def test_malformed_timeout_fails_the_batch(self, monkeypatch, env):
+        """The per-row ``except`` of ``map_documents`` must not turn a
+        malformed setting into a batch of bounded-out rows."""
+        from node_html_parser_ray.stages.classify import BoilerplateClassifier
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
+
+        monkeypatch.setenv("NHPR_PARSE_TIMEOUT", env)
+        batch = pa.Table.from_pylist(
+            [_spans_row("good-1", "<div><p>hello</p></div>")],
+            schema=INPUT_SCHEMA,
+        )
+        for stage in (extract_batch, SelectorStage(["p"], emit_text=False),
+                      BoilerplateClassifier(min_text_len=4)):
+            with pytest.raises(ValueError):
+                stage(batch)
 
 
 # one fallback site, whose full-pattern retry fails in well under a
@@ -548,10 +627,11 @@ class TestBoundedSelectorClassifier:
     def _count_only(monkeypatch, sels):
         """SelectorStage(sels, emit_text=False) over a plain doc, a doc
         with a fallback site and a bounded-out doc -> (stage, per-doc
-        counts, the documents run under ``run_bounded``, in call order)."""
+        counts, the documents of the rows ``map_documents`` ran, in call
+        order)."""
         from node_html_parser_ray.stages.selector_stage import SelectorStage
 
-        calls = record_bounded(monkeypatch)
+        calls = record_rows(monkeypatch)
         # long enough for the fallback site's parse on a loaded host; the
         # bounded-out doc pays the whole bound
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "5.0")
@@ -574,8 +654,8 @@ class TestBoundedSelectorClassifier:
         """Count-only SelectorStage (the columnar node-table path) over a
         batch holding a plain doc, a doc with a fallback site and a
         bounded-out doc: the first two count exactly like select_document,
-        the third is bounded out (-1 per selector), and each row runs under
-        one ``run_bounded`` call."""
+        the third is bounded out (-1 per selector), and each row runs once
+        through ``map_documents``."""
         from node_html_parser_ray.stages.selector_stage import select_document
 
         sels = ["p", "div.c"]
@@ -594,7 +674,7 @@ class TestBoundedSelectorClassifier:
         (``>``) and a ``~=`` whitespace edge, all counted by the columnar
         masks: counts equal select_document for the plain doc and the
         doc with a fallback site, the bounded-out doc is -1 for every
-        selector, and each row runs under one ``run_bounded`` call."""
+        selector, and each row runs once through ``map_documents``."""
         from node_html_parser_ray.stages.selector_stage import select_document
 
         sels = ["p", "div.c", "div > p", '[class~=""]']
@@ -680,12 +760,12 @@ class TestBoundedSelectorClassifier:
         (review finding) — every doc runs bounded, through the same
         map_documents call q_dom_api makes; a bounded-out doc comes back
         None (q_dom_api emits its (-1,-1,-1) sentinels for it)."""
+        sent = record_rows(monkeypatch)
         from node_html_parser_ray.stages.extract_stage import (
             dom_api_document,
             map_documents,
         )
 
-        sent = record_bounded(monkeypatch)
         # wild corpus text smuggling the shape, too long for the deadline
         text = "<a " + "a" * 100_000
         html = f'<div id="d1" class="a b"> {text} <span>x</span> <!--c--> </div>'
