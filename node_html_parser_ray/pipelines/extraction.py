@@ -95,6 +95,8 @@ def run_checkpointed(
     ``partition_id=N/`` hive directories, giant documents routed to the
     dedicated salt range — see extract_stage.add_partition_column).
     """
+    if shard_count < 1:
+        raise ValueError(f"shard_count must be at least 1, got {shard_count!r}")
     manifest = ShardManifest(out_dir)
     shards: list[list[str]] = [[] for _ in range(shard_count)]
     for i, path in enumerate(sorted(input_files)):

@@ -5,10 +5,12 @@ batch-wide Arrow node table — one row per element reachable from the
 fictive root, in pre-order (text nodes and the root match no selector part,
 so they have no row):
 
-    parent, tag, id, classes, attrs_enc
+    parent, tag, id, classes, @key…
 
 ``parent`` is the batch-global row of the parent element, -1 for a
-top-level element.
+top-level element.  ``@key`` is one nullable string column per attribute
+key the selector set tests (:func:`attribute_keys`): the element's decoded
+value of that key, null when the element lacks it.
 
 A selector is parsed once, by ``kernel.selector.selector_chains`` — the
 same parse the per-document automaton compiles — and every part of every
@@ -18,10 +20,10 @@ are OR-ed.  No per-document loop runs, and every selector the automaton
 accepts has a mask whose match *set* equals the automaton's, which the
 parity tests assert (SURVEY.md §2.5 mapping note).
 
-Attribute operators (``= != ^= $= *= |= ~=``) read one column: each node's
-decoded attribute map encoded as a sentinel-delimited string
-(``\x02key\x01value\x02…``, control chars escaped), so every operator is
-one RE2 ``match_substring_regex`` over it.
+Attribute operators (``= != ^= $= *= |= ~=``) are plain ``pyarrow.compute``
+string tests on the key's column, with the automaton's answer for a
+missing key as the null fill; ``~=`` is one RE2 regex over the JS
+whitespace class.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from ..kernel.parser import flat_parse
 from ..kernel.selector import Part, selector_chains
 
 __all__ = [
+    "attribute_keys",
     "explode_document",
     "node_table",
     "columnar_part_mask",
@@ -49,87 +52,71 @@ NODE_TABLE_SCHEMA = pa.schema(
         ("tag", pa.string()),
         ("id", pa.string()),
         ("classes", pa.string()),
-        # decoded attribute map, one string: \x02k\x01v\x02k\x01v\x02
-        # (control chars \x00-\x02 escaped; "" when the element has none)
-        ("attrs_enc", pa.string()),
     ]
 )
 
-
-def _esc(s: str) -> str:
-    """Escape the encoding sentinels out of keys/values (injective)."""
-    return (
-        s.replace("\x00", "\x00z").replace("\x01", "\x00a").replace("\x02", "\x00b")
-    )
-
-
-def _encode_attrs(attrs: dict) -> str:
-    """Encode a decoded attribute map as \x02k\x01v\x02…\x02 (or "")."""
-    if not attrs:
-        return ""
-    return "\x02" + "\x02".join(
-        f"{_esc(k)}\x01{_esc(v)}" for k, v in attrs.items()
-    ) + "\x02"
-
-
 # RE2 form (\uXXXX -> \x{XXXX}) of the JS whitespace char class
 _WS_CC = re.sub(r"\\u([0-9a-fA-F]{4})", r"\\x{\1}", _JS_WS_CLASS)
-# any encoded value prefix, consuming each escape whole, so a needle can
-# only start on a character boundary of the decoded value
-_PREFIX = "([^\x00\x02]|\x00[zab])*"
 
 
-def _attr_op_mask(col, key: str, op: str, value: str):
-    """RE2 mask for one [key op value] over the encoded attrs column.
+def attribute_keys(selectors) -> list[str]:
+    """The attribute keys the parts of ``selectors`` test, first-seen
+    order: the ``@key`` columns their node table needs."""
+    keys: dict[str, None] = {}
+    for sel in selectors:
+        for chain in selector_chains(sel):
+            for _, _, _, attrs in chain:
+                keys.update((key, None) for key, _, _ in attrs)
+    return list(keys)
+
+
+def _attr_op_mask(col, op: str, value: str):
+    """Mask for one [key op value] over the key's column (null = missing).
 
     Mirrors kernel.selector._make_attr_checker exactly (decoded values,
     case-sensitive, != true on missing attribute, any other op tests
     presence).
     """
-    k = re.escape(_esc(key))
-    v = re.escape(_esc(value))
     if op == "=":
-        return pc.match_substring_regex(col, f"\x02{k}\x01{v}\x02")
-    if op == "!=":
-        return pc.invert(
-            pc.match_substring_regex(col, f"\x02{k}\x01{v}\x02")
-        )
-    if op == "^=":
-        return pc.match_substring_regex(col, f"\x02{k}\x01{v}")
-    if op == "$=":
-        return pc.match_substring_regex(col, f"\x02{k}\x01{_PREFIX}{v}\x02")
-    if op == "*=":
-        return pc.match_substring_regex(col, f"\x02{k}\x01{_PREFIX}{v}")
-    if op == "|=":
-        return pc.match_substring_regex(col, f"\x02{k}\x01{v}(-|\x02)")
-    if op == "~=":
+        mask = pc.equal(col, value)
+    elif op == "!=":
+        return pc.fill_null(pc.not_equal(col, value), True)
+    elif op == "^=":
+        mask = pc.starts_with(col, value)
+    elif op == "$=":
+        mask = pc.ends_with(col, value)
+    elif op == "*=":
+        mask = pc.match_substring(col, value)
+    elif op == "|=":
+        mask = pc.or_(pc.equal(col, value), pc.starts_with(col, value + "-"))
+    elif op == "~=":
         # `value in js_ws_split(attr)`: no field of the split holds JS
         # whitespace, and an empty field exists iff the attribute is empty
         # or starts or ends with whitespace
         if re.search(_JS_WS_CLASS, value):
             return pa.scalar(False)
-        if not value:
-            return pc.match_substring_regex(
-                col, f"\x02{k}\x01(|{_WS_CC}[^\x02]*|[^\x02]*{_WS_CC})\x02"
-            )
-        return pc.match_substring_regex(
-            col, f"\x02{k}\x01([^\x02]*{_WS_CC})?{v}({_WS_CC}[^\x02]*)?\x02"
-        )
-    return pc.match_substring_regex(col, f"\x02{k}\x01")
+        pattern = (f"(^|{_WS_CC}){re.escape(value)}({_WS_CC}|$)" if value
+                   else f"^$|^{_WS_CC}|{_WS_CC}$")
+        mask = pc.match_substring_regex(col, pattern)
+    else:
+        return pc.is_valid(col)
+    return pc.fill_null(mask, False)
 
 
-def explode_document(html: str):
+def explode_document(html: str, keys=()):
     """ONE document's element rows, in pre-order, read straight off
     :func:`flat_parse`'s tree (no node objects): the per-document function
     :func:`extract_stage.map_documents` runs, pure args in, plain lists
-    ``(parent, tag, id, classes, attrs_enc)`` out.  ``parent[i]`` is the
-    row of element ``i``'s parent, -1 for a top-level element."""
+    ``(parent, tag, id, classes, *values)`` out, with one list per key of
+    ``keys`` holding each element's decoded value of it (``None`` when the
+    element lacks it).  ``parent[i]`` is the row of element ``i``'s
+    parent, -1 for a top-level element."""
     tag, val, kids, _, _, _ = flat_parse(html or "")
     out_par: list[int] = []
     out_tag: list[str] = []
     out_id: list[str] = []
     out_cls: list[str] = []
-    out_attrs: list[str] = []
+    out_vals: list[list] = [[] for _ in keys]
     # flat_parse(html) stores no comments: every kid c >= 0 is an element
     stack = [(c, -1) for c in reversed(kids[0]) if c >= 0]
     while stack:
@@ -138,23 +125,26 @@ def explode_document(html: str):
         out_par.append(parent)
         out_tag.append(tag[k])
         v = val[k]
-        if v:
-            id_, classes = id_and_classes(v)
-            out_id.append(id_)
-            out_cls.append(" ".join(classes))
-            out_attrs.append(_encode_attrs(attribute_map(v)))
-        else:
-            out_id.append("")
-            out_cls.append("")
-            out_attrs.append("")
+        id_, classes = id_and_classes(v)
+        out_id.append(id_)
+        out_cls.append(" ".join(classes))
+        if keys:
+            attrs = attribute_map(v)
+            for out, key in zip(out_vals, keys):
+                out.append(attrs.get(key))
         stack.extend([(c, row) for c in reversed(kids[k]) if c >= 0])
-    return out_par, out_tag, out_id, out_cls, out_attrs
+    return (out_par, out_tag, out_id, out_cls, *out_vals)
 
 
-def node_table(docs: list[tuple]) -> pa.Table:
-    """Node table from :func:`explode_document` results, one doc's rows
-    after another; each doc's parents are offset by its first row."""
-    cols: list[list] = [[] for _ in NODE_TABLE_SCHEMA]
+def node_table(docs: list[tuple], keys=()) -> pa.Table:
+    """Node table from :func:`explode_document` results (exploded with the
+    same ``keys``), one doc's rows after another; each doc's parents are
+    offset by its first row.  Key ``k``'s column is named ``"@" + k``, so
+    no key collides with a fixed column."""
+    schema = NODE_TABLE_SCHEMA
+    for key in keys:
+        schema = schema.append(pa.field("@" + key, pa.string()))
+    cols: list[list] = [[] for _ in schema]
     for doc in docs:
         for col, vals in zip(cols, doc):
             col.extend(vals)
@@ -163,8 +153,7 @@ def node_table(docs: list[tuple]) -> pa.Table:
     first_row = np.repeat(np.cumsum(sizes) - sizes, sizes)
     cols[0] = np.where(parent >= 0, parent + first_row, -1).astype(np.int32)
     return pa.Table.from_arrays(
-        [pa.array(col, f.type) for col, f in zip(cols, NODE_TABLE_SCHEMA)],
-        schema=NODE_TABLE_SCHEMA,
+        [pa.array(col, f.type) for col, f in zip(cols, schema)], schema=schema
     )
 
 
@@ -184,9 +173,7 @@ def columnar_part_mask(nodes: pa.Table, part: Part):
             mask, pc.match_substring_regex(nodes.column("classes"), pattern)
         )
     for key, op, value in attrs:
-        mask = pc.and_(
-            mask, _attr_op_mask(nodes.column("attrs_enc"), key, op, value)
-        )
+        mask = pc.and_(mask, _attr_op_mask(nodes.column("@" + key), op, value))
     return mask
 
 

@@ -3,8 +3,9 @@
 ``ds.map_batches(SelectorStage(selectors), concurrency=N, batch_size=B)``.
 The stage runs in one of two whole-stage modes.  Count-only
 (``emit_text=False``) explodes every document into element rows of one
-node table per batch (``parent, tag, id, classes, attrs_enc``) and counts
-every selector with the vectorized masks of stages/flat_select.py.  Text
+node table per batch (``parent, tag, id, classes`` and one ``@key``
+column per attribute key the selector set tests) and counts every
+selector with the vectorized masks of stages/flat_select.py.  Text
 emission runs :func:`select_document` — parse plus the per-document
 automaton of kernel/selector.py, which gives the reference's result order
 — per document.  Both modes read the one selector parse
@@ -21,7 +22,12 @@ import numpy as np
 import pyarrow as pa
 
 from .extract_stage import htmls_from_batch, map_documents
-from .flat_select import columnar_select_mask, explode_document, node_table
+from .flat_select import (
+    attribute_keys,
+    columnar_select_mask,
+    explode_document,
+    node_table,
+)
 from ..kernel.parser import parse
 from ..kernel.selector import compile_parts, select_union
 
@@ -66,7 +72,7 @@ class SelectorStage:
 
     def __init__(self, selectors: Sequence[str], emit_text: bool = True) -> None:
         for sel in selectors:
-            # the output ``selector`` column (and count-only mode's RE2
+            # the output ``selector`` column (and count-only mode's Arrow
             # masks) are UTF-8: a lone surrogate would fail every batch
             try:
                 sel.encode("utf-8")
@@ -80,13 +86,15 @@ class SelectorStage:
         # count-only mode; text emission needs the automaton's reference
         # result order, so it counts none there
         self.columnar: set[str] = set() if emit_text else set(self.selectors)
+        # the attribute keys the masks test: the node table's @key columns
+        self.keys = [] if emit_text else attribute_keys(self.selectors)
 
     def _count(self, docs: list) -> list:
         """:func:`select_document`-shaped results (``None`` for a bounded-out
         doc) from one node table over the :func:`explode_document` rows of
         the batch's docs."""
         keep = [r for r, doc in enumerate(docs) if doc is not None]
-        nodes = node_table([docs[r] for r in keep])
+        nodes = node_table([docs[r] for r in keep], self.keys)
         node_row = np.repeat(
             np.asarray(keep, np.int64), [len(docs[r][0]) for r in keep]
         )
@@ -108,7 +116,9 @@ class SelectorStage:
                 htmls, select_document, self.selectors, None, True
             ))
         else:
-            results = self._count(list(map_documents(htmls, explode_document)))
+            results = self._count(list(
+                map_documents(htmls, explode_document, self.keys)
+            ))
 
         out_doc: list[str] = []
         out_sel: list[str] = []

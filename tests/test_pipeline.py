@@ -178,6 +178,18 @@ class TestSpanEquality:
 
 
 class TestCheckpointResume:
+    @pytest.mark.parametrize("shard_count", [0, -2])
+    def test_shard_count_below_one_refused(self, tmp_path, shard_count):
+        """A shard count below 1 is refused, naming it, before the manifest
+        directory is created."""
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match=f"shard_count.*{shard_count}"):
+            run_checkpointed(["a.parquet"], str(out), shard_count=shard_count)
+        assert list(out.iterdir()) == []
+
     def test_resume_skips_completed_shards(self, ray_session, tmp_path):
         from node_html_parser_ray.pipelines.extraction import run_checkpointed
 

@@ -118,7 +118,11 @@ class TestBatchKernelParity:
         # alphabet produces quoted/unquoted attrs, '&' entities and '='
         parts = ["div", "*", ".ab", "#a", "[title]", "span",
                  '[a="b"]', '[a!="b"]', '[a^="a"]', '[a$="b"]',
-                 '[a*="a"]', '[a|="a"]', '[a~="ab"]']
+                 '[a*="a"]', '[a|="a"]', '[a~="ab"]',
+                 # empty needles: a missing key must count as the automaton
+                 # does (!= true, every other operator false)
+                 '[a=""]', '[a^=""]', '[a$=""]', '[a*=""]', '[a|=""]',
+                 '[a~=""]', '[a][title]']
         table = pa.table(
             {
                 "doc_id": [str(i) for i in range(len(htmls))],

@@ -493,8 +493,8 @@ class TestColumnarDescendant:
 
 
 class TestColumnarAttributeOperators:
-    """Round 2: attribute operators run columnar (RE2 masks over the
-    encoded attrs column) — match sets must equal the automaton."""
+    """Attribute operators run columnar (pyarrow.compute masks over one
+    column per tested key) — match sets must equal the automaton."""
 
     HTML = (
         '<div data-x="1" href="https://x.com/y" title="b c d">'
@@ -553,13 +553,50 @@ class TestColumnarAttributeOperators:
             assert got[("d", sel)] == len(root.query_selector_all(sel)), sel
         assert [got[("d", s)] for s in sels] == [2, 2, 2, 1, 0, 2, 1, 0]
 
-    def test_sentinel_escaping_injective(self):
-        from node_html_parser_ray.stages.flat_select import _encode_attrs, _esc
+    def test_keys_named_like_fixed_columns(self):
+        """An attribute key spelled like a fixed node-table column (``tag``,
+        ``id``, ``parent``) reads its own column, not the fixed one."""
+        html = ('<x>1</x><x>2</x><p tag="x" parent>3</p><div id="q">4</div>'
+                '<b id="">5</b><q parent="0" tag="y"><x id="r" tag="x">6</x></q>')
+        sels = ['[tag="x"]', "[parent]", '[id="q"]', '[id=""]', 'x[tag="x"]',
+                '[parent!="0"]', "[tag]"]
+        got = _stage_counts({"d": html}, sels)
+        root = parse(html)
+        for sel in sels:
+            assert got[("d", sel)] == len(root.query_selector_all(sel)), sel
+        assert [got[("d", s)] for s in sels] == [2, 2, 1, 1, 1, 6, 3]
 
-        vals = ["", "\x00", "\x01", "\x02", "\x00z", "a\x01b", "\x02\x02"]
-        assert len({_esc(v) for v in vals}) == len(vals)
-        e = _encode_attrs({"k": "\x02v"})
-        assert e.count("\x02") == 2  # only the delimiters remain unescaped
+
+class TestAttributeProjection:
+    """The node table holds one value column per attribute key the
+    selector set tests, and no other."""
+
+    # perfbench's dom_query selector set
+    DOM_QUERY = ["div.c", "img", "section p", '[src^="/img/"]',
+                 "div.c img, .missing"]
+
+    def test_attribute_keys(self):
+        from node_html_parser_ray.stages.flat_select import attribute_keys
+
+        assert attribute_keys(self.DOM_QUERY) == ["src"]
+        assert attribute_keys(['[b] [a], [a|="x"]', "p"]) == ["b", "a"]
+        assert attribute_keys(["div.c", "#x", "", ", "]) == []
+
+    def test_node_table_columns(self):
+        from node_html_parser_ray.stages.flat_select import (
+            explode_document,
+            node_table,
+        )
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
+
+        keys = SelectorStage(self.DOM_QUERY, emit_text=False).keys
+        assert keys == ["src"]
+        html = '<div class="c"><img src="/img/a" alt="x"><img></div>'
+        nodes = node_table([explode_document(html, keys)], keys)
+        assert nodes.column_names == ["parent", "tag", "id", "classes", "@src"]
+        assert nodes.column("@src").to_pylist() == [None, "/img/a", None]
+        assert node_table([explode_document(html)]).column_names == [
+            "parent", "tag", "id", "classes"]
 
 
 
@@ -653,17 +690,20 @@ class TestNodeRows:
 
     @staticmethod
     def object_rows(html):
-        from node_html_parser_ray.stages.flat_select import _encode_attrs
-
+        """The object DOM's rows, with one value column per attribute key
+        that any of its elements holds, and those keys."""
+        rows = _element_rows(parse(html))
+        keys = list(dict.fromkeys(k for el, _ in rows for k in el.attributes))
         return [(parent, el.tag_name, el.id, " ".join(el.class_names),
-                 _encode_attrs(el.attributes))
-                for el, parent in _element_rows(parse(html))]
+                 *[el.attributes.get(k) for k in keys])
+                for el, parent in rows], keys
 
     def assert_rows(self, html):
         from node_html_parser_ray.stages.flat_select import explode_document
 
-        rows = list(zip(*explode_document(html)))
-        assert rows == self.object_rows(html), html[:200]
+        want, keys = self.object_rows(html)
+        rows = list(zip(*explode_document(html, keys)))
+        assert rows == want, html[:200]
 
     def test_edge_cases(self):
         from test_fast_extract import EDGE_CASES
