@@ -202,7 +202,10 @@ def flat_parse(
     at the sites where that copy fails (:func:`_full_match`), so the trees
     are KMARKUP's.  The whole parse is bounded by a deadline
     :func:`parse_timeout` seconds after entry: past it, the next failing
-    site or full-pattern retry raises TimeoutError.
+    site or full-pattern retry raises TimeoutError.  The repair pass runs
+    in time linear in the unclosed elements and the kids it moves: the
+    token loop keeps each open element the last kid of the one below it on
+    the stack, and the repair moves each removed element's kids once.
 
     Returns ``(tag, val, kids, par, texts, valid)``.  Elements are indexes
     into the parallel lists ``tag`` / ``val`` (the raw, untrimmed attribute
@@ -210,7 +213,9 @@ def flat_parse(
     is the fictive root.  ``kids[i]`` lists element ids (``>= 0``) and text
     nodes, encoded as ``-(j + 2)`` for ``texts[j]``.  ``par[i]`` is element
     ``i``'s ``parent_node``: -1 for the root and for elements the repair
-    pass detached, and always lower than ``i``.  A comment is stored, only
+    pass detached, and always lower than ``i``.  A detached element keeps
+    no kids, so every element and text reachable from the root is listed
+    once, under its ``par``.  A comment is stored, only
     when ``options["comment"]`` is set, as an element slot whose tag is
     ``None`` and whose ``val`` is the comment text (its ``par`` is unused:
     comments have no ``parent_node``).  ``valid`` is ``root.valid``.
@@ -298,7 +303,7 @@ def flat_parse(
                 closed_by = closed_get(tag[cur])
                 if closed_by is not None and t in closed_by:
                     stack_pop()
-                    cur = stack[-1] if stack else 0
+                    cur = stack[-1]
                     cur_kids = kids[cur]
             nid = len(tag)
             tag_append(t)
@@ -335,13 +340,13 @@ def flat_parse(
             while True:
                 if tag[cur] == t:
                     stack_pop()
-                    cur = stack[-1] if stack else 0
+                    cur = stack[-1]
                     break
                 elif len(stack) > 1:
                     # Close unclosed child tag before closing the parent
                     # (<a><b>text</a> closes <b> first).
                     stack_pop()
-                    cur = stack[-1] if stack else 0
+                    cur = stack[-1]
                 else:
                     break
             cur_kids = kids[cur]
@@ -351,38 +356,34 @@ def flat_parse(
         kids[0].append(-2 - len(texts))
         texts.append(data[last_text_pos:])
 
-    # Malformed-HTML repair (reference src/index.ts:1000-1026).
+    # Malformed-HTML repair (reference src/index.ts:1000-1026).  The token
+    # loop leaves every open element the last kid of the element below it
+    # on the stack, and that element is its par.  Each element above the
+    # top-level leftover stack[1] is removed and its kids move up; on a pair
+    # error (<h3><h3> -> <h3></h3>, same tag as the element below) that
+    # element is closed too.  Every moved run so ends in stack[-1], so the
+    # runs are appended there once, outermost first; appendChild sets the
+    # parent of moved elements only (src/index.ts:483-489).  A removed
+    # element is unreachable from the root and keeps no kids.
     valid = len(stack) == 1
     n_fixups = 0
-    while len(stack) > 1:
+    runs: list[list[int]] = []
+    while len(stack) > 2:
         n_fixups += 1
         last = stack.pop()
-        one_before = stack[-1] if stack else 0
-        p = par[last]
-        if p >= 0 and par[p] >= 0:
-            kl = kids[one_before]
-            if last in kl:
-                kl.remove(last)
-            par[last] = -1
-            if p == one_before and tag[last] == tag[one_before]:
-                # Pair error <h3><h3> -> <h3></h3>: second's children move to
-                # the grandparent; both treated closed (extra stack pop).
-                target = par[one_before]
-                if stack:
-                    stack.pop()
-            else:
-                # Single error <div><h3></div>: <h3> removed, children
-                # reattached to its parent.
-                target = one_before
-            # appendChild sets the parent of moved elements only
-            # (src/index.ts:483-489); the detached element keeps its list
-            moved = kids[last]
-            if moved:
-                kids[target].extend(moved)
-                for c in moved:
-                    if c >= 0:
-                        par[c] = target
-        # else: top-level leftover — just skip.
+        kids[stack[-1]].pop()
+        par[last] = -1
+        runs.append(kids[last])
+        kids[last] = []
+        if tag[last] == tag[stack[-1]]:
+            stack.pop()
+    n_fixups += len(stack) - 1  # the top-level leftover is just skipped
+    target = stack[-1]
+    for run in reversed(runs):
+        kids[target] += run
+        for c in run:
+            if c >= 0:
+                par[c] = target
 
     if metrics is not None:
         n_comments = tag.count(None) if keep_comments else 0
@@ -404,10 +405,9 @@ def parse(
     """Parse HTML, returning a fictive root element with ``valid`` set.
 
     Materialises :func:`flat_parse`'s tree: ``raw_attrs`` is the trimmed
-    attribute text, ``parent_node`` is set on elements only (appendChild,
-    reference src/index.ts:485-487), and a node listed twice (children the
-    repair moved out of a detached element) is one shared object.  Raises
-    TimeoutError past :func:`flat_parse`'s deadline.
+    attribute text, and ``parent_node`` is set on elements only
+    (appendChild, reference src/index.ts:485-487).  Raises TimeoutError
+    past :func:`flat_parse`'s deadline.
     """
     tag, val, kids, par, texts, valid = flat_parse(data, options, metrics)
     nodes: list = []

@@ -184,7 +184,9 @@ class Matcher:
         return cloned
 
 
-def _explore_all(node: HTMLElement, matcher: Matcher) -> list[HTMLElement]:
+def _explore_all(
+    node: HTMLElement, matcher: Matcher, once: bool = False
+) -> list[HTMLElement]:
     """querySelectorImpl(all=true) explore (reference src/index.ts:423-451).
 
     Iterative (explicit work stack) so a deeply nested wild document cannot
@@ -194,8 +196,16 @@ def _explore_all(node: HTMLElement, matcher: Matcher) -> list[HTMLElement]:
     same-tag chains (rewound-clone branch concatenated BEFORE the advanced
     branch, src/index.ts:439): results append in recursion order via
     reversed LIFO pushes, with an explicit emit marker for matched nodes.
+
+    With ``once``, each (element, matcher level) state is explored once.
+    What a state emits depends on that state alone, and LIFO order finishes
+    its first exploration before any second one starts, so a repeat emits
+    only elements already emitted: the first-seen order of the results is
+    unchanged, and the explore is linear in elements × levels instead of
+    superlinear on same-tag nestings ("div div" on nested divs).
     """
     results: list[HTMLElement] = []
+    seen: set[tuple[int, int]] = set()
     # stack entries: (node, matcher) visits or (None, element) emit markers;
     # LIFO, so pushes happen in REVERSE of the desired emission order
     stack: list[tuple[Optional[HTMLElement], object]] = [(node, matcher)]
@@ -205,6 +215,11 @@ def _explore_all(node: HTMLElement, matcher: Matcher) -> list[HTMLElement]:
         if n is None:  # emit marker
             results.append(m)  # type: ignore[arg-type]
             continue
+        if once:
+            state = (id(n), m.next_match)
+            if state in seen:
+                continue
+            seen.add(state)
         advanced = m.advance(n) if n.tag_name else False
         children = n.children
         if advanced:
@@ -251,7 +266,7 @@ def select_union(root: HTMLElement, parts: list[Matcher]) -> list[HTMLElement]:
     seen: dict[int, HTMLElement] = {}
     for matcher in parts:
         matcher.reset()
-        for el in _explore_all(root, matcher.clone()):
+        for el in _explore_all(root, matcher.clone(), once=True):
             seen.setdefault(id(el), el)
     return list(seen.values())
 

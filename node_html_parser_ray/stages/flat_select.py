@@ -190,17 +190,18 @@ def columnar_select_mask(nodes: pa.Table, selector: str) -> np.ndarray:
     of :func:`kernel.selector.selector_chains`.
 
     Per level k of a chain: ``consumed_k = part_mask_k & (some proper
-    ancestor has consumed_{k-1})``.  The ancestor flag is computed by a
-    depth-bounded vectorized fixpoint over the ``parent`` column (rows are
-    pre-order, so parents always precede children; propagation is one
-    gather + OR per tree level, O(depth) numpy passes over the batch — no
-    per-document Python loop).  Match SET equals the per-document automaton
-    (query_selector_all), which the parity tests assert; result ORDER is a
-    caller concern (the node table is pre-order).
+    ancestor has consumed_{k-1})``.  The ancestor flag is propagated by
+    pointer doubling over the ``parent`` column: pass j ORs in the flags of
+    the ancestors 2^j + 1 .. 2^(j+1) levels up, so a batch takes
+    O(log depth) numpy passes — no per-document Python loop, and one deep
+    document costs the batch no pass per level.  Match SET equals the
+    per-document automaton (query_selector_all), which the parity tests
+    assert; result ORDER is a caller concern (the node table is pre-order).
     """
     parent = nodes.column("parent").to_numpy(zero_copy_only=False)
     n = len(parent)
-    has_parent = parent >= 0
+    # row n is a sentinel: the parent of top-level rows and of itself
+    up = np.append(np.where(parent >= 0, parent, n), n)
 
     matched = np.zeros(n, dtype=bool)
     for chain in selector_chains(selector):
@@ -209,13 +210,11 @@ def columnar_select_mask(nodes: pa.Table, selector: str) -> np.ndarray:
         consumed = _bool(columnar_part_mask(nodes, chain[0]), n)
         for part in chain[1:]:
             # anc[i] = True iff some proper ancestor of i is in `consumed`
-            # (a -1 parent gathers the last row, which has_parent masks)
-            anc = np.zeros(n, dtype=bool)
-            while True:
-                new_anc = has_parent & (anc[parent] | consumed[parent])
-                if (new_anc == anc).all():
-                    break
-                anc = new_anc
-            consumed = _bool(columnar_part_mask(nodes, part), n) & anc
+            anc = np.append(consumed, False)[up]
+            jump = up
+            while (jump < n).any():
+                anc |= anc[jump]
+                jump = jump[jump]
+            consumed = _bool(columnar_part_mask(nodes, part), n) & anc[:n]
         matched |= consumed
     return matched

@@ -28,6 +28,8 @@ from .flat_select import (
     explode_document,
     node_table,
 )
+from ..kernel.dom import HTMLElement
+from ..kernel.entities import decode
 from ..kernel.parser import parse
 from ..kernel.selector import compile_parts, select_union
 
@@ -47,18 +49,43 @@ SELECTOR_OUTPUT_SCHEMA = pa.schema(
 )
 
 
+def _text_runs(root: HTMLElement) -> tuple[list[str], dict[int, list[int]]]:
+    """The tree's text and comment values in pre-order, and each element's
+    ``[lo, hi)`` run in them (keyed by ``id``): an element's ``raw_text``
+    is ``"".join(values[lo:hi])``.  One walk, so no match re-walks its
+    subtree."""
+    values: list[str] = []
+    runs: dict[int, list[int]] = {}
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):  # an element's run, closed after its kids
+            node.append(len(values))
+        elif isinstance(node, HTMLElement):
+            run = runs[id(node)] = [len(values)]
+            stack.append(run)
+            stack.extend(reversed(node.child_nodes))
+        else:
+            values.append(node.value)
+    return values, runs
+
+
 def select_document(html, selectors, options, emit_text):
     """ONE document through parse + the automaton for each selector: pure
     args in, plain lists out.  Compiles its matchers per call.
 
-    Returns ``[(n_matches, texts), ...]`` aligned with ``selectors``."""
+    Returns ``[(n_matches, texts), ...]`` aligned with ``selectors``; a
+    match's text is its ``.text``, read off :func:`_text_runs`."""
     root = parse(html, options)
+    if emit_text:
+        values, runs = _text_runs(root)
     out = []
     for sel in selectors:
         found = select_union(root, compile_parts(sel))
-        out.append(
-            (len(found), [el.text for el in found] if emit_text else [])
-        )
+        texts = [
+            decode("".join(values[slice(*runs[id(el)])])) for el in found
+        ] if emit_text else []
+        out.append((len(found), texts))
     return out
 
 

@@ -752,11 +752,19 @@ class TestIterativeExplore:
     def test_iterative_matches_recursive_reference_fuzz(self):
         """Differential fuzz: the iterative explore reproduces the exact
         result SEQUENCE of the reference's recursive formulation on random
-        tag soup (including the deeper-first same-tag chain order)."""
+        tag soup (including the deeper-first same-tag chain order), and
+        :func:`select_union`, which explores each (element, level) state
+        once, gives that sequence deduplicated in first-seen order, on the
+        soup and on same-tag nestings."""
         import random
 
         from node_html_parser_ray.kernel.parser import parse
-        from node_html_parser_ray.kernel.selector import Matcher, _explore_all
+        from node_html_parser_ray.kernel.selector import (
+            Matcher,
+            _explore_all,
+            compile_parts,
+            select_union,
+        )
 
         def explore_rec(node, matcher):
             advanced = matcher.advance(node) if node.tag_name else False
@@ -776,10 +784,15 @@ class TestIterativeExplore:
                 out.extend(explore_rec(child, matcher.clone()))
             return out
 
+        def first_seen(ids):
+            return list(dict.fromkeys(ids))
+
         rng = random.Random(11)
         tags = ["div", "p", "span", "a", "b", "ul", "li"]
         sels = ["div", "p span", "div div", "*", "ul li", "div p span",
-                ".x", "div.x", "span b"]
+                ".x", "div.x", "span b", "div div div", "* div",
+                "div div, div", "p, div p"]
+        docs = []
         for _ in range(150):
             parts = []
             for _ in range(rng.randint(1, 25)):
@@ -788,8 +801,24 @@ class TestIterativeExplore:
                 parts.append(rng.choice([
                     f"<{t}{cls}>", f"</{t}>", "w ",
                 ]))
-            root = parse("".join(parts))
+            docs.append("".join(parts))
+        # same-tag nestings: valid, unclosed and with same-tag siblings
+        for _ in range(60):
+            depth = rng.randint(1, 9)
+            t = rng.choice(["div", "p", "span"])
+            inner = rng.choice(["w", "<p>w</p>", f"<{t}>w</{t}>", "<div>w"])
+            closes = f"</{t}>" * rng.randint(0, depth)
+            docs.append((f"<{t}>" * depth + inner + closes) * rng.randint(1, 2))
+        for doc in docs:
+            root = parse(doc)
             for s in sels:
-                got = [id(e) for e in _explore_all(root, Matcher(s))]
-                want = [id(e) for e in explore_rec(root, Matcher(s))]
-                assert got == want, ("order mismatch", s, "".join(parts))
+                want = []
+                for part in s.split(","):
+                    want += explore_rec(root, Matcher(part.strip()))
+                if "," not in s:
+                    got = [id(e) for e in _explore_all(root, Matcher(s))]
+                    assert got == [id(e) for e in want], \
+                        ("order mismatch", s, doc)
+                union = select_union(root, compile_parts(s))
+                assert [id(e) for e in union] == \
+                    first_seen(id(e) for e in want), ("union mismatch", s, doc)
