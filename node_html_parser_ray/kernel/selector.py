@@ -10,7 +10,9 @@ exploration (src/index.ts:400-476):
 * ``querySelectorAll``: comma-split union with insertion-ordered dedup;
   per part a recursive explore that forks the matcher per child (clone) and
   re-explores descendants with a rewound clone after an advance — result
-  order is pre-order (reference test/html.test.ts:608-611);
+  order is pre-order for one part (reference test/html.test.ts:608-611),
+  but not for a chain (the rule is stated at
+  ``stages/flat_select.columnar_select_order``);
 * ``querySelector``: first match, short-circuit DFS; comma parts tried
   left-to-right — selector-order precedence, not document order
   (src/index.ts:469-474).
@@ -18,7 +20,9 @@ exploration (src/index.ts:400-476):
 :func:`parse_chain` (one chain per comma part: :func:`selector_chains`)
 is the one parse of a selector string: the Matchers here and the columnar
 masks of ``stages/flat_select.py`` both evaluate its parts, so the two
-engines read the same grammar.
+engines read the same grammar.  :func:`select_document` (parse, the
+automaton and ``.text`` for one document) is the reference the columnar
+``SelectorStage`` is tested against.
 """
 from __future__ import annotations
 
@@ -26,7 +30,9 @@ import re
 from typing import Callable, List, Optional, Union
 
 from .dom import HTMLElement
+from .entities import decode
 from .jsregex import S, js_trim, js_ws_split
+from .parser import parse
 
 __all__ = ["Matcher", "compile_parts", "query_selector", "query_selector_all",
            "select_union", "selector_chains"]
@@ -261,14 +267,57 @@ def compile_parts(selector: str) -> list[Matcher]:
 
 
 def select_union(root: HTMLElement, parts: list[Matcher]) -> list[HTMLElement]:
-    """Union of the compiled comma parts' pre-order matches, deduped in
-    insertion order (JS Set semantics); the parts stay reusable."""
+    """Union of the compiled comma parts' matches, each part's in the
+    explore's emission order (not pre-order; the rule is stated at
+    ``stages/flat_select.columnar_select_order``), deduped in insertion
+    order (JS Set semantics); the parts stay reusable."""
     seen: dict[int, HTMLElement] = {}
     for matcher in parts:
         matcher.reset()
         for el in _explore_all(root, matcher.clone(), once=True):
             seen.setdefault(id(el), el)
     return list(seen.values())
+
+
+def _text_runs(root: HTMLElement) -> tuple[list[str], dict[int, list[int]]]:
+    """The tree's text and comment values in pre-order, and each element's
+    ``[lo, hi)`` run in them (keyed by ``id``): an element's ``raw_text``
+    is ``"".join(values[lo:hi])``.  One walk, so no match re-walks its
+    subtree."""
+    values: list[str] = []
+    runs: dict[int, list[int]] = {}
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):  # an element's run, closed after its kids
+            node.append(len(values))
+        elif isinstance(node, HTMLElement):
+            run = runs[id(node)] = [len(values)]
+            stack.append(run)
+            stack.extend(reversed(node.child_nodes))
+        else:
+            values.append(node.value)
+    return values, runs
+
+
+def select_document(html, selectors, options, emit_text):
+    """ONE document through parse + the automaton for each selector: pure
+    args in, plain lists out.  Compiles its matchers per call.  The
+    reference result the columnar ``SelectorStage`` is tested against.
+
+    Returns ``[(n_matches, texts), ...]`` aligned with ``selectors``; a
+    match's text is its ``.text``, read off :func:`_text_runs`."""
+    root = parse(html, options)
+    if emit_text:
+        values, runs = _text_runs(root)
+    out = []
+    for sel in selectors:
+        found = select_union(root, compile_parts(sel))
+        texts = [
+            decode("".join(values[slice(*runs[id(el)])])) for el in found
+        ] if emit_text else []
+        out.append((len(found), texts))
+    return out
 
 
 def query_selector_all(

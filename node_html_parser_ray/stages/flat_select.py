@@ -15,10 +15,13 @@ value of that key, null when the element lacks it.
 A selector is parsed once, by ``kernel.selector.selector_chains`` — the
 same parse the per-document automaton compiles — and every part of every
 chain becomes ``pyarrow.compute`` masks over the whole table; descendant
-chains propagate ancestor flags over the parent pointers and comma parts
-are OR-ed.  No per-document loop runs, and every selector the automaton
-accepts has a mask whose match *set* equals the automaton's, which the
-parity tests assert (SURVEY.md §2.5 mapping note).
+chains find each row's nearest ancestor taking the previous part by
+pointer jumping over the parent pointers (:func:`nearest`), and comma
+parts are OR-ed.  No per-document loop runs, and every selector the
+automaton accepts has a mask whose match *set* equals the automaton's,
+which the parity tests assert (SURVEY.md §2.5 mapping note).
+:func:`columnar_select_order` puts the matched rows in the automaton's
+result order, which is not pre-order; its docstring states the rule.
 
 Attribute operators (``= != ^= $= *= |= ~=``) are plain ``pyarrow.compute``
 string tests on the key's column, with the automaton's answer for a
@@ -44,6 +47,8 @@ __all__ = [
     "node_table",
     "columnar_part_mask",
     "columnar_select_mask",
+    "columnar_select_order",
+    "nearest",
 ]
 
 NODE_TABLE_SCHEMA = pa.schema(
@@ -103,24 +108,43 @@ def _attr_op_mask(col, op: str, value: str):
     return pc.fill_null(mask, False)
 
 
-def explode_document(html: str, keys=()):
+def explode_document(html: str, keys=(), texts: bool = False):
     """ONE document's element rows, in pre-order, read straight off
     :func:`flat_parse`'s tree (no node objects): the per-document function
     :func:`extract_stage.map_documents` runs, pure args in, plain lists
     ``(parent, tag, id, classes, *values)`` out, with one list per key of
     ``keys`` holding each element's decoded value of it (``None`` when the
     element lacks it).  ``parent[i]`` is the row of element ``i``'s
-    parent, -1 for a top-level element."""
-    tag, val, kids, _, _, _ = flat_parse(html or "")
+    parent, -1 for a top-level element.
+
+    With ``texts``, four more items follow: each row's post-order rank,
+    the ``lo`` and ``hi`` of its ``[lo, hi)`` run in the document's raw
+    texts, and those texts in pre-order; row ``i``'s ``.text`` is
+    ``decode("".join(texts[lo[i]:hi[i]]))``."""
+    tag, val, kids, _, doc_texts, _ = flat_parse(html or "")
     out_par: list[int] = []
     out_tag: list[str] = []
     out_id: list[str] = []
     out_cls: list[str] = []
     out_vals: list[list] = [[] for _ in keys]
-    # flat_parse(html) stores no comments: every kid c >= 0 is an element
-    stack = [(c, -1) for c in reversed(kids[0]) if c >= 0]
+    post: list[int] = []
+    lo: list[int] = []
+    hi: list[int] = []
+    run: list[str] = []
+    closed = 0
+    # flat_parse(html) stores no comments: every kid c >= 0 is an element,
+    # every c < 0 the text -(c + 2); a None entry closes row `parent`
+    stack = [(c, -1) for c in reversed(kids[0]) if texts or c >= 0]
     while stack:
         k, parent = stack.pop()
+        if k is None:
+            post[parent] = closed
+            hi[parent] = len(run)
+            closed += 1
+            continue
+        if k < 0:
+            run.append(doc_texts[-k - 2])
+            continue
         row = len(out_par)
         out_par.append(parent)
         out_tag.append(tag[k])
@@ -132,15 +156,26 @@ def explode_document(html: str, keys=()):
             attrs = attribute_map(v)
             for out, key in zip(out_vals, keys):
                 out.append(attrs.get(key))
-        stack.extend([(c, row) for c in reversed(kids[k]) if c >= 0])
+        if texts:
+            post.append(-1)
+            lo.append(len(run))
+            hi.append(-1)
+            stack.append((None, row))
+            stack.extend([(c, row) for c in reversed(kids[k])])
+        else:
+            stack.extend([(c, row) for c in reversed(kids[k]) if c >= 0])
+    if texts:
+        return (out_par, out_tag, out_id, out_cls, *out_vals,
+                post, lo, hi, run)
     return (out_par, out_tag, out_id, out_cls, *out_vals)
 
 
 def node_table(docs: list[tuple], keys=()) -> pa.Table:
     """Node table from :func:`explode_document` results (exploded with the
-    same ``keys``), one doc's rows after another; each doc's parents are
-    offset by its first row.  Key ``k``'s column is named ``"@" + k``, so
-    no key collides with a fixed column."""
+    same ``keys``; the text items that follow are not read), one doc's
+    rows after another; each doc's parents are offset by its first row.
+    Key ``k``'s column is named ``"@" + k``, so no key collides with a
+    fixed column."""
     schema = NODE_TABLE_SCHEMA
     for key in keys:
         schema = schema.append(pa.field("@" + key, pa.string()))
@@ -184,37 +219,97 @@ def _bool(mask, n: int) -> np.ndarray:
     return np.asarray(mask.to_numpy(zero_copy_only=False), dtype=bool)
 
 
+def nearest(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Each row's nearest proper ancestor in ``mark``, or the sentinel
+    ``n`` where it has none.  ``up`` is the parent pointer of each of the
+    ``n`` rows plus the sentinel row ``n`` (the parent of top-level rows
+    and of itself); so is the result.
+
+    Pointer jumping: a pointer at an unmarked row takes that row's
+    pointer, so pass j skips up to 2^j levels and a batch takes
+    O(log depth) numpy passes — no per-document Python loop, and one deep
+    document costs the batch no pass per level."""
+    stop = np.append(mark, True)
+    near = up
+    hit = stop[near]
+    while not hit.all():
+        near = np.where(hit, near, near[near])
+        hit = stop[near]
+    return near
+
+
+def _up(nodes: pa.Table) -> np.ndarray:
+    """The ``up`` pointers of :func:`nearest` from the ``parent`` column."""
+    parent = nodes.column("parent").to_numpy(zero_copy_only=False)
+    n = len(parent)
+    return np.append(np.where(parent >= 0, parent, n), n)
+
+
+def _levels(nodes: pa.Table, up: np.ndarray, chain: list[Part]):
+    """``(consumed_{m-1}, near)`` for a chain ``p0..p{m-1}``:
+    ``consumed_0`` is p0's part mask, ``consumed_k = part_mask_k & (some
+    proper ancestor is in consumed_{k-1})``, and ``near[k]`` is
+    ``nearest(up, consumed_k)`` for k < m - 1."""
+    n = len(up) - 1
+    consumed = _bool(columnar_part_mask(nodes, chain[0]), n)
+    near = []
+    for part in chain[1:]:
+        near.append(nearest(up, consumed))
+        consumed = _bool(columnar_part_mask(nodes, part), n) & (near[-1][:n] < n)
+    return consumed, near
+
+
 def columnar_select_mask(nodes: pa.Table, selector: str) -> np.ndarray:
     """Boolean numpy mask of the elements ``selector`` matches, evaluated
     columnar over the whole batch node table: the OR over the comma parts
-    of :func:`kernel.selector.selector_chains`.
-
-    Per level k of a chain: ``consumed_k = part_mask_k & (some proper
-    ancestor has consumed_{k-1})``.  The ancestor flag is propagated by
-    pointer doubling over the ``parent`` column: pass j ORs in the flags of
-    the ancestors 2^j + 1 .. 2^(j+1) levels up, so a batch takes
-    O(log depth) numpy passes — no per-document Python loop, and one deep
-    document costs the batch no pass per level.  Match SET equals the
+    of :func:`kernel.selector.selector_chains` of each chain's
+    ``consumed_{m-1}`` (:func:`_levels`).  Match SET equals the
     per-document automaton (query_selector_all), which the parity tests
-    assert; result ORDER is a caller concern (the node table is pre-order).
+    assert; :func:`columnar_select_order` gives its order.
     """
-    parent = nodes.column("parent").to_numpy(zero_copy_only=False)
-    n = len(parent)
-    # row n is a sentinel: the parent of top-level rows and of itself
-    up = np.append(np.where(parent >= 0, parent, n), n)
+    up = _up(nodes)
+    matched = np.zeros(len(up) - 1, dtype=bool)
+    for chain in selector_chains(selector):
+        if chain:
+            matched |= _levels(nodes, up, chain)[0]
+    return matched
 
-    matched = np.zeros(n, dtype=bool)
+
+def columnar_select_order(nodes: pa.Table, selector: str, post: np.ndarray,
+                          doc: np.ndarray) -> np.ndarray:
+    """The rows ``selector`` matches, grouped by document, each document's
+    in the order of the reference's querySelectorAll (and of
+    ``kernel.selector.select_union``).  ``post`` is each row's post-order
+    rank, batch-global (a document's ranks offset by its first row, so
+    they order the documents too), and ``doc`` each row's document.
+
+    The order, which is not pre-order (``div p`` on
+    ``<div><p>1</p><div><p>2</p></div></div>`` gives 2, then 1): the
+    automaton explores a row that takes part k first with the matcher
+    rewound (its subtree, still at part k) and then advanced (part k + 1),
+    src/index.ts:423-451.  So it reaches a match ``x`` of ``p0..p{m-1}``
+    first through its deepest ancestors ``b_0 < … < b_{m-2}`` taking parts
+    0..m-2, found bottom-up: ``b_{m-2}`` is ``x``'s nearest ancestor in
+    ``consumed_{m-2}`` and ``b_k`` the nearest of ``b_{k+1}`` in
+    ``consumed_k``.  And it finishes everything it reaches below a
+    ``b_k`` before that ``b_k``'s advance.  So one chain's matches sort by
+    the post-order ranks of ``b_0``, …, ``b_{m-2}``, then by pre-order.
+    The comma parts follow one another in selector order within each
+    document, and a row keeps its first place (the reference's Set).
+    """
+    up = _up(nodes)
+    found = [np.zeros(0, np.int64)]
     for chain in selector_chains(selector):
         if not chain:
             continue
-        consumed = _bool(columnar_part_mask(nodes, chain[0]), n)
-        for part in chain[1:]:
-            # anc[i] = True iff some proper ancestor of i is in `consumed`
-            anc = np.append(consumed, False)[up]
-            jump = up
-            while (jump < n).any():
-                anc |= anc[jump]
-                jump = jump[jump]
-            consumed = _bool(columnar_part_mask(nodes, part), n) & anc[:n]
-        matched |= consumed
-    return matched
+        consumed, near = _levels(nodes, up, chain)
+        x = np.flatnonzero(consumed)
+        keys = [x]  # np.lexsort sorts by its last key first
+        b = x
+        for to_ancestor in reversed(near):
+            b = to_ancestor[b]
+            keys.append(post[b])
+        found.append(x[np.lexsort(keys)])
+    rows = np.concatenate(found)
+    rows = rows[np.argsort(doc[rows], kind="stable")]
+    return rows[np.sort(np.unique(rows, return_index=True)[1])]

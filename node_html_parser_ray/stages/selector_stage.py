@@ -1,21 +1,20 @@
 """Stateful selector stage: a fixed selector set on an actor pool.
 
 ``ds.map_batches(SelectorStage(selectors), concurrency=N, batch_size=B)``.
-The stage runs in one of two whole-stage modes.  Count-only
-(``emit_text=False``) explodes every document into element rows of one
-node table per batch (``parent, tag, id, classes`` and one ``@key``
-column per attribute key the selector set tests) and counts every
-selector with the vectorized masks of stages/flat_select.py.  Text
-emission runs :func:`select_document` — parse plus the per-document
-automaton of kernel/selector.py, which gives the reference's result order
-— per document.  Both modes read the one selector parse
-``kernel.selector.selector_chains``, and every document goes through
-:func:`extract_stage.map_documents`, which bounds out a row whose parse
-raised.
+Every document goes through :func:`extract_stage.map_documents`, which
+bounds out a row whose parse raised, into :func:`explode_document`'s
+element rows; one node table per batch holds them (``parent, tag, id,
+classes`` and one ``@key`` column per attribute key the selector set
+tests), and the vectorized masks of stages/flat_select.py evaluate every
+selector over it, with the one selector parse
+``kernel.selector.selector_chains``.  ``emit_text`` decides only whether
+the matched rows are put in the reference's result order and their texts
+built; no node objects are made in either mode.  The reference result,
+:func:`select_document` (parse plus the per-document automaton), is
+re-exported here for the tests and the benchmark.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -25,13 +24,12 @@ from .extract_stage import htmls_from_batch, map_documents
 from .flat_select import (
     attribute_keys,
     columnar_select_mask,
+    columnar_select_order,
     explode_document,
     node_table,
 )
-from ..kernel.dom import HTMLElement
 from ..kernel.entities import decode
-from ..kernel.parser import parse
-from ..kernel.selector import compile_parts, select_union
+from ..kernel.selector import select_document
 
 __all__ = ["SelectorStage", "SELECTOR_OUTPUT_SCHEMA", "select_document"]
 
@@ -49,58 +47,18 @@ SELECTOR_OUTPUT_SCHEMA = pa.schema(
 )
 
 
-def _text_runs(root: HTMLElement) -> tuple[list[str], dict[int, list[int]]]:
-    """The tree's text and comment values in pre-order, and each element's
-    ``[lo, hi)`` run in them (keyed by ``id``): an element's ``raw_text``
-    is ``"".join(values[lo:hi])``.  One walk, so no match re-walks its
-    subtree."""
-    values: list[str] = []
-    runs: dict[int, list[int]] = {}
-    stack: list = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, list):  # an element's run, closed after its kids
-            node.append(len(values))
-        elif isinstance(node, HTMLElement):
-            run = runs[id(node)] = [len(values)]
-            stack.append(run)
-            stack.extend(reversed(node.child_nodes))
-        else:
-            values.append(node.value)
-    return values, runs
-
-
-def select_document(html, selectors, options, emit_text):
-    """ONE document through parse + the automaton for each selector: pure
-    args in, plain lists out.  Compiles its matchers per call.
-
-    Returns ``[(n_matches, texts), ...]`` aligned with ``selectors``; a
-    match's text is its ``.text``, read off :func:`_text_runs`."""
-    root = parse(html, options)
-    if emit_text:
-        values, runs = _text_runs(root)
-    out = []
-    for sel in selectors:
-        found = select_union(root, compile_parts(sel))
-        texts = [
-            decode("".join(values[slice(*runs[id(el)])])) for el in found
-        ] if emit_text else []
-        out.append((len(found), texts))
-    return out
-
-
 class SelectorStage:
     """Evaluate a fixed selector set against every document in each batch.
 
     Emits one row per (doc, selector): match count + matched elements'
-    decoded text (pre-order, exactly the reference's querySelectorAll result
-    order and comma-union dedup semantics).
+    decoded text, in the order and with the comma-union dedup of the
+    reference's querySelectorAll (rule: ``flat_select.columnar_select_order``).
     """
 
     def __init__(self, selectors: Sequence[str], emit_text: bool = True) -> None:
         for sel in selectors:
-            # the output ``selector`` column (and count-only mode's Arrow
-            # masks) are UTF-8: a lone surrogate would fail every batch
+            # the output ``selector`` column and the Arrow masks are UTF-8:
+            # a lone surrogate would fail every batch
             try:
                 sel.encode("utf-8")
             except UnicodeEncodeError:
@@ -109,57 +67,64 @@ class SelectorStage:
                 ) from None
         self.selectors = list(selectors)
         self.emit_text = emit_text
-        # the selectors counted by the columnar masks: all of them in
-        # count-only mode; text emission needs the automaton's reference
-        # result order, so it counts none there
-        self.columnar: set[str] = set() if emit_text else set(self.selectors)
+        # every selector is counted by the columnar masks; kept only for
+        # the benchmark's reader of this attribute
+        self.columnar: set[str] = set(self.selectors)
         # the attribute keys the masks test: the node table's @key columns
-        self.keys = [] if emit_text else attribute_keys(self.selectors)
-
-    def _count(self, docs: list) -> list:
-        """:func:`select_document`-shaped results (``None`` for a bounded-out
-        doc) from one node table over the :func:`explode_document` rows of
-        the batch's docs."""
-        keep = [r for r, doc in enumerate(docs) if doc is not None]
-        nodes = node_table([docs[r] for r in keep], self.keys)
-        node_row = np.repeat(
-            np.asarray(keep, np.int64), [len(docs[r][0]) for r in keep]
-        )
-        counts = [
-            np.bincount(node_row[columnar_select_mask(nodes, sel)],
-                        minlength=len(docs)).tolist()
-            for sel in self.selectors
-        ]
-        return [
-            None if doc is None else [(c[r], []) for c in counts]
-            for r, doc in enumerate(docs)
-        ]
+        self.keys = attribute_keys(self.selectors)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
-        htmls = htmls_from_batch(batch)
+        docs = list(map_documents(
+            htmls_from_batch(batch), explode_document, self.keys,
+            self.emit_text,
+        ))
+        keep = [r for r, doc in enumerate(docs) if doc is not None]
+        kept = [docs[r] for r in keep]
+        nodes = node_table(kept, self.keys)
+        sizes = np.asarray([len(doc[0]) for doc in kept], np.int64)
+        doc_of = np.repeat(np.asarray(keep, np.int64), sizes)
         if self.emit_text:
-            results = list(map_documents(
-                htmls, select_document, self.selectors, None, True
-            ))
+            # the last four items of text-mode explode_document results,
+            # batch-global: post ranks shift by their doc's first row, text
+            # runs by its first text
+            post, lo, hi, texts = (
+                [v for doc in kept for v in doc[i]] for i in range(-4, 0)
+            )
+            post = np.asarray(post, np.int64) + np.repeat(
+                np.cumsum(sizes) - sizes, sizes)
+            n_texts = np.asarray([len(doc[-1]) for doc in kept], np.int64)
+            shift = np.repeat(np.cumsum(n_texts) - n_texts, sizes)
+            lo = (np.asarray(lo, np.int64) + shift).tolist()
+            hi = (np.asarray(hi, np.int64) + shift).tolist()
+            found = [columnar_select_order(nodes, sel, post, doc_of)
+                     for sel in self.selectors]
+            found_texts = [
+                [decode("".join(texts[lo[r]:hi[r]])) for r in rows.tolist()]
+                for rows in found
+            ]
         else:
-            results = self._count(list(
-                map_documents(htmls, explode_document, self.keys)
-            ))
+            found = [np.flatnonzero(columnar_select_mask(nodes, sel))
+                     for sel in self.selectors]
+        # bounds[s][r]: where document r's rows start in found[s]
+        doc_rows = np.arange(len(docs) + 1)
+        bounds = [np.searchsorted(doc_of[rows], doc_rows).tolist()
+                  for rows in found]
 
         out_doc: list[str] = []
         out_sel: list[str] = []
         out_n: list[int] = []
         flat_matches: list[str] = []
         offsets: list[int] = [0]
-        for doc_id, res in zip(doc_ids, results):
-            if res is None:  # bounded out by its deadline
-                res = repeat((-1, []))
-            for sel, (n, txts) in zip(self.selectors, res):
+        for r, (doc_id, doc) in enumerate(zip(doc_ids, docs)):
+            for s, sel in enumerate(self.selectors):
+                lo_r, hi_r = bounds[s][r], bounds[s][r + 1]
                 out_doc.append(doc_id)
                 out_sel.append(sel)
-                out_n.append(n)
-                flat_matches.extend(txts)
+                # a bounded-out doc has no rows: -1, no matches
+                out_n.append(-1 if doc is None else hi_r - lo_r)
+                if self.emit_text:
+                    flat_matches.extend(found_texts[s][lo_r:hi_r])
                 offsets.append(len(flat_matches))
         matches_col = pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()),

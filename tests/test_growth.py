@@ -9,15 +9,16 @@ square of the input or worse:
   (``<div><h3>x`` single errors, ``<a><a>`` and ``<div><div>`` pair
   errors);
 * deep valid nesting, on which ``.text`` per match and the automaton's
-  descendant matching re-walked subtrees, and on which the count-only
-  masks propagated an ancestor flag one tree level per numpy pass
+  descendant matching re-walked subtrees, and on which the selector masks
+  propagated an ancestor flag one tree level per numpy pass
   (``section div``).
 
 The controls were near linear already.  Each ``n`` is sized so that a
-quadratic path's ``8n`` case still finishes in about 10 s; the two object
-paths (text-mode ``SelectorStage`` and the DOM API) run the deep valid
-nestings at ``OBJECT_N``, where a quadratic explore of the 2000-deep case
-takes ~5 s.
+quadratic path's ``8n`` case still finishes in about 10 s.  Both
+``SelectorStage`` modes run the selectors ``div div`` and ``section div``,
+so text mode's multi-part order keys are timed too.  The DOM API, the one
+object path, runs the deep valid nestings at ``OBJECT_N``, where a
+quadratic explore of the 2000-deep case takes ~5 s.
 """
 from __future__ import annotations
 
@@ -63,11 +64,11 @@ PATHS = {
     "count_only": lambda d: SelectorStage(
         ["div div", "section div"], emit_text=False
     )(_batch(d)),
-    "text_mode": lambda d: SelectorStage(["div"])(_batch(d)),
+    "text_mode": lambda d: SelectorStage(["div div", "section div"])(_batch(d)),
     "classifier": lambda d: BoilerplateClassifier()(_batch(d)),
     "dom_api": lambda d: parse(d).query_selector_all("div div"),
 }
-OBJECT_PATHS = {"text_mode", "dom_api"}
+OBJECT_PATHS = {"dom_api"}
 
 
 def _best(fn, doc: str, runs: int = 3, stop_below: float = 0.0) -> float:

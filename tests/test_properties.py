@@ -19,6 +19,22 @@ markup_text = st.text(
 )
 
 
+@st.composite
+def nestings(draw, depth=0):
+    """Random nesting of five tags, up to 6 deep, with numbered texts: three
+    slots in four hold an element, and one element in five is left
+    unclosed, so the repair pass moves kids."""
+    out = []
+    for _ in range(draw(st.integers(1 if depth < 2 else 0, 3))):
+        if depth < 6 and draw(st.integers(0, 3)):
+            tag = draw(st.sampled_from(["div", "p", "section", "span", "a"]))
+            close = f"</{tag}>" if draw(st.integers(0, 4)) else ""
+            out.append(f"<{tag}>{draw(nestings(depth + 1))}{close}")
+        else:
+            out.append(str(draw(st.integers(0, 99))))
+    return "".join(out)
+
+
 class TestParserTotality:
     @given(markup_text)
     @settings(max_examples=300, deadline=None)
@@ -139,3 +155,27 @@ class TestBatchKernelParity:
                 assert got[(str(i), part)] == len(
                     root.query_selector_all(part)
                 ), (html, part)
+
+    @given(st.lists(nestings(), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_selector_stage_text_order_fuzz(self, htmls):
+        """Text-mode SelectorStage (the columnar masks, ordered by
+        flat_select.columnar_select_order) gives select_document's rows:
+        counts, texts and their order, on same-tag nestings where the
+        automaton's order is not pre-order."""
+        import pyarrow as pa
+
+        from node_html_parser_ray.stages.selector_stage import (
+            SelectorStage,
+            select_document,
+        )
+
+        sels = ["div p", "div div div", "* *", "div * p", "p, div p",
+                "div div, div", "section div p"]
+        table = pa.table({"doc_id": [str(i) for i in range(len(htmls))],
+                          "html": htmls})
+        rows = SelectorStage(sels)(table).to_pylist()
+        got = [(r["n_matches"], r["matches"]) for r in rows]
+        want = [(n, texts) for html in htmls
+                for n, texts in select_document(html, sels, None, True)]
+        assert got == want, htmls

@@ -615,12 +615,14 @@ class TestSelectorStageInput:
 
 
 class TestCountOnlyParity:
-    """Count-only SelectorStage counts every selector with the columnar
-    masks; its counts must equal select_document's (the automaton) on the
-    tokenizer-golden inputs, plus a handwritten ``ws_edge`` set.  The list
-    holds every selector form the columnar path once refused: combinators
-    the part grammar skips, pseudo-classes, ``~=`` whitespace edges,
-    BOM-only and empty parts.
+    """SelectorStage counts every selector with the columnar masks; its
+    counts must equal select_document's (the automaton) on the
+    tokenizer-golden inputs, plus a handwritten ``ws_edge`` set.  In text
+    mode (the ``-text`` cases) each row's ``(n_matches, matches)`` must
+    equal ``select_document(html, sels, None, True)``, texts and their
+    order included.  The list holds every selector form the columnar path
+    once refused: combinators the part grammar skips, pseudo-classes,
+    ``~=`` whitespace edges, BOM-only and empty parts.
 
     The golden inputs hold no attribute value that is empty or starts or
     ends with whitespace, so they cannot tell whether the ``~=`` masks find
@@ -651,8 +653,15 @@ class TestCountOnlyParity:
         "<a class='\ufeffa\ufeff' title=' b'>z</a><img class=c title=>",
     ]
 
-    @pytest.mark.parametrize("case_set", CASE_SETS + ("ws_edge",))
-    def test_counts_match_select_document(self, case_set):
+    @pytest.mark.parametrize("case_set, emit_text", [
+        pytest.param(case_set, emit_text,
+                     id=f"{case_set}-text" if emit_text else case_set)
+        for emit_text in (False, True)
+        for case_set in CASE_SETS + ("ws_edge",)
+    ])
+    def test_counts_match_select_document(self, case_set, emit_text):
+        import pyarrow as pa
+
         from node_html_parser_ray.stages.selector_stage import (
             SelectorStage,
             select_document,
@@ -661,13 +670,15 @@ class TestCountOnlyParity:
         inputs = ([(f"ws_edge/{i}", h) for i, h in enumerate(self.WS_EDGE_DOCS)]
                   if case_set == "ws_edge" else case_inputs(case_set))
         docs = dict(inputs)
-        assert set(SelectorStage(self.SELECTORS, emit_text=False).columnar) \
-            == set(self.SELECTORS)
-        got = _stage_counts(docs, self.SELECTORS)
+        stage = SelectorStage(self.SELECTORS, emit_text=emit_text)
+        assert set(stage.columnar) == set(self.SELECTORS)
+        out = stage(pa.table({"doc_id": list(docs), "html": list(docs.values())}))
+        got = {(r["doc_id"], r["selector"]): (r["n_matches"], r["matches"])
+               for r in out.to_pylist()}
         for cid, html in docs.items():
-            want = select_document(html, self.SELECTORS, None, False)
-            for sel, (n, _) in zip(self.SELECTORS, want):
-                assert got[(cid, sel)] == n, (cid, sel)
+            want = select_document(html, self.SELECTORS, None, emit_text)
+            for sel, (n, texts) in zip(self.SELECTORS, want):
+                assert got[(cid, sel)] == (n, texts), (cid, sel)
 
 
 class TestNodeRows:
