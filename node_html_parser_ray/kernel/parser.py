@@ -200,12 +200,14 @@ def flat_parse(
 
     Tokens come from KMARKUP's first-path copy, and from the full pattern
     at the sites where that copy fails (:func:`_full_match`), so the trees
-    are KMARKUP's.  The whole parse is bounded by a deadline
-    :func:`parse_timeout` seconds after entry: past it, the next failing
-    site or full-pattern retry raises TimeoutError.  The repair pass runs
-    in time linear in the unclosed elements and the kids it moves: the
-    token loop keeps each open element the last kid of the one below it on
-    the stack, and the repair moves each removed element's kids once.
+    are KMARKUP's.  A failing site past the document's last ``>`` ends the
+    token loop, since every token ends in ``>``.  The whole parse is
+    bounded by a deadline :func:`parse_timeout` seconds after entry: past
+    it, the next failing site before that ``>`` or full-pattern retry
+    raises TimeoutError.  The repair pass runs in time linear in the
+    unclosed elements and the kids it moves: the token loop keeps each open
+    element the last kid of the one below it on the stack, and the repair
+    moves each removed element's kids once.
 
     Returns ``(tag, val, kids, par, texts, valid)``.  Elements are indexes
     into the parallel lists ``tag`` / ``val`` (the raw, untrimmed attribute
@@ -242,6 +244,7 @@ def flat_parse(
     last_text_pos = 0
     pos = 0
     data_len = len(data)
+    last_gt = None  # data.rfind(">"), found at the first failing site
 
     timeout = parse_timeout()
     deadline = time.monotonic() + timeout if timeout else None
@@ -264,7 +267,13 @@ def flat_parse(
         if m.lastindex == 5:
             # A site the first path fails at: KMARKUP fails at a comment
             # open too, and may match a tag open only through give-back.
+            # Every token ends in '>', so past the document's last '>' no
+            # site can match: the rest is the trailing text.
             q = m.start()
+            if last_gt is None:
+                last_gt = data.rfind(">")
+            if q > last_gt:
+                break
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("flat_parse deadline passed")
             if m.group(5) == "!--":

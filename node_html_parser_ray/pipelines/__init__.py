@@ -1,3 +1,3 @@
-from .extraction import build_extraction_dataset, run_checkpointed
+from .extraction import run_checkpointed
 
-__all__ = ["build_extraction_dataset", "run_checkpointed"]
+__all__ = ["run_checkpointed"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import shutil
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Optional
 
 import ray
 
@@ -30,7 +29,7 @@ from ..sources import lance_io
 from ..stages.extract_stage import add_partition_column, make_extract_batch
 from ..state.manifest import ShardManifest
 
-__all__ = ["build_extraction_dataset", "run_checkpointed", "DEFAULT_BATCH_SIZE"]
+__all__ = ["run_checkpointed", "DEFAULT_BATCH_SIZE"]
 
 # Modest batch size so a batch of multi-MB giant docs stays well under the
 # object-store slice (SURVEY.md §4 memory row); Ray's dynamic block splitting
@@ -42,39 +41,12 @@ __all__ = ["build_extraction_dataset", "run_checkpointed", "DEFAULT_BATCH_SIZE"]
 DEFAULT_BATCH_SIZE = 64
 
 
-def build_extraction_dataset(
-    input_path,
-    options: Optional[dict] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    num_partitions: int = 64,
-    with_partition_column: bool = False,
-):
-    """Lazy Dataset: interleaved docs -> extracted spans (streaming)."""
-    # same source routing as run_checkpointed: Lance dataset dirs go through
-    # read_lance when available, everything else read_parquet
-    ds = lance_io.read_documents(input_path)
-    ds = ds.map_batches(
-        make_extract_batch(options),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    if with_partition_column:
-        ds = ds.map_batches(
-            lambda b: add_partition_column(b, num_partitions),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    return ds
-
-
 def run_checkpointed(
     input_files: list[str],
     out_dir: str,
     shard_count: int = 8,
-    options: Optional[dict] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     partition_output: bool = False,
-    num_partitions: int = 64,
 ) -> dict:
     """Run the extraction over input files with shard-granular resume.
 
@@ -90,10 +62,14 @@ def run_checkpointed(
     source scan.  Returns the run summary (shards run/skipped, in shard
     order, and aggregate metrics).
 
+    A shard's dataset reads its files (``lance_io.read_documents``) and maps
+    ``make_extract_batch()``'s function over ``batch_size``-row pyarrow
+    batches, with the reference's default ParsingOptions.
     ``partition_output=True`` additionally hash-partitions each shard's
     parquet output by the salted doc_id partition (north_rule clause:
-    ``partition_id=N/`` hive directories, giant documents routed to the
-    dedicated salt range — see extract_stage.add_partition_column).
+    ``partition_id=N/`` hive directories for
+    extract_stage.add_partition_column's 64 partitions, giant documents
+    routed to its dedicated salt range).
     """
     if shard_count < 1:
         raise ValueError(f"shard_count must be at least 1, got {shard_count!r}")
@@ -130,10 +106,15 @@ def run_checkpointed(
 
     def run_shard(shard_id: int) -> None:
         shard_out = os.path.join(out_dir, f"shard={shard_id:06d}")
-        ds = build_extraction_dataset(
-            shards[shard_id], options, batch_size, num_partitions,
-            with_partition_column=partition_output,
+        # Lance dataset dirs go through read_lance when available,
+        # everything else read_parquet
+        ds = lance_io.read_documents(shards[shard_id]).map_batches(
+            make_extract_batch(), batch_format="pyarrow", batch_size=batch_size,
         )
+        if partition_output:
+            ds = ds.map_batches(
+                add_partition_column, batch_format="pyarrow", batch_size=batch_size,
+            )
         # overwrite any partial output from a crashed run (idempotent commit)
         if os.path.isdir(shard_out):
             shutil.rmtree(shard_out)

@@ -114,19 +114,10 @@ def _coarse_shards(multiple: int = 4, floor: int = 1) -> int:
     (round-1 verdict #6).  Scaling with ``cluster_resources()`` keeps
     per-shard size ~ input / (multiple x cpus); on a real multi-node
     cluster the CPU total reflects every node.  Power of two so the shard
-    key is a bit-mask.  ``NHPR_COARSE_SHARDS`` overrides for the
-    shard-count-invariance tests (and is honored unclamped — ``floor`` only
-    raises the computed default, e.g. the LSH band shards' 1024 minimum).
+    key is a bit-mask.  ``floor`` raises the count, e.g. to the LSH band
+    shards' 1024 minimum.  Every call runs on the driver, so the
+    shard-count-invariance tests fix the count by patching this function.
     """
-    env = os.environ.get("NHPR_COARSE_SHARDS")
-    if env:
-        # call sites mask with `key & (n-1)`, so a non-power-of-two override
-        # would silently shrink/skew the shard set — round up instead
-        v = max(1, int(env))
-        n = 1
-        while n < v:
-            n <<= 1
-        return n
     cpus = _cluster_cpus()
     n = 1
     while n < cpus * multiple:
@@ -1724,6 +1715,12 @@ def q_minhash_neardup(sf_dir: str):
     return g.map_batches(rename, batch_format="pyarrow")
 
 
+# Driver bytes of per-block dense blooms up to which
+# q_minhash_neardup_verified builds its bloom densely; the sparse build
+# beyond it gives the same pairs.
+_BLOOM_DENSE_MAX_BYTES = 64 << 20
+
+
 def q_minhash_neardup_verified(sf_dir: str):
     """MinHash-LSH candidates + exact n-gram Jaccard verification.
 
@@ -1774,12 +1771,10 @@ def q_minhash_neardup_verified(sf_dir: str):
 
     n_blocks = pairs.num_blocks()
     # dense per-block blooms cost blocks x m/8 bytes at the driver; beyond
-    # this cap switch to the sparse build: position rows SHUFFLE (pair-scale
-    # groupby) and the driver receives exactly m/8 bytes of dense sub-arrays
-    dense_ok = n_blocks * (m_bits // 8) <= (64 << 20) and not os.environ.get(
-        "NHPR_BLOOM_SPARSE"
-    )
-    if dense_ok:
+    # _BLOOM_DENSE_MAX_BYTES switch to the sparse build: position rows
+    # SHUFFLE (pair-scale groupby) and the driver receives exactly m/8
+    # bytes of dense sub-arrays
+    if n_blocks * (m_bits // 8) <= _BLOOM_DENSE_MAX_BYTES:
         def block_bloom(batch: pa.Table) -> pa.Table:
             ids = np.concatenate([
                 batch.column("doc_a").to_numpy(zero_copy_only=False),
@@ -2595,23 +2590,16 @@ _PACK_BUDGET = 512        # parallelism knob): docs stream shard-local in
                            # doc_id order into fixed token-budget bins
 
 
-def _pack_range_width() -> int:
-    """doc_ids per scan range in q_sequence_packing (parallelism knob, NOT
-    semantic — output is range-width invariant by construction; the
-    ``NHPR_PACK_RANGE`` override is exercised by the invariance test)."""
-    env = os.environ.get("NHPR_PACK_RANGE")
-    return int(env) if env else 1 << 16
-
-
-def _pack_small_rows() -> int:
-    """Corpus row count below which q_sequence_packing fuses the totals /
-    prefix-scan / merge passes into one driver-side exact cumsum (the
-    4-pass decomposition pays fixed shuffle+materialize costs that dwarf
-    small inputs — round-3 verdict #7).  The 4-col token projection is
-    ~32 B/row, so the default cap collects <=128 MB.  ``NHPR_PACK_SMALL_ROWS=0``
-    forces the bounded path (used by the invariance test)."""
-    env = os.environ.get("NHPR_PACK_SMALL_ROWS")
-    return int(env) if env is not None else 1 << 22
+# doc_ids per scan range in q_sequence_packing (a parallelism knob, NOT
+# semantic: the output is range-width invariant by construction, which a
+# test checks at a tiny width)
+_PACK_RANGE_WIDTH = 1 << 16
+# Corpus row count up to which q_sequence_packing fuses the totals /
+# prefix-scan / merge passes into one driver-side exact cumsum (the 4-pass
+# decomposition pays fixed shuffle+materialize costs that dwarf small
+# inputs — round-3 verdict #7).  The 4-col token projection is ~32 B/row,
+# so this cap collects <=128 MB.
+_PACK_SMALL_ROWS = 1 << 22
 
 
 def q_sequence_packing(sf_dir: str):
@@ -2637,13 +2625,13 @@ def q_sequence_packing(sf_dir: str):
 
     Output: one row per (shard, pack) with doc/token counts — bitwise
     identical to the single-cumsum formulation (range-width invariance is
-    pinned by tests via ``NHPR_PACK_RANGE``).
+    pinned by a test that patches ``_PACK_RANGE_WIDTH``).
     """
     import pandas as pd
     import ray
     from ray.data.aggregate import Sum
 
-    width = _pack_range_width()
+    width = _PACK_RANGE_WIDTH
 
     ds = _docs(sf_dir, columns=["doc_id", "text"])
 
@@ -2671,7 +2659,7 @@ def q_sequence_packing(sf_dir: str):
     n_rows = pq_mod.ParquetFile(
         os.path.join(sf_dir, "documents.parquet")
     ).metadata.num_rows
-    if n_rows <= _pack_small_rows():
+    if n_rows <= _PACK_SMALL_ROWS:
         df = ds.map_batches(tokens_shard_range, batch_format="pyarrow").to_pandas()
         if df.empty:
             return pa.Table.from_arrays(

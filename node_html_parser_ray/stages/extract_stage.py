@@ -21,6 +21,7 @@ Output schema (per-row invariant, FIXTURES.md §2):
 from __future__ import annotations
 
 import zlib
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -97,8 +98,9 @@ def decode_spans_batch(
 
     One to_pylist per child column instead of a Python dict per span
     (list<struct> to_pylist is 2-3x slower); NULL lists and NULL struct
-    fields coalesce to ""/0.  Shared by the extraction, classifier and
-    selector stages so every spans consumer gets the fast, null-safe path.
+    fields coalesce to ""/0, and a NULL span element is dropped.  Shared by
+    the extraction, classifier and selector stages so every spans consumer
+    gets the fast, null-safe path.
     """
     if "spans" in batch.column_names:
         spans_col = batch.column("spans").combine_chunks()
@@ -112,6 +114,18 @@ def decode_spans_batch(
             c.null_count for c in (flat.field("kind"), flat.field("text"),
                                    flat.field("media_ref"), flat.field("offset"))
         ):
+            if flat.null_count:
+                # a null span element is no span; its fields may still hold
+                # values (StructArray.field ignores the parent's validity)
+                keep = flat.is_valid().to_numpy(zero_copy_only=False)
+                kept = np.concatenate(
+                    [np.zeros(1, np.int64), np.cumsum(keep, dtype=np.int64)]
+                )
+                row_offsets = kept[row_offsets].tolist()
+                f_kind, f_text, f_ref, f_off = (
+                    list(compress(f, keep))
+                    for f in (f_kind, f_text, f_ref, f_off)
+                )
             f_kind = [k or "" for k in f_kind]
             f_text = [t or "" for t in f_text]
             f_ref = [m or "" for m in f_ref]
@@ -300,30 +314,32 @@ def make_extract_batch(options: Optional[dict] = None):
     return _fn
 
 
+# add_partition_column salts documents above GIANT_BYTES into a range of
+# GIANT_PARTITIONS partitions of their own.
+GIANT_BYTES = 1_000_000
+GIANT_PARTITIONS = 8
+
+
 def partition_ids(doc_ids: list[Optional[str]], num_partitions: int) -> list[int]:
     """Stable hash-partition of doc_ids (crc32 — stable across runs/nodes);
     a null doc_id hashes like ``""``."""
     return [zlib.crc32((d or "").encode()) % num_partitions for d in doc_ids]
 
 
-def add_partition_column(
-    batch: pa.Table,
-    num_partitions: int = 64,
-    giant_bytes: int = 1_000_000,
-    giant_partitions: int = 8,
-) -> pa.Table:
+def add_partition_column(batch: pa.Table, num_partitions: int = 64) -> pa.Table:
     """Assign ``partition_id`` by doc_id hash (a null doc_id routes like
     ``""``), salting giant documents.
 
-    Documents larger than ``giant_bytes`` are routed to a dedicated
-    partition range ``[num_partitions, num_partitions + giant_partitions)``
+    Documents larger than ``GIANT_BYTES`` are routed to a dedicated
+    partition range ``[num_partitions, num_partitions + GIANT_PARTITIONS)``
     so that the heavy tail cannot skew ordinary partitions (north_rule skew
     clause).  Works on both input schemas and the output schema: an output
     row's size is its ``metrics.n_bytes``, an input row's is the length of
     its assembled HTML (:func:`htmls_from_batch`), which is the number
     :func:`extract_batch` writes as ``n_bytes`` for every row, bounded-out
     ones included, so every document keeps its ``partition_id`` through
-    extraction.
+    extraction.  ``num_partitions`` is 64 in the checkpointed pipeline and
+    8 in q_partition_metrics.
     """
     doc_ids = batch.column("doc_id").to_pylist()
     base = partition_ids(doc_ids, num_partitions)
@@ -332,7 +348,7 @@ def add_partition_column(
     else:
         sizes = [len(html) for html in htmls_from_batch(batch)]
     pids = [
-        num_partitions + (p % giant_partitions) if size > giant_bytes else p
+        num_partitions + (p % GIANT_PARTITIONS) if size > GIANT_BYTES else p
         for p, size in zip(base, sizes)
     ]
     return batch.append_column("partition_id", pa.array(pids, pa.int32()))

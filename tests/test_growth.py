@@ -11,7 +11,11 @@ square of the input or worse:
 * deep valid nesting, on which ``.text`` per match and the automaton's
   descendant matching re-walked subtrees, and on which the selector masks
   propagated an ancestor flag one tree level per numpy pass
-  (``section div``).
+  (``section div``);
+* a tag whose quoted values each hold a tag open, with no ``>`` anywhere
+  (``'<a' + ' x="<a"' * n``): every ``<a`` was a failing site whose
+  full-pattern retry scanned on through the later quotes, and is now past
+  the document's last ``>``, where ``flat_parse`` ends its token loop.
 
 The controls were near linear already.  Each ``n`` is sized so that a
 quadratic path's ``8n`` case still finishes in about 10 s.  Both
@@ -46,6 +50,7 @@ FAMILIES = {
     "section_div_valid": (
         lambda n: "<section>" + "<div>" * n + "x" + "</div>" * n, 2500
     ),
+    "quoted_tag_opens": (lambda n: "<a" + ' x="<a"' * n, 100),
     # controls
     "ul_li": (lambda n: "<ul><li>" * n, 2000),
     "a_b_closed": (lambda n: "<a><b>t</a>" * n, 2000),

@@ -167,6 +167,58 @@ class TestSpanEquality:
         # empty batch
         assert count_golden_matches(out_table([]), golden) == 0
 
+    @pytest.mark.parametrize("build", ["from_pylist", "struct_mask"])
+    def test_null_span_element_is_no_span(self, build):
+        """A null element in a document's span list is dropped: the row
+        extracts, and counts ``img``, exactly like the list without it,
+        also where the null struct's fields hold values (``StructArray``
+        children ignore the parent's validity)."""
+        from node_html_parser_ray.sources.corpus import SPAN_STRUCT
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
+
+        spans = [
+            {"kind": "html", "text": "<p>a</p>", "media_ref": "", "offset": 0},
+            {"kind": "image", "text": "cap", "media_ref": "m://x/0", "offset": 1},
+            {"kind": "html", "text": "<p>b</p>", "media_ref": "", "offset": 2},
+        ]
+        ghost = {"kind": "image", "text": "ghost", "media_ref": "m://ghost",
+                 "offset": 1}
+        lists = {
+            "plain": spans,
+            "null-first": [None, *spans],
+            "null-mid": [spans[0], None, *spans[1:]],
+            "null-last": [*spans, None],
+        }
+        if build == "from_pylist":
+            batch = pa.Table.from_pylist(
+                [{"doc_id": d, "spans": ls} for d, ls in lists.items()],
+                schema=INPUT_SCHEMA)
+        else:
+            flat = [ghost if sp is None else sp for ls in lists.values() for sp in ls]
+            values = pa.StructArray.from_arrays(
+                [pa.array([sp[f.name] for sp in flat], f.type) for f in SPAN_STRUCT],
+                fields=list(SPAN_STRUCT),
+                mask=pa.array([sp is None for ls in lists.values() for sp in ls]),
+            )
+            ends = [0]
+            for ls in lists.values():
+                ends.append(ends[-1] + len(ls))
+            batch = pa.Table.from_arrays(
+                [pa.array(list(lists)),
+                 pa.ListArray.from_arrays(pa.array(ends, pa.int32()), values)],
+                schema=INPUT_SCHEMA)
+            assert batch.column("spans").chunk(0).flatten().null_count == 3
+
+        rows = {r.pop("doc_id"): r for r in extract_batch(batch).to_pylist()}
+        assert [s["kind"] for s in rows["plain"]["spans"]] == ["text", "image", "text"]
+        counts: dict = {}
+        for r in SelectorStage(["img", "p"], emit_text=False)(batch).to_pylist():
+            counts.setdefault(r["doc_id"], []).append(r["n_matches"])
+        assert counts["plain"] == [1, 2]
+        for doc_id in lists:
+            assert rows[doc_id] == rows["plain"], doc_id
+            assert counts[doc_id] == counts["plain"], doc_id
+
     def test_all_parser_branches_covered(self):
         """The pathology grammar exercises repair (some docs invalid)."""
         corpus = generate_documents(300, seed=7)
@@ -465,8 +517,7 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(lance_io, "read_documents", counting_read)
         result = run_checkpointed(files, out, shard_count=shard_count,
-                                  partition_output=partition_output,
-                                  num_partitions=8)
+                                  partition_output=partition_output)
         assert sorted(result["ran"]) == list(range(shard_count))
         assert len(reads) == shard_count
         assert result["totals"]["n_docs"] == 90
@@ -612,9 +663,12 @@ class TestCheckpointResume:
 
 
 class TestPartitioning:
-    def test_partition_ids_stable_and_salted(self):
+    def test_partition_ids_stable_and_salted(self, monkeypatch):
+        from node_html_parser_ray.stages import extract_stage
+
+        monkeypatch.setattr(extract_stage, "GIANT_BYTES", 100_000)
         corpus = generate_documents(50, seed=5, giant_fraction=0.2)
-        out = add_partition_column(corpus, num_partitions=8, giant_bytes=100_000)
+        out = add_partition_column(corpus, num_partitions=8)
         pids = out.column("partition_id").to_pylist()
         sizes = [
             sum(len(s["text"]) for s in row if s["kind"] == "html")
@@ -626,7 +680,7 @@ class TestPartitioning:
             else:
                 assert 0 <= pid < 8
         # determinism
-        again = add_partition_column(corpus, num_partitions=8, giant_bytes=100_000)
+        again = add_partition_column(corpus, num_partitions=8)
         assert again.column("partition_id").to_pylist() == pids
 
     def test_null_doc_id_routes_like_empty(self):
@@ -1511,17 +1565,12 @@ class TestShardCountInvariance:
 
     @staticmethod
     def _run(monkeypatch, name, shards, sf="/root/testdata/sf0.001"):
-        import os
-
         from node_html_parser_ray.pipelines import queries as q
 
-        os.environ["NHPR_COARSE_SHARDS"] = str(shards)
-        try:
-            df = q.QUERIES[name](sf)
-            df = df.to_pandas() if hasattr(df, "to_pandas") else df
-            return df.sort_values(list(df.columns)).reset_index(drop=True)
-        finally:
-            del os.environ["NHPR_COARSE_SHARDS"]
+        monkeypatch.setattr(q, "_coarse_shards", lambda multiple=4, floor=1: shards)
+        df = q.QUERIES[name](sf)
+        df = df.to_pandas() if hasattr(df, "to_pandas") else df
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     def test_sessions_shard_invariant(self, ray_session, monkeypatch):
         a = self._run(monkeypatch, "sessions", 4)
@@ -2021,17 +2070,17 @@ class TestSequencePacking:
         identical under a tiny width (forcing many range-straddling packs
         through the partial-sum + prefix-scan + merge path), and the fused
         small-corpus driver path equals the bounded decomposition."""
-        from node_html_parser_ray.pipelines.queries import QUERIES
+        from node_html_parser_ray.pipelines import queries
 
         def run():
-            res = QUERIES["sequence_packing"]("/root/testdata/sf0.001")
+            res = queries.QUERIES["sequence_packing"]("/root/testdata/sf0.001")
             df = res.to_pandas() if hasattr(res, "to_pandas") else res
             return df.sort_values(["shard", "pack_id"]).reset_index(drop=True)
 
         small = run()  # sf0.001 is under the cap: fused driver path
-        monkeypatch.setenv("NHPR_PACK_SMALL_ROWS", "0")
+        monkeypatch.setattr(queries, "_PACK_SMALL_ROWS", 0)
         base = run()  # bounded 4-pass path, default range width
-        monkeypatch.setenv("NHPR_PACK_RANGE", "16")
+        monkeypatch.setattr(queries, "_PACK_RANGE_WIDTH", 16)
         narrow = run()  # bounded path, many range-straddling packs
         assert small.equals(base)
         assert base.equals(narrow)
@@ -2094,6 +2143,7 @@ class TestMinhashVerified:
     def test_verified_query_sparse_bloom_path(self, ray_session, monkeypatch):
         """Forcing the sparse bloom build yields the identical verified-pair
         output (the adaptive switch is transparent)."""
+        from node_html_parser_ray.pipelines import queries
         from node_html_parser_ray.pipelines.queries import QUERIES
 
         sf = "/root/testdata/sf0.001"
@@ -2103,7 +2153,7 @@ class TestMinhashVerified:
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
         )
-        monkeypatch.setenv("NHPR_BLOOM_SPARSE", "1")
+        monkeypatch.setattr(queries, "_BLOOM_DENSE_MAX_BYTES", -1)  # no dense bloom fits
         sparse = (
             QUERIES["minhash_neardup_verified"](sf)
             .to_pandas()
@@ -2353,6 +2403,138 @@ class TestCrashRecovery:
         assert ids == list(range(600))
 
 
+# A driver that runs run_checkpointed over argv's input files into argv's
+# last path: 6 shards on 2 CPUs, so at most 2 shards are in flight.
+_KILLED_DRIVER = """
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         log_to_driver=False, object_store_memory=150 * 1024 * 1024)
+from node_html_parser_ray.pipelines.extraction import run_checkpointed
+
+run_checkpointed(sys.argv[1:-1], sys.argv[-1], shard_count=6)
+"""
+
+
+def _parquet_files(out: str) -> list[str]:
+    import glob
+
+    return glob.glob(os.path.join(out, "shard=*", "**", "*.parquet"), recursive=True)
+
+
+def _records(out: str) -> list[str]:
+    import glob
+
+    return glob.glob(os.path.join(out, "_manifest", "shard-*.json"))
+
+
+# kill point -> the filesystem state at which the driver's group is killed
+_KILL_POINTS = {
+    "before_shard_dirs": lambda out: os.path.isdir(os.path.join(out, "_manifest"))
+    and not any(d.startswith("shard=") for d in os.listdir(out)),
+    "parquet_before_record": lambda out: bool(_parquet_files(out)) and not _records(out),
+    "after_first_record": lambda out: bool(_records(out)),
+}
+
+
+def _live_group(pgid: int) -> list[int]:
+    """Pids of the processes in group ``pgid`` that have not exited
+    (zombies are dead: they wait only for a parent to reap them)."""
+    pids = []
+    for d in os.listdir("/proc"):
+        if d.isdigit():
+            try:
+                with open(f"/proc/{d}/stat") as f:
+                    state, _, pgrp = f.read().rsplit(")", 1)[1].split()[:3]
+            except (OSError, ValueError):
+                continue
+            if int(pgrp) == pgid and state != "Z":
+                pids.append(int(d))
+    return pids
+
+
+class TestDriverKill:
+    @pytest.mark.parametrize("kill_point", list(_KILL_POINTS))
+    def test_resume_after_driver_kill_with_shards_in_flight(
+        self, ray_session, tmp_path, kill_point
+    ):
+        """A driver SIGKILLed, with its whole process group, while shards
+        run concurrently: resuming with the same inputs gives a clean run's
+        output rows and lineage, and every parquet file in a shard's
+        directory is listed in that shard's lineage."""
+        import collections
+        import json
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.pipelines.extraction import run_checkpointed
+        from node_html_parser_ray.state.manifest import ShardManifest
+
+        files = sorted(write_corpus(str(tmp_path / "in"), n_docs=120, seed=21,
+                                    rows_per_file=20))
+        assert len(files) == 6
+        out = str(tmp_path / "out")
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_DRIVER, *files, out],
+            env={**os.environ, "PYTHONPATH": repo},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        reached = _KILL_POINTS[kill_point]
+        try:
+            deadline = time.monotonic() + 300
+            while not (os.path.isdir(out) and reached(out)):
+                assert driver.poll() is None, f"the run ended before {kill_point}"
+                assert time.monotonic() < deadline, f"{kill_point} never reached"
+                time.sleep(0.001)
+        finally:
+            os.killpg(driver.pid, signal.SIGKILL)
+            driver.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while _live_group(driver.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _live_group(driver.pid) == []
+
+        resumed = run_checkpointed(files, out, shard_count=6)
+        assert resumed["ran"], "the killed run had committed every shard"
+        if kill_point == "after_first_record":
+            assert resumed["skipped"]
+        clean_out = str(tmp_path / "clean")
+        clean = run_checkpointed(files, clean_out, shard_count=6)
+
+        def rows(root):
+            return collections.Counter(
+                json.dumps(r, sort_keys=True)
+                for d in sorted(os.listdir(root)) if d.startswith("shard=")
+                for r in pq.read_table(os.path.join(root, d)).to_pylist())
+
+        def lineage(records):
+            by_shard = {}
+            for r in records:
+                r = {k: v for k, v in r.items() if k != "committed_at"}
+                # <dataset#>_<write-uuid>_ name a run, not its content
+                r["fragments"] = sorted(
+                    re.sub(r"^\d+_[0-9a-f]{32}_", "", f) for f in r["fragments"])
+                by_shard[r["shard_id"]] = r
+            return by_shard
+
+        assert rows(out) == rows(clean_out)
+        assert sum(rows(out).values()) == 120
+        assert lineage(resumed["lineage"]) == lineage(clean["lineage"])
+        assert resumed["totals"] == clean["totals"]
+        listed = {os.path.join(out, f"shard={r['shard_id']:06d}", f)
+                  for r in ShardManifest(out).lineage() for f in r["fragments"]}
+        assert set(_parquet_files(out)) == listed
+
+
 class TestDriverContract:
     def test_oracle_queries_within_driver_row_cap(self):
         """The driver records ~50 CORRECTNESS rows in QUERIES dict order
@@ -2381,7 +2563,7 @@ class TestPartitionedOutput:
         files = write_corpus(src, n_docs=60, seed=9, rows_per_file=30)
         out = str(tmp_path / "out")
         first = run_checkpointed(files, out, shard_count=2,
-                                 partition_output=True, num_partitions=8)
+                                 partition_output=True)
         assert sorted(first["ran"]) == [0, 1]
         assert first["totals"]["n_docs"] == 60
         shard0 = os.path.join(out, "shard=000000")
@@ -2395,7 +2577,7 @@ class TestPartitionedOutput:
         assert t.num_rows == 30
         assert "partition_id" in t.schema.names
         second = run_checkpointed(files, out, shard_count=2,
-                                  partition_output=True, num_partitions=8)
+                                  partition_output=True)
         assert second["ran"] == [] and sorted(second["skipped"]) == [0, 1]
 
     def test_null_doc_id_partitioned_output(self, ray_session, tmp_path):
@@ -2412,7 +2594,7 @@ class TestPartitionedOutput:
         pq.write_table(table, src)
         out = str(tmp_path / "out")
         summary = run_checkpointed([src], out, shard_count=1,
-                                   partition_output=True, num_partitions=8)
+                                   partition_output=True)
         assert summary["totals"]["n_docs"] == 4
         got = pq.read_table(os.path.join(out, "shard=000000"))
         assert sorted(got.column("doc_id").to_pylist(),

@@ -33,8 +33,10 @@ from node_html_parser_ray.stages.extract_stage import (
 ADVERSARIAL = "<p>intro</p><a " + "a" * 40
 # A truncated run the full-pattern retry cannot finish either: its cost is
 # quadratic in the run (~0.1 s at 1 KB, ~2 s at 5 KB), so a 100 KB run
-# exceeds every deadline these tests set.
-BOUNDED_OUT = "<p>intro</p><a " + "a" * 100_000
+# exceeds every deadline these tests set.  flat_parse ends its token loop at
+# a failing site past the document's last '>', so an input meant to reach
+# the retry or the deadline carries a '>'-bearing tail such as "<b>".
+BOUNDED_OUT = "<p>intro</p><a " + "a" * 100_000 + "<b>"
 
 
 SCRIPTS_DIR = os.path.join(
@@ -103,7 +105,8 @@ class TestFirstPath:
     def test_adversarial_shapes_match_full_pattern(self):
         """The shapes that blow up the full pattern on CPython re, each of
         which once hung a worker: every one parses with no deadline, in
-        milliseconds, to the full pattern's tree."""
+        milliseconds, to the full pattern's tree, as it is and with a
+        '>'-bearing tail."""
         for s in (
             "<a " + "a" * 30,                      # truncated ambiguous tag
             "<p>ok</p><a " + "b" * 40 + "<p>x",    # run ends at '<'
@@ -161,10 +164,13 @@ class TestFirstPath:
             "<\u017f " + "b" * 20,
             "<\u0131 " + "b" * 14 + "/x>",
         ):
-            t0 = time.perf_counter()
-            got, _ = shipped_results(s)
-            assert time.perf_counter() - t0 < 5.0, s
-            assert got == full_pattern_results(s), s
+            # with a '>'-bearing tail, a site the cutoff ends the token
+            # loop at reaches the full-pattern retry
+            for html in (s, s + "<b>"):
+                t0 = time.perf_counter()
+                got, _ = shipped_results(html)
+                assert time.perf_counter() - t0 < 5.0, html
+                assert got == full_pattern_results(html), html
 
     def test_normal_shapes_need_no_fallback(self):
         """Benign markup, brackets and slashes included, parses to the full
@@ -191,10 +197,10 @@ class TestFirstPath:
             got, fallbacks = shipped_results(s)
             assert fallbacks == [0, 0], s
             assert got == full_pattern_results(s), s
-        # an unterminated quote to EOF: KMARKUP fails at the tag open, so
-        # the site is retried (linearly: chars past the '<' inside the
-        # quote are unreachable) and the full pattern fails there too
-        s = '<a q="" w="1<2' + "e" * 30
+        # an unterminated quote up to a later tag: KMARKUP fails at the tag
+        # open, so the site is retried (linearly: chars past the '<' inside
+        # the quote are unreachable) and the full pattern fails there too
+        s = '<a q="" w="1<2' + "e" * 30 + "<b>"
         got, fallbacks = shipped_results(s)
         assert fallbacks == [len(OPTION_SETS), 0]
         assert got == full_pattern_results(s)
@@ -325,15 +331,15 @@ class TestBoundedLane:
         """Two documents the first path alone was quadratic on.  20 000
         unclosed comment opens now parse inside the deadline: once one
         comment open fails, no later one is tried.  A tag whose quoted
-        values each hold a '<a' is still bounded out (every '<a' is a
-        tag-open site scanning to EOF, and the full-pattern retry at the
+        values each hold '<b><a' is still bounded out (every '<a' is a
+        tag-open site before a later '>', and the full-pattern retry at the
         first site cannot finish either): every failing site returns
         control to the deadline check."""
         from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1")
         comments = "<!--" * 20000
-        quote_shift = "<a" + ' x="<a"' * 64000
+        quote_shift = "<a" + ' x="<b><a"' * 64000
         batch = pa.Table.from_pylist(
             [_spans_row("comments", comments),
              _spans_row("quote-shift", quote_shift),
@@ -355,8 +361,8 @@ class TestBoundedLane:
 
     def test_adversarial_40_chars_extracts_real_spans(self, monkeypatch):
         """The 40-char truncated tag that hangs the full pattern on CPython
-        re needs one full-pattern retry: its real spans come back well
-        inside a second."""
+        re lies past the document's last '>', so it needs no full-pattern
+        retry: its real spans come back well inside a second."""
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "10")
         batch = pa.Table.from_pylist(
             [_spans_row("adv-1", ADVERSARIAL)], schema=INPUT_SCHEMA
@@ -453,9 +459,12 @@ class TestBoundedLane:
         every row keeps its partition_id through extract_batch — bounded-out
         rows too, since extraction writes ``n_bytes = len(html)`` for every
         row (input size = assembled length = n_bytes)."""
+        from node_html_parser_ray.stages import extract_stage
         from node_html_parser_ray.stages.extract_stage import htmls_from_batch
 
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1.0")
+        monkeypatch.setattr(extract_stage, "GIANT_BYTES", 100_000)
+        out_1 = BOUNDED_OUT[:20_000] + "<b>"
         half = len(ADVERSARIAL) // 2
         giants = [r for r in generate_documents(40, seed=5, giant_fraction=0.2)
                   .to_pylist() if sum(len(s["text"]) for s in r["spans"])
@@ -476,22 +485,19 @@ class TestBoundedLane:
                  "media_ref": "m://x/0", "offset": 1}]},
             _spans_row("fp-1", FALLBACK_FAST),
             _spans_row("bad-1", ADVERSARIAL),
-            # bounded out under the 1 s deadline, yet below giant_bytes
-            _spans_row("out-1", BOUNDED_OUT[:20_000]),
+            # bounded out under the 1 s deadline, yet below GIANT_BYTES
+            _spans_row("out-1", out_1),
             *giants,
             {"doc_id": "null-spans", "spans": None},
             _spans_row(None, "<p>no id</p>"),
         ]
         batch = pa.Table.from_pylist(rows, schema=INPUT_SCHEMA)
-        giant_bytes = 100_000
         htmls = htmls_from_batch(batch)
         assert {r for r, html in enumerate(htmls)
-                if len(html) > giant_bytes} == {6, 7}
+                if len(html) > 100_000} == {6, 7}
 
         def route(table):
-            return add_partition_column(
-                table, num_partitions=64, giant_bytes=giant_bytes
-            ).column("partition_id").to_pylist()
+            return add_partition_column(table, 64).column("partition_id").to_pylist()
 
         before = route(batch)
         assert {r for r, p in enumerate(before) if p >= 64} == {6, 7}
@@ -501,7 +507,7 @@ class TestBoundedLane:
         # the 20 KB run is bounded out: zero spans, n_bytes = len(html)
         out_row = extracted.slice(5, 1).to_pylist()[0]
         assert out_row["spans"] == [] and not out_row["valid"]
-        assert out_row["metrics"]["n_bytes"] == 20_000
+        assert out_row["metrics"]["n_bytes"] == len(out_1)
         assert route(extracted) == before
 
 
@@ -525,14 +531,14 @@ class TestDeadlineSetting:
         assert parser.parse_timeout() == want
 
     def test_direct_parse_past_deadline_raises(self, monkeypatch):
-        """A tag whose quoted values each hold a tag open: every '<a' is a
-        failing site whose full-pattern retry scans on through the later
-        quotes (~3 s for this 7 KB input with no deadline).  A direct
-        ``parse()`` now stops at its own deadline."""
+        """A tag whose quoted values each hold a tag and a tag open: every
+        '<a' is a failing site whose full-pattern retry scans on through
+        the later quotes (~3 s for this 10 KB input with no deadline).  A
+        direct ``parse()`` stops at its own deadline."""
         monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "1")
         t0 = time.monotonic()
         with pytest.raises(TimeoutError):
-            parser.parse("<a" + ' x="<a"' * 1000)
+            parser.parse("<a" + ' x="<b><a"' * 1000)
         assert time.monotonic() - t0 < 2.0
 
     @pytest.mark.parametrize("env", ["inf", "1e300"])

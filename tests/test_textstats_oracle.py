@@ -29,10 +29,3 @@ def test_fingerprint_edge_parity(tmp_path):
     assert (got["window_fingerprint"].to_numpy()
             == want["window_fingerprint"].to_numpy()).all()
 
-
-def test_coarse_shards_rounds_override_to_power_of_two(monkeypatch):
-    from node_html_parser_ray.pipelines.queries import _coarse_shards
-
-    for given, want in [("7", 8), ("8", 8), ("1", 1), ("100", 128)]:
-        monkeypatch.setenv("NHPR_COARSE_SHARDS", given)
-        assert _coarse_shards() == want
