@@ -505,7 +505,7 @@ def _ann_query_vector(path: str):
     import pyarrow.parquet as pq
 
     qt = pq.read_table(path, columns=["vec_id", "embedding"],
-                       filters=[("vec_id", "==", 0)])
+                       filters=[("vec_id", "==", similarity.QUERY_VEC_ID)])
     if qt.num_rows == 0:
         return None
     return np.asarray(qt.column("embedding")[0].as_py(),
@@ -532,7 +532,8 @@ def _ann_top10(candidates=None) -> pa.Table:
     merged = pa.concat_tables(blocks)
     cos = merged.column("cosine").to_pylist()
     ids = merged.column("vec_id").to_pylist()
-    idx = sorted(range(len(merged)), key=lambda i: (-cos[i], ids[i]))[:10]
+    idx = sorted(range(len(merged)), key=lambda i: (-cos[i], ids[i]))
+    idx = idx[:similarity.TOPK]
     return pa.Table.from_arrays(
         [
             pa.array(list(range(1, len(idx) + 1)), pa.int64()),
@@ -552,7 +553,7 @@ def q_ann_topk(sf_dir: str):
         return _ann_top10()
     candidates = ray.data.read_parquet(path).map_batches(
         similarity.topk_cosine_batch,
-        fn_kwargs={"query_ref": ray.put(q), "k": 10, "exclude_ids": [0]},
+        fn_kwargs={"query_ref": ray.put(q)},
         batch_format="pyarrow",
     )
     return _ann_top10(candidates)
@@ -598,7 +599,7 @@ def q_ann_topk_ivf(sf_dir: str):
     sample_mat = np.asarray(
         sample.slice(0, 2048).column("embedding").to_pylist(), dtype=np.float32
     )
-    centroids = similarity.spherical_kmeans(sample_mat, k=16)
+    centroids = similarity.spherical_kmeans(sample_mat)
     n_cells = centroids.shape[0]
     nprobe = n_cells if pf.metadata.num_rows <= _IVF_EXHAUSTIVE_ROWS else 4
     cells = similarity.probe_cells(q, centroids, nprobe=nprobe)
@@ -618,7 +619,7 @@ def q_ann_topk_ivf(sf_dir: str):
 
     candidates = assigned.map_batches(cell_filter, batch_format="pyarrow").map_batches(
         similarity.topk_cosine_batch,
-        fn_kwargs={"query_ref": q_ref, "k": 10, "exclude_ids": [0]},
+        fn_kwargs={"query_ref": q_ref},
         batch_format="pyarrow",
     )
     return _ann_top10(candidates)
@@ -1943,8 +1944,7 @@ def q_pdf_extract(sf_dir: str):
     reading order — ``order_ok`` compares crc32(reassembled text) against
     the header, so a wrong reading order turns the row red.  n_pages /
     n_blocks / n_chars are closed-form functions of the text the SQL oracle
-    reproduces.  Real-PDF decode (pypdf) is import-guarded in
-    stages/layout.py.
+    reproduces.
     """
 
     from ..stages import layout
@@ -2070,7 +2070,7 @@ def q_embedding_neardup(sf_dir: str):
     # stay whole within a shard, so the verifier resolves them one by one
     # without a Ray callable per bucket (bucket count ~ L*N/64 at scale)
     def bucketize(b: pa.Table) -> pa.Table:
-        t = similarity.multitable_bucket_rows(b, n_planes=n_planes, n_tables=16)
+        t = similarity.multitable_bucket_rows(b, n_planes=n_planes)
         return t.append_column("bucket_shard", _shard_col(t.column("bucket"), n_shards))
 
     # emit-once: the pair set comes out duplicate-free — each pair from its
@@ -2080,9 +2080,7 @@ def q_embedding_neardup(sf_dir: str):
         ds.map_batches(bucketize, batch_format="pyarrow")
         .groupby("bucket_shard")
         .map_groups(
-            lambda g: similarity.shard_embedding_neardup_pairs(
-                g, threshold=0.9, n_planes=n_planes
-            ),
+            lambda g: similarity.shard_embedding_neardup_pairs(g, n_planes),
             batch_format="pandas",
         )
     )
@@ -2340,15 +2338,13 @@ def q_frame_pipeline(sf_dir: str):
     ds = _docs(sf_dir, columns=["doc_id"]).map_batches(refs, batch_format="pyarrow")
     ds = ds.map_batches(fake_payload_batch, batch_format="pyarrow", batch_size=bs)
     frames = ds.map_batches(
-        FrameSampleStage, fn_constructor_kwargs={"n_frames": 4},
-        batch_format="pyarrow", batch_size=bs, concurrency=_pool(),
+        FrameSampleStage, batch_format="pyarrow", batch_size=bs,
+        concurrency=_pool(),
     )
     # resize reads the frame column directly — no rename-only operator;
     # frames are ~1/4 payload size, so the budget allows 4x the rows
     resized = frames.map_batches(
         ImageResizeStage,
-        fn_constructor_kwargs={"width": 64, "height": 64,
-                               "payload_column": "frame"},
         batch_format="pyarrow",
         batch_size=payload_batch_size(FAKE_PAYLOAD_MAX_BYTES // 4),
         concurrency=_pool(),
@@ -2929,7 +2925,7 @@ def q_kmeans_clusters(sf_dir: str):
     init = mat[np.linspace(0, len(mat) - 1, k).astype(np.int64)]
 
     ds = ray.data.read_parquet(path)
-    centroids, counts = similarity.kmeans_fit(ds, k=k, iters=5, init=init)
+    centroids, counts = similarity.kmeans_fit(ds, init)
     return pa.Table.from_arrays(
         [
             pa.array(np.arange(k, dtype=np.int32), pa.int32()),
@@ -3596,13 +3592,13 @@ ORACLE_SQL["simhash_neardup"] = f"""
 
 # frame_pipeline oracle (round-5, ○→●): the chain's bookkeeping is
 # closed-form given the stub constants — refs are media://{doc_id}/v (one
-# per doc), FrameSampleStage(n_frames=4) emits exactly 4 frame rows per
-# video regardless of payload, and ImageResizeStage(64x64) always outputs
+# per doc), FrameSampleStage emits exactly N_FRAMES = 4 frame rows per
+# video regardless of payload, and ImageResizeStage (64x64) always outputs
 # max(16, 64*64//512) = 16 bytes per resized frame (multimodal.py
-# _resize_fake), so total_bytes = 4 * 16.  The oracle therefore pins the
-# PIPELINE accounting — payload synthesis fan-out, per-frame explode,
-# per-video rejoin with no lost or duplicated media_refs — which is the
-# real (non-stub) content of this query.  If the stub constants change,
+# ImageResizeStage._resize), so total_bytes = 4 * 16.  The oracle
+# therefore pins the PIPELINE accounting — payload synthesis fan-out,
+# per-frame explode, per-video rejoin with no lost or duplicated
+# media_refs — which is the real (non-stub) content of this query.  If the stub constants change,
 # change this oracle with them.
 ORACLE_SQL["frame_pipeline"] = """
     SELECT 'media://' || CAST(doc_id AS VARCHAR) || '/v' AS media_ref,
@@ -3616,17 +3612,17 @@ ORACLE_SQL["frame_pipeline"] = """
 # functions of the media_ref, so DuckDB reproduces the whole chain from
 # scratch — crc32(ref) seeds the payload (multimodal._fake_bytes: a
 # splitmix64 word stream truncated to 64 + seed%512 bytes), image dims
-# derive from crc32(payload) (MediaDecodeStage._decode_fake: 64 + low/next
+# derive from crc32(payload) (MediaDecodeStage._decode: 64 + low/next
 # 10 bits) and audio metrics are closed-form in the payload length
-# (AudioFeatureStage._decode_fake: 16 kB/s nominal bitrate, 250 ms
+# (AudioFeatureStage._decode: 16 kB/s nominal bitrate, 250 ms
 # windows).  crc32 reuses the simhash oracle's table as a LIST constant
 # with one list_reduce per string/payload (no recursion); splitmix64 runs
 # as four list_transform passes in HUGEINT mod-2^64 arithmetic with
 # xor/multiply emulated via wrapped-BIGINT xor and 32-bit-split multiply.
 # What this pins is the full fake-decode PLUMBING — ref synthesis, payload
 # sizing, both actor-pool stages' arithmetic, the union/widening — i.e.
-# everything except the stub codec bodies themselves (which real_decode
-# replaces).  Verified bit-exact over all 1000 sf0.01 rows.
+# everything except the stub codec bodies themselves.  Verified bit-exact
+# over all 1000 sf0.01 rows.
 _P256_SQL = ("[1, 256, 65536, 16777216, 4294967296, 1099511627776, "
              "281474976710656, 72057594037927936]")
 _CRC_LIST_SQL = "[" + ", ".join(str(int(v)) for v in dedup._CRC_TABLE) + "]"

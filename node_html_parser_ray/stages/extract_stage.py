@@ -38,6 +38,7 @@ __all__ = [
     "make_extract_batch",
     "decode_spans_batch",
     "htmls_from_batch",
+    "spans_column",
     "partition_ids",
     "add_partition_column",
     "prescan_flags",
@@ -219,6 +220,29 @@ def kernel_extract(html: str, media_map: Optional[dict], options: Optional[dict]
     )
 
 
+def spans_column(
+    kinds: list[str], texts: list[str], refs: list[str], offsets: list[int]
+) -> pa.ListArray:
+    """The ``list<OUT_SPAN_STRUCT>`` spans column from flat span fields,
+    row r holding spans ``offsets[r]:offsets[r + 1]``; each span's
+    ``order`` is its position within its row."""
+    # one vectorized ramp from the offsets
+    off_arr = np.asarray(offsets, dtype=np.int64)
+    orders = np.arange(off_arr[-1], dtype=np.int32) - np.repeat(
+        off_arr[:-1], np.diff(off_arr)
+    ).astype(np.int32)
+    span_struct = pa.StructArray.from_arrays(
+        [
+            pa.array(kinds, pa.string()),
+            pa.array(texts, pa.large_string()),
+            pa.array(refs, pa.string()),
+            pa.array(orders, pa.int32()),
+        ],
+        fields=list(OUT_SPAN_STRUCT),
+    )
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), span_struct)
+
+
 def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
     """Parse + extract every document in an Arrow batch.
 
@@ -271,22 +295,7 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
         valids.append(valid)
         metrics_rows.append((*mt, n_spans))
 
-    # order = position within the doc: one vectorized ramp from the offsets
-    off_arr = np.asarray(offsets, dtype=np.int64)
-    orders = np.arange(total_spans, dtype=np.int32) - np.repeat(
-        off_arr[:-1], np.diff(off_arr)
-    ).astype(np.int32)
-
-    span_struct = pa.StructArray.from_arrays(
-        [
-            pa.array(kinds, pa.string()),
-            pa.array(texts, pa.large_string()),
-            pa.array(refs, pa.string()),
-            pa.array(orders, pa.int32()),
-        ],
-        fields=list(OUT_SPAN_STRUCT),
-    )
-    spans_col = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), span_struct)
+    spans_col = spans_column(kinds, texts, refs, offsets)
     m_cols = list(zip(*metrics_rows)) or [()] * len(METRICS_STRUCT)
     metrics_col = pa.StructArray.from_arrays(
         [pa.array(col, f.type) for col, f in zip(m_cols, METRICS_STRUCT)],

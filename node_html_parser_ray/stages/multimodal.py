@@ -3,11 +3,11 @@
 Image/audio/video payloads are opaque ``binary`` columns with typed metadata
 (media_ref, kind).  The Ray-side plumbing — schema, small batch sizes for
 large payloads, actor signature, output layout — is real and tested; the
-actual codec is STUBBED: real decoding requires PIL/ffmpeg which are not in
-this container, so ``MediaDecodeStage(real_decode=True)`` raises
-``NotImplementedError`` unless the libs import, and the default path uses a
-deterministic fake decoder (content-hash-derived dimensions + features) so
-pipelines exercise the full dataflow deterministically.
+codecs are deterministic fakes (content-hash-derived dimensions, durations
+and features), so pipelines exercise the full dataflow deterministically
+and the av_features / frame_pipeline oracles reproduce them in SQL.  No
+image, audio or video codec wheel is installed; a real codec comes back
+together with its wheel and a test that runs it.
 
 Scale note: payload batches must stay small (batch_size 8-64) so
 ``batch_size × payload × concurrency`` fits worker heaps; callers pass
@@ -16,12 +16,20 @@ Scale note: payload batches must stay small (batch_size 8-64) so
 from __future__ import annotations
 
 import zlib
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 
 from .dedup import _mix64
+
+FEATURE_DIM = 16  # width of the image and audio feature vectors
+RESIZE_WIDTH = RESIZE_HEIGHT = 64  # ImageResizeStage's target size
+N_FRAMES = 4  # frames FrameSampleStage samples per video
+VIDEO_DURATION_MS = 10_000  # the fake video length the frame timestamps span
+AUDIO_WINDOW_MS = 250  # AudioFeatureStage's analysis window
+# payload_batch_size: heap budget per batch and the batch-size clamp
+PAYLOAD_BUDGET_BYTES = 8 << 20
+PAYLOAD_BATCH_MIN, PAYLOAD_BATCH_MAX = 8, 1024
 
 
 def _fake_bytes(seed: int, n: int) -> bytes:
@@ -35,19 +43,24 @@ def _fake_bytes(seed: int, n: int) -> bytes:
     return _mix64(idx).tobytes()[:n]
 
 
-def _fake_floats(seed: int, n: int) -> np.ndarray:
-    """Deterministic float32 features in [-1, 1) from the same stream."""
-    u = (_mix64(np.arange(n, dtype=np.uint64) + np.uint64(seed & 0xFFFFFFFF))
-         >> np.uint64(40)).astype(np.float32)
+def _fake_features(seed: int) -> np.ndarray:
+    """Deterministic FEATURE_DIM float32 features in [-1, 1) from the same
+    stream."""
+    idx = np.arange(FEATURE_DIM, dtype=np.uint64) + np.uint64(seed & 0xFFFFFFFF)
+    u = (_mix64(idx) >> np.uint64(40)).astype(np.float32)
     return (u / np.float32(1 << 24) * 2 - 1).astype(np.float32)
+
+
+def _features_column(feats: np.ndarray) -> pa.FixedSizeListArray:
+    return pa.FixedSizeListArray.from_arrays(
+        pa.array(feats.reshape(-1), pa.float32()), FEATURE_DIM
+    )
 
 
 __all__ = [
     "MediaDecodeStage",
     "AudioFeatureStage",
     "AUDIO_FEATURES_SCHEMA",
-    "audio_features_schema",
-    "media_features_schema",
     "ImageResizeStage",
     "FrameSampleStage",
     "MEDIA_FEATURES_SCHEMA",
@@ -56,28 +69,19 @@ __all__ = [
     "fake_payload_batch",
 ]
 
-def media_features_schema(feature_dim: int = 16) -> pa.Schema:
-    """Output schema of MediaDecodeStage for a given feature width
-    (round-4 review: the fixed 16-wide constant crashed any stage
-    constructed with a non-default feature_dim)."""
-    return pa.schema(
-        [
-            ("media_ref", pa.string()),
-            ("kind", pa.string()),
-            ("width", pa.int32()),
-            ("height", pa.int32()),
-            ("n_bytes", pa.int64()),
-            ("features", pa.list_(pa.float32(), feature_dim)),
-        ]
-    )
+MEDIA_FEATURES_SCHEMA = pa.schema(
+    [
+        ("media_ref", pa.string()),
+        ("kind", pa.string()),
+        ("width", pa.int32()),
+        ("height", pa.int32()),
+        ("n_bytes", pa.int64()),
+        ("features", pa.list_(pa.float32(), FEATURE_DIM)),
+    ]
+)
 
 
-MEDIA_FEATURES_SCHEMA = media_features_schema()
-
-
-def payload_batch_size(avg_payload_bytes: int,
-                       budget_bytes: int = 8 << 20,
-                       lo: int = 8, hi: int = 1024) -> int:
+def payload_batch_size(avg_payload_bytes: int) -> int:
     """Batch size for payload-bearing actor stages from a HEAP BUDGET,
     not a constant: ``batch_size x payload x concurrency`` is what must
     fit a worker heap (module scale note above), so the right batch size
@@ -85,7 +89,9 @@ def payload_batch_size(avg_payload_bytes: int,
     the <1 KB deterministic fakes here.  A constant 32 was sized for the
     real-payload case and cost ~10x the necessary actor-task overhead on
     small payloads (round-5 bench)."""
-    return max(lo, min(hi, budget_bytes // max(1, avg_payload_bytes)))
+    return max(PAYLOAD_BATCH_MIN,
+               min(PAYLOAD_BATCH_MAX,
+                   PAYLOAD_BUDGET_BYTES // max(1, avg_payload_bytes)))
 
 
 # max bytes a fake_payload_batch payload can reach (64 + seed % 512);
@@ -130,61 +136,29 @@ FRAME_SCHEMA = pa.schema(
 
 
 class ImageResizeStage:
-    """Actor-pool stage: binary image payload -> resized payload at (w, h).
+    """Actor-pool stage: the ``frame`` column of FrameSampleStage's output
+    -> resized payload at RESIZE_WIDTH x RESIZE_HEIGHT.
 
-    Real plumbing (schema, per-actor setup, small-batch contract); the codec
-    is STUBBED — a real build swaps ``_resize_fake`` for PIL's
-    ``Image.open(...).resize(...)`` loaded once in ``__init__``.  The stub is
-    deterministic: output bytes are a content-hash-seeded stream sized
-    proportionally to the target area, so downstream size accounting is
-    realistic.
+    The codec is a deterministic fake: output bytes are a
+    content-hash-seeded stream sized proportionally to the target area, so
+    downstream size accounting is realistic.
     """
 
-    def __init__(self, width: int = 224, height: int = 224,
-                 real_decode: bool = False,
-                 payload_column: str = "payload") -> None:
-        self.width = width
-        self.height = height
-        self.payload_column = payload_column
-        self._pil = None
-        if real_decode:
-            # probe the import like MediaDecodeStage (round-4 review: the
-            # unconditional refusal contradicted the module contract —
-            # real_decode=True must use the lib wherever the wheel exists)
-            try:
-                import PIL.Image
-
-                self._pil = PIL.Image
-            except Exception as e:  # pragma: no cover
-                raise NotImplementedError(
-                    "real resize requires PIL, not present in this "
-                    "container; use the deterministic fake"
-                ) from e
-
-    def _resize_fake(self, payload: bytes) -> bytes:
+    def _resize(self, payload: bytes) -> bytes:
         seed = zlib.crc32(payload)
-        n = max(16, (self.width * self.height) // 512)
+        n = max(16, (RESIZE_WIDTH * RESIZE_HEIGHT) // 512)
         return _fake_bytes(seed, n)
-
-    def _resize_real(self, payload: bytes) -> bytes:  # pragma: no cover
-        import io
-
-        img = self._pil.open(io.BytesIO(payload))
-        out = io.BytesIO()
-        img.resize((self.width, self.height)).save(out, format="PNG")
-        return out.getvalue()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
-        payloads = batch.column(self.payload_column).to_pylist()
-        resize = self._resize_real if self._pil is not None else self._resize_fake
-        out = [resize(p or b"") for p in payloads]
+        payloads = batch.column("frame").to_pylist()
+        out = [self._resize(p or b"") for p in payloads]
         n = len(refs)
         return pa.Table.from_arrays(
             [
                 pa.array(refs, pa.string()),
-                pa.array([self.width] * n, pa.int32()),
-                pa.array([self.height] * n, pa.int32()),
+                pa.array([RESIZE_WIDTH] * n, pa.int32()),
+                pa.array([RESIZE_HEIGHT] * n, pa.int32()),
                 pa.array(out, pa.binary()),
                 pa.array([len(b) for b in out], pa.int64()),
             ],
@@ -194,33 +168,17 @@ class ImageResizeStage:
 
 class FrameSampleStage:
     """Actor-pool stage: video payload -> one output ROW PER SAMPLED FRAME
-    (flat-map shape: a batch of n videos emits n × n_frames rows).
+    (flat-map shape: a batch of n videos emits n × N_FRAMES rows).
 
-    Real plumbing: per-actor decoder setup, frame timestamps, exploded
-    output rows sized for downstream batching.  The codec is STUBBED — a
-    real build replaces ``_frames_fake`` with ffmpeg keyframe extraction;
-    the stub deterministically slices the payload into ``n_frames`` chunks
-    at evenly spaced fake timestamps.
+    Frame timestamps are evenly spaced over VIDEO_DURATION_MS; the codec is
+    a deterministic fake that slices the payload into N_FRAMES chunks.
     """
 
-    def __init__(self, n_frames: int = 4, duration_ms: int = 10_000,
-                 real_decode: bool = False) -> None:
-        if n_frames < 1:
-            # round-4 review: n_frames=0 raised ZeroDivisionError on the
-            # first non-empty payload, mid-job — fail at construction
-            raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-        self.n_frames = n_frames
-        self.duration_ms = duration_ms
-        if real_decode:
-            raise NotImplementedError(
-                "real frame sampling requires ffmpeg, not present here"
-            )
-
-    def _frames_fake(self, payload: bytes) -> list[bytes]:
+    def _frames(self, payload: bytes) -> list[bytes]:
         if not payload:
-            return [b""] * self.n_frames
-        step = max(1, len(payload) // self.n_frames)
-        return [payload[i * step:(i + 1) * step] for i in range(self.n_frames)]
+            return [b""] * N_FRAMES
+        step = max(1, len(payload) // N_FRAMES)
+        return [payload[i * step:(i + 1) * step] for i in range(N_FRAMES)]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
@@ -230,11 +188,11 @@ class FrameSampleStage:
         o_ts: list[int] = []
         o_frame: list[bytes] = []
         for ref, payload in zip(refs, payloads):
-            frames = self._frames_fake(payload or b"")
+            frames = self._frames(payload or b"")
             for i, fr in enumerate(frames):
                 o_ref.append(ref)
                 o_idx.append(i)
-                o_ts.append(i * self.duration_ms // max(1, self.n_frames))
+                o_ts.append(i * VIDEO_DURATION_MS // N_FRAMES)
                 o_frame.append(fr)
         return pa.Table.from_arrays(
             [
@@ -247,188 +205,96 @@ class FrameSampleStage:
         )
 
 
-def audio_features_schema(feature_dim: int = 16) -> pa.Schema:
-    """Output schema of AudioFeatureStage for a given feature width."""
-    return pa.schema(
-        [
-            ("media_ref", pa.string()),
-            ("duration_ms", pa.int64()),
-            ("sample_rate", pa.int32()),
-            ("n_windows", pa.int32()),
-            ("features", pa.list_(pa.float32(), feature_dim)),
-        ]
-    )
-
-
-AUDIO_FEATURES_SCHEMA = audio_features_schema()
+AUDIO_FEATURES_SCHEMA = pa.schema(
+    [
+        ("media_ref", pa.string()),
+        ("duration_ms", pa.int64()),
+        ("sample_rate", pa.int32()),
+        ("n_windows", pa.int32()),
+        ("features", pa.list_(pa.float32(), FEATURE_DIM)),
+    ]
+)
 
 
 class AudioFeatureStage:
     """Actor-pool stage: audio payload -> (duration, windowed features).
 
-    Same contract as the image/video stages: per-actor decoder setup in
-    ``__init__`` (import-guarded — ``real_decode=True`` uses soundfile
-    where the wheel exists, raises cleanly here), per-batch work in
+    Same contract as the image/video stages: per-batch work in
     ``__call__``, small-batch sizing left to the caller because payloads
-    are large.  The stub decoder is deterministic: duration derives from
+    are large.  The fake decoder is deterministic: duration derives from
     byte length at a nominal bitrate and features are a content-hash-seeded
     spectrogram-mean stand-in, so downstream pipelines exercise realistic
     shapes.
     """
 
-    NOMINAL_BYTES_PER_SEC = 16_000  # stub bitrate: 128 kbit/s
+    NOMINAL_BYTES_PER_SEC = 16_000  # fake bitrate: 128 kbit/s
 
-    def __init__(self, real_decode: bool = False, feature_dim: int = 16,
-                 window_ms: int = 250) -> None:
-        self.feature_dim = feature_dim
-        self.window_ms = window_ms
-        self.schema = audio_features_schema(feature_dim)
-        self._sf = None
-        if real_decode:
-            try:
-                import soundfile  # type: ignore
-
-                self._sf = soundfile
-            # Exception, not ImportError: the standard soundfile failure
-            # mode is an OSError from a missing libsndfile shared library
-            # (round-4 review) — that must also surface as the clean
-            # NotImplementedError, not an unexplained actor crash
-            except Exception as e:  # pragma: no cover
-                raise NotImplementedError(
-                    "real audio decode requires soundfile/ffmpeg, not "
-                    "present in this container; use the deterministic fake"
-                ) from e
-
-    def _decode_fake(self, payload: bytes) -> tuple[int, int, int, np.ndarray]:
+    def _decode(self, payload: bytes) -> tuple[int, int, int, np.ndarray]:
         h = zlib.crc32(payload)
         duration_ms = max(1, len(payload) * 1000 // self.NOMINAL_BYTES_PER_SEC)
         sample_rate = 16_000
-        n_windows = max(1, duration_ms // self.window_ms)
-        features = _fake_floats(h, self.feature_dim)
-        return duration_ms, sample_rate, n_windows, features
-
-    def _decode_real(self, payload: bytes):  # pragma: no cover - no wheel
-        import io
-
-        data, rate = self._sf.read(io.BytesIO(payload))
-        data = np.atleast_2d(np.asarray(data, dtype=np.float32).T)
-        duration_ms = int(data.shape[1] * 1000 / rate)
-        n_windows = max(1, duration_ms // self.window_ms)
-        strips = np.array_split(np.abs(data).mean(axis=0), self.feature_dim)
-        feats = np.array([s.mean() if s.size else 0.0 for s in strips],
-                         dtype=np.float32)
-        return duration_ms, int(rate), n_windows, feats
+        n_windows = max(1, duration_ms // AUDIO_WINDOW_MS)
+        return duration_ms, sample_rate, n_windows, _fake_features(h)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
         payloads = batch.column("payload").to_pylist()
-        decode = self._decode_real if self._sf is not None else self._decode_fake
         dur: list[int] = []
         rate: list[int] = []
         wins: list[int] = []
-        feats = np.empty((len(refs), self.feature_dim), dtype=np.float32)
+        feats = np.empty((len(refs), FEATURE_DIM), dtype=np.float32)
         for i, payload in enumerate(payloads):
-            d, r, w, f = decode(payload or b"")
+            d, r, w, f = self._decode(payload or b"")
             dur.append(d)
             rate.append(r)
             wins.append(w)
             feats[i] = f
-        features_col = pa.FixedSizeListArray.from_arrays(
-            pa.array(feats.reshape(-1), pa.float32()), self.feature_dim
-        )
         return pa.Table.from_arrays(
             [
                 pa.array(refs, pa.string()),
                 pa.array(dur, pa.int64()),
                 pa.array(rate, pa.int32()),
                 pa.array(wins, pa.int32()),
-                features_col,
+                _features_column(feats),
             ],
-            schema=self.schema,
+            schema=AUDIO_FEATURES_SCHEMA,
         )
 
 
 class MediaDecodeStage:
-    """Actor-pool stage: binary payload -> (dims, feature vector).
-
-    ``__init__`` loads the (stub) decoder once per actor; ``__call__``
-    processes one batch.  Pass ``real_decode=True`` once PIL/ffmpeg exist.
+    """Actor-pool stage: (media_ref, kind, payload) -> (dims, feature
+    vector), one row per payload; ``__call__`` processes one batch with the
+    deterministic fake decoder.
     """
 
-    def __init__(self, real_decode: bool = False, feature_dim: int = 16) -> None:
-        self.feature_dim = feature_dim
-        self.schema = media_features_schema(feature_dim)
-        self.decoder = None
-        self._pil = None
-        if real_decode:
-            try:
-                import PIL.Image
-
-                self._pil = PIL.Image  # module cached once per actor
-                self.decoder = "pil"
-            # Exception, not ImportError: a broken native dependency must
-            # also surface as the clean NotImplementedError (round-4 review)
-            except Exception as e:  # pragma: no cover
-                raise NotImplementedError(
-                    "real media decode requires PIL/ffmpeg, not present in "
-                    "this container; use the deterministic fake decoder"
-                ) from e
-
-    def _decode_fake(self, payload: bytes) -> tuple[int, int, np.ndarray]:
+    def _decode(self, payload: bytes) -> tuple[int, int, np.ndarray]:
         h = zlib.crc32(payload)
         width = 64 + (h & 0x3FF)
         height = 64 + ((h >> 10) & 0x3FF)
-        features = _fake_floats(h, self.feature_dim)
-        return width, height, features
-
-    def _decode_pil(self, payload: bytes) -> tuple[int, int, np.ndarray]:
-        """Real decode: dims + a pooled-grayscale feature vector.
-
-        Runs wherever the PIL wheel exists (not this container — covered by
-        an import-guarded test that skips when PIL is absent).
-        """
-        import io
-
-        img = self._pil.open(io.BytesIO(payload))
-        width, height = img.size
-        gray = np.asarray(img.convert("L"), dtype=np.float32) / 255.0
-        # average-pool the image into feature_dim horizontal strips
-        strips = np.array_split(gray, self.feature_dim, axis=0)
-        features = np.array([s.mean() if s.size else 0.0 for s in strips],
-                            dtype=np.float32)
-        return width, height, features
+        return width, height, _fake_features(h)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
-        kinds = (
-            batch.column("kind").to_pylist()
-            if "kind" in batch.column_names
-            else ["image"] * len(refs)
-        )
         payloads = batch.column("payload").to_pylist()
-        decode_one = self._decode_pil if self.decoder == "pil" else self._decode_fake
         widths: list[int] = []
         heights: list[int] = []
         n_bytes: list[int] = []
-        feats = np.empty((len(refs), self.feature_dim), dtype=np.float32)
+        feats = np.empty((len(refs), FEATURE_DIM), dtype=np.float32)
         for i, payload in enumerate(payloads):
             payload = payload or b""
-            w, h, f = decode_one(payload)
+            w, h, f = self._decode(payload)
             widths.append(w)
             heights.append(h)
             n_bytes.append(len(payload))
             feats[i] = f
-        features_col = pa.FixedSizeListArray.from_arrays(
-            pa.array(feats.reshape(-1), pa.float32()), self.feature_dim
-        )
         return pa.Table.from_arrays(
             [
                 pa.array(refs, pa.string()),
-                pa.array(kinds, pa.string()),
+                pa.array(batch.column("kind").to_pylist(), pa.string()),
                 pa.array(widths, pa.int32()),
                 pa.array(heights, pa.int32()),
                 pa.array(n_bytes, pa.int64()),
-                features_col,
+                _features_column(feats),
             ],
-            schema=self.schema,
+            schema=MEDIA_FEATURES_SCHEMA,
         )

@@ -18,106 +18,122 @@ import pyarrow as pa
 
 __all__ = [
     "embedding_matrix",
-    "TopKCosine",
+    "topk_cosine_batch",
+    "ivf_assign_batch",
     "multitable_bucket_rows",
     "scaled_n_planes",
     "shard_embedding_neardup_pairs",
     "spherical_kmeans",
-    "IVFAssign",
     "probe_cells",
 ]
 
+TOPK = 10  # neighbours topk_cosine_batch keeps per query vector
+QUERY_VEC_ID = 0  # the query vector's vec_id: never its own neighbour
+IVF_CELLS = 16  # spherical_kmeans centroids (IVF coarse cells)
+IVF_TRAIN_ITERS = 10  # spherical_kmeans iterations
+KMEANS_ITERS = 5  # kmeans_fit's distributed Lloyd passes
+LSH_TABLES = 16  # multitable_bucket_rows' independent hyperplane tables
+# scaled_n_planes: expected bucket size and the plane-count floor
+LSH_TARGET_BUCKET = 64
+LSH_MIN_PLANES = 8
+NEARDUP_COSINE = 0.9  # shard_embedding_neardup_pairs' cosine threshold
 
-def embedding_matrix(batch: pa.Table, column: str = "embedding") -> np.ndarray:
-    """Zero-copy-ish extraction of a list<float> column to (n, d) float32."""
+
+def embedding_matrix(batch: pa.Table) -> np.ndarray:
+    """The ``embedding`` list<float> column as an (n, d) float32 matrix.
+
+    A null embedding becomes a zero row, which every consumer treats as
+    zero-norm (``topk_cosine_batch`` ranks it last, like the SQL oracle's
+    NULL cosine): the flattened child array holds no values for a null
+    list, so a plain reshape would shift every later row."""
     n = len(batch)
     if n == 0:
         # reshape(0, -1) raises on an empty flat array — return an explicit
         # 0-row matrix (fully-filtered upstream blocks reach here)
         return np.zeros((0, 0), dtype=np.float32)
-    col = batch.column(column).combine_chunks()
+    col = batch.column("embedding").combine_chunks()
     flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float32)
-    return flat.reshape(n, -1)
+    if not col.null_count:
+        return flat.reshape(n, -1)
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    n_valid = int(valid.sum())
+    out = np.zeros((n, len(flat) // max(n_valid, 1)), np.float32)
+    out[valid] = flat.reshape(n_valid, out.shape[1])
+    return out
 
 
-class TopKCosine:
-    """Actor-pool stage: per-batch cosine top-k against broadcast queries.
+def _resolve(matrix_ref) -> np.ndarray:
+    """A broadcast float32 matrix: a ``ray.put`` ref resolved in the task
+    (a zero-copy local read once the object is on the node), or an array
+    taken as is."""
+    import ray
 
-    ``query_ref`` is a ``ray.ObjectRef`` to a (q, d) float32 matrix put once
-    with ``ray.put`` — each actor resolves it once in ``__init__``.
+    if isinstance(matrix_ref, ray.ObjectRef):
+        matrix_ref = ray.get(matrix_ref)
+    return np.asarray(matrix_ref, dtype=np.float32)
+
+
+def topk_cosine_batch(batch: pa.Table, query_ref) -> pa.Table:
+    """Per-batch cosine top-TOPK of ``vec_id`` rows against the (q, d)
+    query matrix ``query_ref`` (put once with ``ray.put``), skipping
+    QUERY_VEC_ID; the caller merges the per-batch candidates.
+
+    A plain Ray task on the warm worker pool: the broadcast matrix is
+    resolved inside the task, so no actor pool is sized or started.
     """
-
-    def __init__(self, query_ref, k: int = 10, id_column: str = "vec_id",
-                 exclude_ids=None) -> None:
-        import ray
-
-        q = ray.get(query_ref) if hasattr(query_ref, "hex") else np.asarray(query_ref)
-        q = q.astype(np.float32)
-        self.k = k
-        self.id_column = id_column
-        self.exclude = set(exclude_ids or ())
-        norms = np.linalg.norm(q, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        self.q_normed = q / norms
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int32()), pa.array([], pa.int64()),
-                 pa.array([], pa.float64())],
-                names=["query_idx", "vec_id", "cosine"],
-            )
-        ids = batch.column(self.id_column).to_numpy(zero_copy_only=False)
-        emb = embedding_matrix(batch)
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        zero_rows = (norms == 0).ravel()
-        norms[norms == 0] = 1.0
-        emb = emb / norms
-        cos = emb @ self.q_normed.T  # (n, q)
-        # zero-norm vectors have undefined cosine: rank them LAST (after
-        # cos=-1), matching the SQL oracle's NULL-cosine NULLS LAST ordering
-        if zero_rows.any():
-            cos[zero_rows, :] = -np.inf
-        out_q, out_id, out_cos = [], [], []
-        for qi in range(cos.shape[1]):
-            col = cos[:, qi]
-            order = np.argsort(-col, kind="stable")
-            taken = 0
-            for idx in order:
-                if int(ids[idx]) in self.exclude:
-                    continue
-                out_q.append(qi)
-                out_id.append(int(ids[idx]))
-                out_cos.append(float(col[idx]))
-                taken += 1
-                if taken >= self.k:
-                    break
+    if len(batch) == 0:
         return pa.Table.from_arrays(
-            [
-                pa.array(out_q, pa.int32()),
-                pa.array(out_id, pa.int64()),
-                pa.array(out_cos, pa.float64()),
-            ],
+            [pa.array([], pa.int32()), pa.array([], pa.int64()),
+             pa.array([], pa.float64())],
             names=["query_idx", "vec_id", "cosine"],
         )
+    q_normed = _normalize(_resolve(query_ref))
+    ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+    emb = embedding_matrix(batch)
+    if emb.shape[1] == 0:  # every embedding in the batch is null
+        emb = np.zeros((len(batch), q_normed.shape[1]), np.float32)
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    zero_rows = (norms == 0).ravel()
+    norms[norms == 0] = 1.0
+    emb = emb / norms
+    cos = emb @ q_normed.T  # (n, q)
+    # zero-norm vectors have undefined cosine: rank them LAST (after
+    # cos=-1), matching the SQL oracle's NULL-cosine NULLS LAST ordering
+    if zero_rows.any():
+        cos[zero_rows, :] = -np.inf
+    out_q, out_id, out_cos = [], [], []
+    for qi in range(cos.shape[1]):
+        col = cos[:, qi]
+        order = np.argsort(-col, kind="stable")
+        taken = 0
+        for idx in order:
+            if int(ids[idx]) == QUERY_VEC_ID:
+                continue
+            out_q.append(qi)
+            out_id.append(int(ids[idx]))
+            out_cos.append(float(col[idx]))
+            taken += 1
+            if taken >= TOPK:
+                break
+    return pa.Table.from_arrays(
+        [
+            pa.array(out_q, pa.int32()),
+            pa.array(out_id, pa.int64()),
+            pa.array(out_cos, pa.float64()),
+        ],
+        names=["query_idx", "vec_id", "cosine"],
+    )
 
 
-def topk_cosine_batch(batch: pa.Table, **kwargs) -> pa.Table:
-    """Task-form of :class:`TopKCosine` for stateless pipelines.
-
-    The broadcast query matrix is an ObjectRef resolved INSIDE the task —
-    a zero-copy local plasma read once the object is on the node, so plain
-    Ray tasks on the warm worker pool beat spinning up a dedicated actor
-    pool (actor startup is the whole cost at small scale, and at large
-    scale tasks schedule anywhere without pool sizing).  Use the actor
-    class when per-actor setup is genuinely expensive (model load).
-    """
-    return TopKCosine(**kwargs)(batch)
-
-
-def ivf_assign_batch(batch: pa.Table, centroids_ref, column: str = "embedding") -> pa.Table:
-    """Task-form of :class:`IVFAssign` (see topk_cosine_batch rationale)."""
-    return IVFAssign(centroids_ref, column)(batch)
+def ivf_assign_batch(batch: pa.Table, centroids_ref) -> pa.Table:
+    """Append each vector's IVF cell id (nearest of the broadcast
+    centroids, resolved in the task like ``topk_cosine_batch``'s query)."""
+    if len(batch) == 0:
+        return batch.append_column("ivf_cell", pa.array([], pa.int32()))
+    centroids = _normalize(_resolve(centroids_ref))
+    emb = _normalize(embedding_matrix(batch))
+    cell = np.argmax(emb @ centroids.T, axis=1).astype(np.int32)
+    return batch.append_column("ivf_cell", pa.array(cell, pa.int32()))
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
@@ -126,18 +142,19 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def spherical_kmeans(sample: np.ndarray, k: int, iters: int = 10) -> np.ndarray:
-    """Deterministic spherical k-means for the IVF coarse quantizer.
+def spherical_kmeans(sample: np.ndarray) -> np.ndarray:
+    """Deterministic spherical k-means (IVF_CELLS centroids) for the IVF
+    coarse quantizer.
 
-    Init = k evenly spaced rows of the (caller-ordered) sample — no RNG, so
-    the index is reproducible run to run.  At 100 TB the sample is a small
-    driver-side read (e.g. first parquet fragment); training cost is
-    O(sample x k x iters) and happens once per job.
+    Init = IVF_CELLS evenly spaced rows of the (caller-ordered) sample — no
+    RNG, so the index is reproducible run to run.  At 100 TB the sample is
+    a small local read (e.g. first parquet fragment); training cost is
+    O(sample x cells x IVF_TRAIN_ITERS) and happens once per job.
     """
     x = _normalize(sample.astype(np.float32))
-    k = min(k, len(x))
+    k = min(IVF_CELLS, len(x))
     centroids = x[np.linspace(0, len(x) - 1, k).astype(np.int64)].copy()
-    for _ in range(iters):
+    for _ in range(IVF_TRAIN_ITERS):
         assign = np.argmax(x @ centroids.T, axis=1)  # cosine on unit vectors
         for c in range(k):
             members = x[assign == c]
@@ -147,28 +164,6 @@ def spherical_kmeans(sample: np.ndarray, k: int, iters: int = 10) -> np.ndarray:
                 if n > 0:
                     centroids[c] = m / n
     return centroids
-
-
-class IVFAssign:
-    """Actor-pool stage: append each vector's IVF cell id (nearest centroid).
-
-    ``centroids_ref`` is a ``ray.ObjectRef`` put once on the driver; each
-    actor resolves it in ``__init__`` — never re-shipped per batch.
-    """
-
-    def __init__(self, centroids_ref, column: str = "embedding") -> None:
-        import ray
-
-        c = ray.get(centroids_ref) if hasattr(centroids_ref, "hex") else centroids_ref
-        self.centroids = _normalize(np.asarray(c, dtype=np.float32))
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch.append_column("ivf_cell", pa.array([], pa.int32()))
-        emb = _normalize(embedding_matrix(batch, self.column))
-        cell = np.argmax(emb @ self.centroids.T, axis=1).astype(np.int32)
-        return batch.append_column("ivf_cell", pa.array(cell, pa.int32()))
 
 
 def probe_cells(query: np.ndarray, centroids: np.ndarray, nprobe: int) -> list[int]:
@@ -182,10 +177,8 @@ def probe_cells(query: np.ndarray, centroids: np.ndarray, nprobe: int) -> list[i
     return sorted(out)
 
 
-def scaled_n_planes(
-    n_vectors: int, target_bucket: int = 64, min_planes: int = 8
-) -> int:
-    """Hyperplane count scaled to corpus size: E[bucket] ~ target_bucket.
+def scaled_n_planes(n_vectors: int) -> int:
+    """Hyperplane count scaled to corpus size: E[bucket] ~ LSH_TARGET_BUCKET.
 
     A FIXED plane count means bucket sizes grow O(N) and the in-bucket
     O(bucket^2) verify explodes (round-1 verdict #10); log2(N/target)
@@ -194,12 +187,13 @@ def scaled_n_planes(
     """
     import math
 
-    if n_vectors <= target_bucket:
-        return min_planes
-    return max(min_planes, math.ceil(math.log2(n_vectors / target_bucket)))
+    if n_vectors <= LSH_TARGET_BUCKET:
+        return LSH_MIN_PLANES
+    return max(LSH_MIN_PLANES,
+               math.ceil(math.log2(n_vectors / LSH_TARGET_BUCKET)))
 
 
-def kmeans_partial_batch(batch: pa.Table, centroids_ref, column: str = "embedding") -> pa.Table:
+def kmeans_partial_batch(batch: pa.Table, centroids_ref) -> pa.Table:
     """One Lloyd-iteration partial per batch: per-cell vector sums + counts.
 
     The distributed-iterative pattern: centroids broadcast via ``ray.put``
@@ -209,17 +203,14 @@ def kmeans_partial_batch(batch: pa.Table, centroids_ref, column: str = "embeddin
     iterations.  Per iteration the shuffle moves O(k x blocks x dim)
     floats — never the corpus.
     """
-    import ray
-
-    c = ray.get(centroids_ref) if hasattr(centroids_ref, "hex") else centroids_ref
-    centroids = _normalize(np.asarray(c, dtype=np.float32))
     if len(batch) == 0:
         return pa.Table.from_arrays(
             [pa.array([], pa.int32()), pa.array([], pa.int64()),
              pa.array([], pa.list_(pa.float64()))],
             names=["cell", "part_n", "part_sum"],
         )
-    emb = _normalize(embedding_matrix(batch, column))
+    centroids = _normalize(_resolve(centroids_ref))
+    emb = _normalize(embedding_matrix(batch))
     assign = np.argmax(emb @ centroids.T, axis=1)
     cells = np.unique(assign)
     sums = np.zeros((len(cells), emb.shape[1]), dtype=np.float64)
@@ -238,29 +229,23 @@ def kmeans_partial_batch(batch: pa.Table, centroids_ref, column: str = "embeddin
     )
 
 
-def kmeans_fit(ds, k: int = 8, iters: int = 5, column: str = "embedding",
-               init: np.ndarray = None):
-    """Distributed spherical k-means over a Dataset (Lloyd's iterations).
+def kmeans_fit(ds, init: np.ndarray):
+    """Distributed spherical k-means over a Dataset (KMEANS_ITERS Lloyd's
+    iterations), one cluster per row of ``init``.
 
-    ``init`` (k x dim seed centroids) is required — callers sample it from
-    one row-group (see q_kmeans_clusters).  Each iteration is one streaming
+    ``init`` (k x dim seed centroids) is sampled by the caller from one
+    row-group (see q_kmeans_clusters).  Each iteration is one streaming
     pass: ``map_batches(kmeans_partial)`` -> groupby(cell) list-sum on the
     driver over <= k x n_blocks compact rows.  Returns (centroids, counts).
     """
     import ray
 
-    if init is None:
-        raise ValueError(
-            "kmeans_fit requires init centroids (sample them from one "
-            "row-group of the input; see q_kmeans_clusters)"
-        )
     centroids = _normalize(np.asarray(init, dtype=np.float32))
     counts = np.zeros(len(centroids), dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         c_ref = ray.put(centroids)
         parts = ds.map_batches(
-            kmeans_partial_batch, fn_kwargs={"centroids_ref": c_ref,
-                                             "column": column},
+            kmeans_partial_batch, fn_kwargs={"centroids_ref": c_ref},
             batch_format="pyarrow",
         ).to_pandas()
         counts = np.zeros(len(centroids), dtype=np.int64)
@@ -280,7 +265,7 @@ def kmeans_fit(ds, k: int = 8, iters: int = 5, column: str = "embedding",
 _HP_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _hyperplanes(dim: int, n_planes: int, table: int = 0) -> np.ndarray:
+def _hyperplanes(dim: int, n_planes: int, table: int) -> np.ndarray:
     """Deterministic random hyperplanes; ``table`` selects an independent
     set for the banded (multi-table) LSH construction."""
     key = (dim, n_planes, table)
@@ -290,14 +275,8 @@ def _hyperplanes(dim: int, n_planes: int, table: int = 0) -> np.ndarray:
     return _HP_CACHE[key]
 
 
-def multitable_bucket_rows(
-    batch: pa.Table,
-    n_planes: int,
-    n_tables: int = 16,
-    column: str = "embedding",
-    id_column: str = "vec_id",
-) -> pa.Table:
-    """Banded hyperplane LSH: ``n_tables`` independent k-plane sign
+def multitable_bucket_rows(batch: pa.Table, n_planes: int) -> pa.Table:
+    """Banded hyperplane LSH: LSH_TABLES independent k-plane sign
     buckets per vector (the cosine analogue of MinHash banding — the
     OR-construction that single-table sign-LSH lacks; round-4 verdict #3).
 
@@ -317,9 +296,10 @@ def multitable_bucket_rows(
     noise could flip a near-zero dot).  Cost: L x L x 8 bytes/vector of
     extra shuffle payload — below the embedding ride-along itself.
     """
-    emb = embedding_matrix(batch, column)
+    n_tables = LSH_TABLES
+    emb = embedding_matrix(batch)
     n = len(emb)
-    ids = batch.column(id_column).combine_chunks()
+    ids = batch.column("vec_id").combine_chunks()
     # one matmul for all tables: planes concatenated to (dim, L*k)
     planes = np.concatenate(
         [_hyperplanes(emb.shape[1], n_planes, t) for t in range(n_tables)],
@@ -331,7 +311,7 @@ def multitable_bucket_rows(
     for t in range(n_tables):
         bits = signs[:, t * n_planes : (t + 1) * n_planes].astype(np.int64)
         keys[t] = (bits @ weights) | (np.int64(t) << np.int64(n_planes))
-    emb_col = batch.column(column).combine_chunks()
+    emb_col = batch.column("embedding").combine_chunks()
     # per-vector key vector as a fixed-width list column, repeated L times
     key_lists = pa.FixedSizeListArray.from_arrays(
         pa.array(keys.T.ravel(), pa.int64()), n_tables
@@ -343,11 +323,11 @@ def multitable_bucket_rows(
             pa.concat_arrays([emb_col] * n_tables),
             pa.concat_arrays([key_lists] * n_tables),
         ],
-        names=[id_column, "bucket", column, "all_buckets"],
+        names=["vec_id", "bucket", "embedding", "all_buckets"],
     )
 
 
-def shard_embedding_neardup_pairs(group, threshold: float, n_planes: int):
+def shard_embedding_neardup_pairs(group, n_planes: int):
     """Coarse-shard verifier: resolve every banded LSH bucket inside one
     group of :func:`multitable_bucket_rows` output.
 
@@ -360,13 +340,14 @@ def shard_embedding_neardup_pairs(group, threshold: float, n_planes: int):
     tiny buckets at sf0.1 — ~1 ms of frame overhead per bucket dwarfing
     the actual math).
 
-    Per bucket of table t: exact-cosine pairs >= threshold, kept only when
+    Per bucket of table t: exact-cosine pairs >= NEARDUP_COSINE, kept only when
     t is the pair's FIRST colliding table (read off the authoritative
     all_buckets key vectors), so the global pair set is duplicate-free
     without a second dedup shuffle.
     """
     import pandas as pd
 
+    threshold = NEARDUP_COSINE
     empty = pd.DataFrame(
         {"vec_a": pd.Series(dtype=np.int64), "vec_b": pd.Series(dtype=np.int64),
          "cosine": pd.Series(dtype=float), "is_neardup": pd.Series(dtype=bool)}

@@ -1,12 +1,10 @@
 """PDF/layout parse: XY-cut reading order + container plumbing + query."""
 import numpy as np
 import pyarrow as pa
-import pytest
 
+from node_html_parser_ray.stages.extract_stage import OUTPUT_SCHEMA
 from node_html_parser_ray.stages.layout import (
-    HAS_PYPDF,
     PdfExtractStage,
-    _decode_real_pdf,
     decode_fake_pdf,
     synthesize_fake_pdf,
     xy_cut_order,
@@ -118,7 +116,10 @@ class TestFakePdfContainer:
                 [synthesize_fake_pdf(t) for t in texts],
                 pa.large_binary()),
         })
-        out = PdfExtractStage()(tb).to_pandas()
+        table = PdfExtractStage()(tb)
+        # one span layout for HTML and PDF sources
+        assert table.schema.field("spans").type == OUTPUT_SCHEMA.field("spans").type
+        out = table.to_pandas()
         assert out["order_ok"].all()
         for i, t in enumerate(texts):
             spans = out["spans"][i]
@@ -138,12 +139,6 @@ class TestFakePdfContainer:
         assert zlib.crc32(joined.encode()) == doc["crc"]
         wrong = "".join(doc["texts"][int(i)] for i in perm[::-1])
         assert zlib.crc32(wrong.encode()) != doc["crc"]
-
-    def test_real_decode_guard(self):
-        if HAS_PYPDF:
-            pytest.skip("pypdf present; guard not exercised")
-        with pytest.raises(NotImplementedError):
-            _decode_real_pdf(b"%PDF-1.4 ...")
 
 
 class TestPdfQuery:

@@ -883,41 +883,6 @@ class TestDedupStages:
             )
             assert (part == full[lo:lo + hi]).all(), (lo, hi)
 
-    def test_minhash_wide_shingles(self):
-        """Round-4 review: k > 5 overflowed the doc_idx<<40 key packing
-        (OverflowError or silently cross-doc-corrupted signatures).  Wide
-        shingles now mix to 40 bits; duplicate docs must share signatures,
-        distinct docs must not, and chunk-splitting must not change them
-        at any k — including the k-1-byte shingle-less fallback docs."""
-        import numpy as np
-
-        from node_html_parser_ray.stages.dedup import minhash_signatures_batch
-
-        texts = [
-            "the quick brown fox jumps over the lazy dog " * 3,
-            "the quick brown fox jumps over the lazy dog " * 3,
-            "completely different text content here entirely",
-            "ab", "", None, "abcdefghij",  # k-1 edge for k=11
-        ]
-        table = pa.Table.from_arrays(
-            [pa.array([str(i) for i in range(len(texts))], pa.string()),
-             pa.array(texts, pa.large_string())],
-            names=["doc_id", "text"],
-        )
-        for k in (6, 9, 11):
-            sig = np.array(
-                minhash_signatures_batch(table, k=k).column("minhash").to_pylist()
-            )
-            assert (sig[0] == sig[1]).all(), k
-            assert not (sig[0] == sig[2]).all(), k
-            split = np.concatenate([
-                np.array(minhash_signatures_batch(table.slice(0, 3), k=k)
-                         .column("minhash").to_pylist()),
-                np.array(minhash_signatures_batch(table.slice(3), k=k)
-                         .column("minhash").to_pylist()),
-            ])
-            assert (split == sig).all(), k
-
     def test_minhash_lsh_finds_near_dups(self, ray_session):
         import ray
 
@@ -950,35 +915,6 @@ class TestDedupStages:
 
 
 class TestMultimodal:
-    def test_custom_feature_dim(self):
-        """Round-4 review: a non-default feature_dim crashed on the first
-        batch against the fixed 16-wide schema constants; the stages now
-        build their instance schema from feature_dim."""
-        from node_html_parser_ray.stages.multimodal import (
-            AudioFeatureStage,
-            MediaDecodeStage,
-            fake_payload_batch,
-        )
-
-        batch = fake_payload_batch(pa.Table.from_arrays(
-            [pa.array(["m://a", "m://b"], pa.string()),
-             pa.array(["image", "image"], pa.string())],
-            names=["media_ref", "kind"],
-        ))
-        out = MediaDecodeStage(feature_dim=8)(batch)
-        assert len(out.column("features")[0].as_py()) == 8
-        audio = batch.select(["media_ref", "payload"])
-        out2 = AudioFeatureStage(feature_dim=4)(audio)
-        assert len(out2.column("features")[0].as_py()) == 4
-
-    def test_frame_stage_rejects_nonpositive_n_frames(self):
-        import pytest
-
-        from node_html_parser_ray.stages.multimodal import FrameSampleStage
-
-        with pytest.raises(ValueError, match="n_frames"):
-            FrameSampleStage(n_frames=0)
-
     def test_pdf_stage_null_and_garbage_payloads(self):
         """Round-4 review: a null or undecodable pdf cell must yield the
         degenerate row, not kill the Ray task."""
@@ -1052,8 +988,8 @@ class TestMultimodal:
             ray.data.from_arrow(table)
             .map_batches(fake_payload_batch, batch_format="pyarrow", batch_size=2)
             .map_batches(
-                FrameSampleStage, fn_constructor_kwargs={"n_frames": 4},
-                batch_format="pyarrow", batch_size=2, concurrency=1,
+                FrameSampleStage, batch_format="pyarrow", batch_size=2,
+                concurrency=1,
             )
         )
         rows = frames.take_all()
@@ -1068,29 +1004,46 @@ class TestMultimodal:
             assert all(len(x["frame"]) > 0 for x in rs)
 
         resized = frames.map_batches(
-            lambda b: b.rename_columns(["media_ref", "frame_idx", "ts_ms", "payload"]),
-            batch_format="pyarrow",
-        ).map_batches(
-            ImageResizeStage, fn_constructor_kwargs={"width": 32, "height": 32},
-            batch_format="pyarrow", concurrency=1,
+            ImageResizeStage, batch_format="pyarrow", concurrency=1,
         )
         out = resized.take_all()
         assert len(out) == 12
-        assert all(r["width"] == 32 and r["height"] == 32 for r in out)
+        assert all(r["width"] == 64 and r["height"] == 64 for r in out)
         assert all(r["n_bytes"] == len(r["payload"]) > 0 for r in out)
 
-    def test_real_decode_raises(self, ray_session):
-        import pytest
 
-        from node_html_parser_ray.stages.multimodal import (
-            FrameSampleStage,
-            ImageResizeStage,
-        )
+class TestCosineTopK:
+    def test_null_embedding_ranks_last(self):
+        """A null embedding is a zero row: the other rows of its batch keep
+        the cosines they get without it, and the null row ranks after them
+        (the SQL oracle's NULL cosine sorts last).  The flattened list
+        column holds no values for a null list, so a plain reshape shifted
+        or failed every batch holding one."""
+        import numpy as np
 
-        with pytest.raises(NotImplementedError):
-            ImageResizeStage(real_decode=True)
-        with pytest.raises(NotImplementedError):
-            FrameSampleStage(real_decode=True)
+        from node_html_parser_ray.stages.similarity import topk_cosine_batch
+
+        q = np.array([[1.0, 0.5]], np.float32)
+        vecs = {1: [1.0, 0.0], 2: [0.0, 1.0], 4: [-1.0, 0.2], 5: [0.3, 0.3]}
+
+        def run(rows):
+            t = pa.table({
+                "vec_id": pa.array([i for i, _ in rows], pa.int64()),
+                "embedding": pa.array([v for _, v in rows],
+                                      pa.list_(pa.float32())),
+            })
+            out = topk_cosine_batch(t, query_ref=q).to_pylist()
+            return [r["vec_id"] for r in out], [r["cosine"] for r in out]
+
+        for ids in ([1, 2, 4, 5], [1, 2], [1]):
+            rows = [(i, vecs[i]) for i in ids]
+            base_ids, base_cos = run(rows)
+            for at in range(len(rows) + 1):
+                got_ids, got_cos = run(rows[:at] + [(3, None)] + rows[at:])
+                assert got_ids == base_ids + [3], at
+                assert got_cos[:-1] == pytest.approx(base_cos, rel=1e-6)
+                assert got_cos[-1] == float("-inf")
+        assert run([(3, None)]) == ([3], [float("-inf")])
 
 
 class TestIVF:
@@ -1101,10 +1054,10 @@ class TestIVF:
         import ray
 
         from node_html_parser_ray.stages.similarity import (
-            IVFAssign,
-            TopKCosine,
+            ivf_assign_batch,
             probe_cells,
             spherical_kmeans,
+            topk_cosine_batch,
         )
 
         rng = np.random.RandomState(7)
@@ -1126,12 +1079,12 @@ class TestIVF:
             ids[np.argsort(-(normed @ qn.T).ravel(), kind="stable")[1:11]].tolist()
         )
 
-        centroids = spherical_kmeans(pts, k=16)
+        centroids = spherical_kmeans(pts)
         cells = probe_cells(query, centroids, nprobe=4)
         c_ref, q_ref = ray.put(centroids), ray.put(query)
         ds = ray.data.from_arrow(table).map_batches(
-            IVFAssign, fn_constructor_kwargs={"centroids_ref": c_ref},
-            batch_format="pyarrow", concurrency=1,
+            ivf_assign_batch, fn_kwargs={"centroids_ref": c_ref},
+            batch_format="pyarrow",
         )
         probe_set = pa.array(cells, pa.int32())
         import pyarrow.compute as pc_
@@ -1142,9 +1095,8 @@ class TestIVF:
                 batch_format="pyarrow",
             )
             .map_batches(
-                TopKCosine,
-                fn_constructor_kwargs={"query_ref": q_ref, "k": 10, "exclude_ids": [0]},
-                batch_format="pyarrow", concurrency=1,
+                topk_cosine_batch, fn_kwargs={"query_ref": q_ref},
+                batch_format="pyarrow",
             )
             .take_all()
         )
@@ -1362,9 +1314,10 @@ class TestSimhashNearDup:
                 codes.append(c ^ flip)
         group = pd.DataFrame(
             {"doc_id": np.arange(len(codes), dtype=np.int64),
+             "band_key": np.zeros(len(codes), dtype=np.int64),
              "simhash": np.array(codes, dtype=np.int64)}
         )
-        got = simhash_window_pairs(group, window=64)
+        got = simhash_window_pairs(group)
         got_set = set(zip(got["doc_a"], got["doc_b"], got["hamming"]))
         u = np.array(codes, dtype=np.int64).astype(np.uint64)
         ai, bi = np.triu_indices(len(u), k=1)
@@ -1374,15 +1327,16 @@ class TestSimhashNearDup:
                        ham[mask]))
         assert got_set == want
 
-    def test_oversize_bucket_exact_up_to_cap(self):
+    def test_oversize_bucket_exact_up_to_cap(self, monkeypatch):
         """Regression (found by the sf0.1 oracle sweep, 776/791 pairs): a
         pair differing in a HIGH non-band bit sorts farther apart than the
         window whenever >window codes fall between them — the widened
-        effective window (exact up to exact_cap) must still find it, and
+        effective window (exact up to SIMHASH_EXACT_CAP) must still find it, and
         the windowed fallback must kick in only above the cap."""
         import numpy as np
         import pandas as pd
 
+        from node_html_parser_ray.stages import dedup
         from node_html_parser_ray.stages.dedup import simhash_window_pairs
 
         # two codes at Hamming 1 (bit 62 flipped) with 100 codes sorting
@@ -1399,28 +1353,27 @@ class TestSimhashNearDup:
         codes = np.array([lo] + fillers + [hi], dtype=np.int64)
         group = pd.DataFrame(
             {"doc_id": np.arange(len(codes), dtype=np.int64),
+             "band_key": np.zeros(len(codes), dtype=np.int64),
              "simhash": codes}
         )
-        got = simhash_window_pairs(group, window=64)
+        got = simhash_window_pairs(group)
         pairs = set(zip(got["doc_a"], got["doc_b"]))
         assert (0, len(codes) - 1) in pairs  # the far-apart Hamming-1 pair
         # above the cap the window truncates again (documented fallback),
         # and the no-silent-caps warning fires AT the first truncating
-        # size (bucket of exact_cap+1 rows truncates its farthest pair)
+        # size (bucket of SIMHASH_EXACT_CAP+1 rows truncates its farthest pair)
         import logging
 
+        monkeypatch.setattr(dedup, "SIMHASH_EXACT_CAP", len(codes) - 1)
         with self._caplog_warnings() as records:
-            capped = simhash_window_pairs(
-                group, window=64, exact_cap=len(codes) - 1
-            )
+            capped = simhash_window_pairs(group)
         assert (0, len(codes) - 1) not in set(
             zip(capped["doc_a"], capped["doc_b"])
         )
         assert any("not compared" in r.getMessage() for r in records)
+        monkeypatch.setattr(dedup, "SIMHASH_EXACT_CAP", len(codes))
         with self._caplog_warnings() as records:
-            exact = simhash_window_pairs(
-                group, window=64, exact_cap=len(codes)
-            )
+            exact = simhash_window_pairs(group)
         assert (0, len(codes) - 1) in set(zip(exact["doc_a"], exact["doc_b"]))
         assert not records  # exact => silent
 
@@ -1640,7 +1593,7 @@ class TestEmbeddingNearDupScaling:
         assert got["n_dups"].to_numpy().tolist() == want.tolist()
         assert got["is_dup"].to_numpy().tolist() == (want > 0).tolist()
 
-    def test_emit_once_threshold_is_table_independent(self):
+    def test_emit_once_threshold_is_table_independent(self, monkeypatch):
         """Regression: a pair whose float32 in-bucket cosine reads BELOW
         threshold while the float64 value reads at/above it must still be
         emitted from its first colliding table (the float32 matmul's
@@ -1650,6 +1603,7 @@ class TestEmbeddingNearDupScaling:
         import numpy as np
         import pandas as pd
 
+        from node_html_parser_ray.stages import similarity
         from node_html_parser_ray.stages.similarity import (
             shard_embedding_neardup_pairs,
         )
@@ -1686,15 +1640,17 @@ class TestEmbeddingNearDupScaling:
         })
         # threshold sits in the straddle window: float32 fails, float64
         # passes — the pair must be emitted exactly once, from table 0
-        out = shard_embedding_neardup_pairs(g, threshold=v64, n_planes=n_planes)
+        monkeypatch.setattr(similarity, "NEARDUP_COSINE", v64)
+        out = shard_embedding_neardup_pairs(g, n_planes=n_planes)
         assert len(out) == 1
         assert (int(out["vec_a"].iloc[0]), int(out["vec_b"].iloc[0])) == (1, 2)
         assert out["cosine"].iloc[0] >= v64
 
-    def test_scaled_n_planes_bounds_buckets(self):
+    def test_scaled_n_planes_bounds_buckets(self, monkeypatch):
         """Plane count grows with N so E[bucket] ~ target (scale contract)."""
         import numpy as np
 
+        from node_html_parser_ray.stages import similarity
         from node_html_parser_ray.stages.similarity import (
             multitable_bucket_rows,
             scaled_n_planes,
@@ -1717,47 +1673,13 @@ class TestEmbeddingNearDupScaling:
              pa.array(list(emb), pa.list_(pa.float32()))],
             names=["vec_id", "embedding"],
         )
-        out = multitable_bucket_rows(t, n_planes=p, n_tables=1)
+        monkeypatch.setattr(similarity, "LSH_TABLES", 1)
+        out = multitable_bucket_rows(t, n_planes=p)
         import collections
 
         sizes = collections.Counter(out.column("bucket").to_pylist()).values()
         assert max(sizes) < 64 * 16  # no runaway bucket
         assert sum(sizes) / len(sizes) < 64 * 4
-
-
-class TestRealDecodePath:
-    def test_pil_decode_when_available(self):
-        """Real PIL decode path — runs only where the wheel exists."""
-        pytest.importorskip("PIL.Image")
-        import io
-
-        import PIL.Image
-
-        from node_html_parser_ray.stages.multimodal import MediaDecodeStage
-
-        buf = io.BytesIO()
-        PIL.Image.new("RGB", (20, 10), (128, 64, 32)).save(buf, format="PNG")
-        table = pa.Table.from_arrays(
-            [pa.array(["media://x"], pa.string()),
-             pa.array(["image"], pa.string()),
-             pa.array([buf.getvalue()], pa.binary())],
-            names=["media_ref", "kind", "payload"],
-        )
-        out = MediaDecodeStage(real_decode=True)(table)
-        row = out.to_pylist()[0]
-        assert (row["width"], row["height"]) == (20, 10)
-        assert len(row["features"]) == 16
-
-    def test_real_decode_raises_cleanly_without_pil(self):
-        try:
-            import PIL.Image  # noqa: F401
-            pytest.skip("PIL present — guard not exercised")
-        except ImportError:
-            pass
-        from node_html_parser_ray.stages.multimodal import MediaDecodeStage
-
-        with pytest.raises(NotImplementedError):
-            MediaDecodeStage(real_decode=True)
 
 
 class TestNearDupEndToEndExactness:
@@ -1917,11 +1839,9 @@ class TestDistributedKMeans:
                          dtype=np.float32)
         init = mat[np.linspace(0, len(mat) - 1, 4).astype(np.int64)]
         a_c, a_n = similarity.kmeans_fit(
-            ray.data.read_parquet(path, override_num_blocks=1),
-            k=4, iters=3, init=init)
+            ray.data.read_parquet(path, override_num_blocks=1), init)
         b_c, b_n = similarity.kmeans_fit(
-            ray.data.read_parquet(path, override_num_blocks=7),
-            k=4, iters=3, init=init)
+            ray.data.read_parquet(path, override_num_blocks=7), init)
         assert np.allclose(a_c, b_c, atol=1e-5)
         assert (a_n == b_n).all()
         n_vecs = pq.ParquetFile(path).metadata.num_rows
@@ -1985,8 +1905,7 @@ class TestDistributedKMeans:
         n = min(512, n_vecs)
         idx = np.linspace(0, n - 1, 8).astype(np.int64)
         init = mat[idx]
-        _, counts = similarity.kmeans_fit(
-            ray.data.read_parquet(path), k=8, iters=5, init=init)
+        _, counts = similarity.kmeans_fit(ray.data.read_parquet(path), init)
 
         # margin guard: replicate assignments in float64 and skip draws
         # where any top-2 margin is below float32-noise scale
@@ -2208,17 +2127,6 @@ class TestAudioStage:
             .take_all()
         }
         assert again == {k: v["duration_ms"] for k, v in rows.items()}
-
-    def test_real_decode_guard(self):
-        try:
-            import soundfile  # noqa: F401
-            pytest.skip("soundfile present")
-        except ImportError:
-            pass
-        from node_html_parser_ray.stages.multimodal import AudioFeatureStage
-
-        with pytest.raises(NotImplementedError):
-            AudioFeatureStage(real_decode=True)
 
 
 class TestCrashRecovery:
