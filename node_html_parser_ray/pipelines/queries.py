@@ -27,20 +27,6 @@ from ..stages.multimodal import (
 
 __all__ = ["QUERIES", "ORACLE_SQL", "entry_pipeline"]
 
-# Positional rename_columns after pyarrow group_by().aggregate() is used
-# throughout this module; the key-vs-aggregate column ORDER has differed
-# across pyarrow versions.  Fail loudly at import on a version whose
-# ordering differs from the (keys-first, "<col>_<fn>") layout the renames
-# assume, instead of silently scrambling aggregate outputs.
-_probe = pa.table({"k": [1]}).group_by("k").aggregate([("k", "count")])
-if _probe.column_names != ["k", "k_count"]:
-    raise RuntimeError(
-        "pyarrow group_by().aggregate() column layout changed "
-        f"({_probe.column_names!r}); audit every positional "
-        "rename_columns after aggregate in this module before running"
-    )
-del _probe
-
 
 def _docs(sf_dir: str, columns: list[str] | None = None):
     """Read the documents table, pruning to ``columns`` at the scan.
@@ -66,7 +52,7 @@ def _cluster_cpus() -> int:
         return 4
 
 
-def _pool(frac: int = 4) -> tuple[int, int]:
+def _pool() -> tuple[int, int]:
     """Autoscaling actor-pool bounds sized to the cluster.
 
     min=1 keeps the streaming executor deadlock-free at small ``num_cpus``
@@ -84,7 +70,7 @@ def _pool(frac: int = 4) -> tuple[int, int]:
             f"{cpus}: the pool's actor holds the only CPU, so the read task "
             f"feeding it never schedules"
         )
-    return (1, max(2, cpus // frac))
+    return (1, max(2, cpus // 4))
 
 
 def _combine_partials(ds):
@@ -105,14 +91,14 @@ def _combine_partials(ds):
     return ds.repartition(max(2, _cluster_cpus() // 4))
 
 
-def _coarse_shards(multiple: int = 4, floor: int = 1) -> int:
+def _coarse_shards(floor: int = 1) -> int:
     """Power-of-two coarse-shard count scaled to the cluster.
 
     Coarse-keyed ``groupby().map_groups`` stages (sessions, sliding window,
     as-of join) materialize one shard per task, so a FIXED shard constant
     caps parallelism and lets per-group size grow unboundedly with input
     (round-1 verdict #6).  Scaling with ``cluster_resources()`` keeps
-    per-shard size ~ input / (multiple x cpus); on a real multi-node
+    per-shard size ~ input / (4 x cpus); on a real multi-node
     cluster the CPU total reflects every node.  Power of two so the shard
     key is a bit-mask.  ``floor`` raises the count, e.g. to the LSH band
     shards' 1024 minimum.  Every call runs on the driver, so the
@@ -120,7 +106,7 @@ def _coarse_shards(multiple: int = 4, floor: int = 1) -> int:
     """
     cpus = _cluster_cpus()
     n = 1
-    while n < cpus * multiple:
+    while n < cpus * 4:
         n <<= 1
     return max(n, floor)
 
@@ -129,21 +115,21 @@ def _shard_col(col, n_shards: int) -> "pa.Array":
     """int32 coarse shard of an int64 key column (signed keys fine: the
     two's-complement low-bit mask is uniform either way).
 
-    ``n_shards`` must be a power of two (callers use :func:`_coarse_shards`)
-    — ONE implementation so the mask/cast idiom can't drift between the
-    seven groupby stages that shard this way.
+    ``n_shards`` must be a power of two (callers use :func:`_coarse_shards`),
+    so the mask equals the key's unsigned value mod ``n_shards``.  The one
+    shard rule of every coarse-keyed groupby in this module: stages that
+    build a shard's rows in pandas shard their Arrow output with it.
     """
     return pc.cast(
         pc.bit_wise_and(col, pa.scalar(n_shards - 1, pa.int64())), pa.int32()
     )
 
 
-def _shard_col_np(key, n_shards: int):
-    """Numpy/pandas twin of :func:`_shard_col` for the map_groups stages
-    that shard inside a pandas frame — SAME mask/cast idiom, one place
-    (review finding: two inline copies had drifted from the documented
-    single-implementation invariant)."""
-    return (key & (n_shards - 1)).astype("int32")
+def _int32_key(batch: pa.Table, key: str) -> pa.Table:
+    """Cast an int32 group key back to int32: Ray's ``groupby().aggregate()``
+    returns integer keys as int64."""
+    i = batch.schema.get_field_index(key)
+    return batch.set_column(i, key, pc.cast(batch.column(key), pa.int32()))
 
 
 def _round_cents_nonneg(x, scale: float = 100.0):
@@ -155,14 +141,14 @@ def _round_cents_nonneg(x, scale: float = 100.0):
     return np.floor(np.asarray(x, dtype=np.float64) * scale + 0.5).astype("int64")
 
 
-def _mod_keep(col, n: int, r: int = 0):
-    """Arrow mask ``col % n == r`` for non-negative int64 ids via
+def _mod_keep(col, n: int):
+    """Arrow mask ``col % n == 0`` for non-negative int64 ids via
     divide/multiply/subtract (pyarrow has no modulo kernel); shared by the
     deterministic-sampling queries."""
     q = pc.divide(col, pa.scalar(n, pa.int64()))
     return pc.equal(
         pc.subtract(col, pc.multiply(q, pa.scalar(n, pa.int64()))),
-        pa.scalar(r, pa.int64()),
+        pa.scalar(0, pa.int64()),
     )
 
 
@@ -391,15 +377,11 @@ def q_doc_stats_by_lang(sf_dir: str):
             pc.fill_null(batch.column("lang"), ""),
         )
 
-    g = (
+    return (
         _docs(sf_dir, columns=["lang", "n_chars"]).map_batches(fill, batch_format="pyarrow")
-        .groupby("lang").aggregate(Count(), Sum("n_chars"))
+        .groupby("lang")
+        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars"))
     )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["lang", "n_docs", "sum_chars"])
-
-    return g.map_batches(rename, batch_format="pyarrow")
 
 
 def q_token_counts(sf_dir: str):
@@ -430,15 +412,11 @@ def q_exact_dedup(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    g = ds.groupby(["text_hash", "text_hash_lo"]).aggregate(Min("doc_id"), Count())
-
-    def rename(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(
-            ["text_hash", "text_hash_lo", "keeper_id", "dup_count"]
-        )
-        return batch.select(["keeper_id", "dup_count"])
-
-    return g.map_batches(rename, batch_format="pyarrow")
+    return (
+        ds.groupby(["text_hash", "text_hash_lo"])
+        .aggregate(Min("doc_id", alias_name="keeper_id"), Count(alias_name="dup_count"))
+        .select_columns(["keeper_id", "dup_count"])
+    )
 
 
 def q_events_hourly(sf_dir: str):
@@ -448,7 +426,7 @@ def q_events_hourly(sf_dir: str):
     the shuffle moves one row per (type, window, block), not per event.
     """
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"))
 
@@ -475,23 +453,15 @@ def q_events_hourly(sf_dir: str):
     g = (
         _combine_partials(ds.map_batches(partial, batch_format="pyarrow"))
         .groupby(["event_type", "window_start"])
-        .aggregate(Sum("part_n"), Sum("part_sum"))
+        .aggregate(Sum("part_n", alias_name="n_events"),
+                   Sum("part_sum", alias_name="sum_raw"))
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["event_type", "window_start", "n_events", "sum_raw"])
         # sign-aware half-AWAY like DuckDB ROUND (value is an unconstrained
         # double, so negative hourly sums must round away from zero too)
         milli = _round_half_away(batch.column("sum_raw"), 1000.0)
-        return pa.Table.from_arrays(
-            [
-                batch.column("event_type"),
-                batch.column("window_start"),
-                pc.cast(batch.column("n_events"), pa.int64()),
-                milli,
-            ],
-            names=["event_type", "window_start", "n_events", "sum_value_milli"],
-        )
+        return batch.drop_columns(["sum_raw"]).append_column("sum_value_milli", milli)
 
     return g.map_batches(finish, batch_format="pyarrow")
 
@@ -684,21 +654,14 @@ def q_orders_by_nation(sf_dir: str):
             batch_format="pyarrow",
         ))
         .groupby("n_name")
-        .aggregate(Sum("part_n"), Sum("part_sum"))
+        .aggregate(Sum("part_n", alias_name="n_orders"),
+                   Sum("part_sum", alias_name="sum_raw"))
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["n_name", "n_orders", "sum_raw"])
         # sign-aware half-AWAY like DuckDB ROUND (pc.round is half-to-even)
-        milli = _round_half_away(batch.column("sum_raw"), 100.0)
-        return pa.Table.from_arrays(
-            [
-                batch.column("n_name"),
-                pc.cast(batch.column("n_orders"), pa.int64()),
-                milli,
-            ],
-            names=["n_name", "n_orders", "total_price_cents"],
-        )
+        cents = _round_half_away(batch.column("sum_raw"), 100.0)
+        return batch.drop_columns(["sum_raw"]).append_column("total_price_cents", cents)
 
     return g.map_batches(finish, batch_format="pyarrow")
 
@@ -767,11 +730,11 @@ def q_top_spenders(sf_dir: str):
     g = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("o_custkey")
-        .aggregate(Sum("part_n"), Sum("part_sum"))
+        .aggregate(Sum("part_n", alias_name="n_orders"),
+                   Sum("part_sum", alias_name="sum_raw"))
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["o_custkey", "n_orders", "sum_raw"])
         # non-negative money by the TPC-H contract (see _round_cents_nonneg;
         # unconstrained columns like events.value use the sign-aware
         # _round_half_away instead)
@@ -781,11 +744,7 @@ def q_top_spenders(sf_dir: str):
             ),
             pa.int64(),
         )
-        batch = pa.Table.from_arrays(
-            [batch.column("o_custkey"),
-             pc.cast(batch.column("n_orders"), pa.int64()), cents],
-            names=["o_custkey", "n_orders", "total_cents"],
-        )
+        batch = batch.drop_columns(["sum_raw"]).append_column("total_cents", cents)
         idx = pc.select_k_unstable(
             batch, k=10, sort_keys=[("total_cents", "descending"),
                                     ("o_custkey", "ascending")]
@@ -845,28 +804,14 @@ def q_pricing_summary(sf_dir: str):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    g = (
+    return (
         _combine_partials(ds.map_batches(partial, batch_format="pyarrow"))
         .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("part_n"), Sum("part_qty"), Sum("part_base"), Sum("part_disc"))
+        .aggregate(Sum("part_n", alias_name="n_rows"),
+                   Sum("part_qty", alias_name="sum_qty_milli"),
+                   Sum("part_base", alias_name="sum_base_cents"),
+                   Sum("part_disc", alias_name="sum_disc_cents"))
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(
-            ["l_returnflag", "l_linestatus", "n_rows", "sum_qty_milli",
-             "sum_base_cents", "sum_disc_cents"]
-        )
-        cols = [batch.column("l_returnflag"), batch.column("l_linestatus")] + [
-            pc.cast(batch.column(c), pa.int64())
-            for c in ("n_rows", "sum_qty_milli", "sum_base_cents", "sum_disc_cents")
-        ]
-        return pa.Table.from_arrays(
-            cols,
-            names=["l_returnflag", "l_linestatus", "n_rows", "sum_qty_milli",
-                   "sum_base_cents", "sum_disc_cents"],
-        )
-
-    return g.map_batches(finish, batch_format="pyarrow")
 
 
 def q_revenue_by_region(sf_dir: str):
@@ -914,22 +859,12 @@ def q_revenue_by_region(sf_dir: str):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    g = (
+    return (
         _combine_partials(ds.map_batches(partial, batch_format="pyarrow"))
         .groupby("r_name")
-        .aggregate(Sum("part_n"), Sum("part_rev"))
+        .aggregate(Sum("part_n", alias_name="n_items"),
+                   Sum("part_rev", alias_name="revenue_cents"))
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["r_name", "n_items", "revenue_cents"])
-        return pa.Table.from_arrays(
-            [batch.column("r_name"),
-             pc.cast(batch.column("n_items"), pa.int64()),
-             pc.cast(batch.column("revenue_cents"), pa.int64())],
-            names=["r_name", "n_items", "revenue_cents"],
-        )
-
-    return g.map_batches(finish, batch_format="pyarrow")
 
 
 def q_segment_order_revenue(sf_dir: str):
@@ -946,7 +881,6 @@ def q_segment_order_revenue(sf_dir: str):
     customer-key set (small side)."""
     import pyarrow.parquet as pq
     import ray
-    from ray.data.aggregate import Sum
 
     cust = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"),
@@ -984,13 +918,12 @@ def q_segment_order_revenue(sf_dir: str):
         g = df.groupby("l_orderkey", as_index=False).agg(
             part_rev=("rev_cents", "sum")
         )
-        g["shard"] = _shard_col_np(g["l_orderkey"], n_shards)
         g["o_orderdate"] = pd.Series(dtype="datetime64[us]")
         g = g.rename(columns={"l_orderkey": "o_orderkey"})
-        return pa.Table.from_pandas(
-            g[["o_orderkey", "part_rev", "o_orderdate", "shard"]],
-            preserve_index=False,
+        t = pa.Table.from_pandas(
+            g[["o_orderkey", "part_rev", "o_orderdate"]], preserve_index=False
         )
+        return t.append_column("shard", _shard_col(t.column("o_orderkey"), n_shards))
 
     def orders_tag(batch: pa.Table) -> pa.Table:
         shard = _shard_col(batch.column("o_orderkey"), n_shards)
@@ -1086,25 +1019,15 @@ def q_entities_by_nation(sf_dir: str):
     both = cust.union(supp)
 
     def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by("nationkey")
-            .aggregate([("nationkey", "count")])
-            .rename_columns(["nationkey", "part_n"])
-        )
+        g = batch.group_by("nationkey").aggregate([("nationkey", "count")])
+        return pa.table({"nationkey": g.column("nationkey"),
+                         "part_n": g.column("nationkey_count")})
 
     g = _combine_partials(
         both.map_batches(partial, batch_format="pyarrow")
-    ).groupby("nationkey").aggregate(Sum("part_n"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["nationkey", "n_entities"])
-        return pa.Table.from_arrays(
-            [pc.cast(batch.column("nationkey"), pa.int32()),
-             pc.cast(batch.column("n_entities"), pa.int64())],
-            names=["nationkey", "n_entities"],
-        )
-
-    return g.map_batches(finish, batch_format="pyarrow")
+    ).groupby("nationkey").aggregate(Sum("part_n", alias_name="n_entities"))
+    return g.map_batches(_int32_key, fn_kwargs={"key": "nationkey"},
+                         batch_format="pyarrow")
 
 
 def q_asof_last_order(sf_dir: str):
@@ -1150,12 +1073,12 @@ def q_asof_last_order(sf_dir: str):
         df = df.groupby(["o_custkey", "o_orderdate"], as_index=False)[
             "o_orderkey"
         ].max()
-        key = df["o_custkey"].astype("int64")
+        key = pa.array(df["o_custkey"].astype("int64"), pa.int64())
         return pa.Table.from_arrays(
             [pa.array(df["o_orderkey"], pa.int64()),
-             pa.array(key, pa.int64()),
+             key,
              pa.array(df["o_orderdate"], pa.timestamp("us")),
-             pa.array(_shard_col_np(key, n_shards), pa.int32()),
+             _shard_col(key, n_shards),
              pa.array([False] * len(df), pa.bool_())],
             names=["event_id", "key", "ts", "shard", "is_event"],
         )
@@ -1341,17 +1264,12 @@ def q_value_bands(sf_dir: str):
 
     g = _combine_partials(
         ds.map_batches(partial, batch_format="pyarrow")
-    ).groupby("band").aggregate(Sum("part_n"))
+    ).groupby("band").aggregate(Sum("part_n", alias_name="n_events"))
 
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["band", "n_events"])
-        batch = batch.filter(pc.greater(batch.column("n_events"), 0))
-        return pa.Table.from_arrays(
-            [batch.column("band"), pc.cast(batch.column("n_events"), pa.int64())],
-            names=["band", "n_events"],
-        )
+    def nonzero(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.greater(batch.column("n_events"), 0))
 
-    return g.map_batches(finish, batch_format="pyarrow")
+    return g.map_batches(nonzero, batch_format="pyarrow")
 
 
 # --------------------------- rows-only queries -----------------------------
@@ -1492,7 +1410,7 @@ def q_validation_pass_rate(sf_dir: str):
 
 def q_partition_metrics(sf_dir: str):
     """Per-partition lineage metrics: extract -> partition -> groupby sums."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     ds = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(_interleaved_batch, batch_format="pyarrow")
     out = ds.map_batches(extract_stage.extract_batch, batch_format="pyarrow")
@@ -1518,9 +1436,6 @@ def q_partition_metrics(sf_dir: str):
             [("partition_id", "count"), ("n_nodes", "sum"),
              ("n_fixups", "sum"), ("n_bytes", "sum")]
         )
-        # select by the deterministic aggregate names ("<col>_<fn>") —
-        # key-vs-aggregate column ORDER has differed across pyarrow
-        # versions, so a positional rename is version-fragile
         return pa.Table.from_arrays(
             [g.column("partition_id"), g.column("partition_id_count"),
              g.column("n_nodes_sum"), g.column("n_fixups_sum"),
@@ -1529,26 +1444,14 @@ def q_partition_metrics(sf_dir: str):
                    "part_bytes"],
         )
 
-    g = (
+    return (
         _combine_partials(out.map_batches(expand_partial, batch_format="pyarrow"))
         .groupby("partition_id")
-        .aggregate(Sum("part_docs"), Sum("part_nodes"), Sum("part_fixups"),
-                   Sum("part_bytes"))
+        .aggregate(Sum("part_docs", alias_name="n_docs"),
+                   Sum("part_nodes", alias_name="sum_nodes"),
+                   Sum("part_fixups", alias_name="sum_fixups"),
+                   Sum("part_bytes", alias_name="sum_bytes"))
     )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(
-            ["partition_id", "n_docs", "sum_nodes", "sum_fixups", "sum_bytes"]
-        )
-        return pa.Table.from_arrays(
-            [batch.column("partition_id")]
-            + [pc.cast(batch.column(c), pa.int64())
-               for c in ("n_docs", "sum_nodes", "sum_fixups", "sum_bytes")],
-            names=["partition_id", "n_docs", "sum_nodes", "sum_fixups",
-                   "sum_bytes"],
-        )
-
-    return g.map_batches(rename, batch_format="pyarrow")
 
 
 def q_dom_api(sf_dir: str):
@@ -1692,11 +1595,13 @@ def q_minhash_neardup(sf_dir: str):
     )
     # band-shard count scales with the cluster (floor 1024 keeps per-shard
     # groups task-sized on small clusters too — round-1 verdict #6 pattern)
-    bands = ds.map_batches(
-        dedup.lsh_band_rows,
-        fn_kwargs={"n_shards": _coarse_shards(floor=1024)},
-        batch_format="pyarrow",
-    )
+    band_shards = _coarse_shards(floor=1024)
+
+    def band_rows(batch: pa.Table) -> pa.Table:
+        t = dedup.lsh_band_rows(batch)
+        return t.append_column("band_shard", _shard_col(t.column("band_key"), band_shards))
+
+    bands = ds.map_batches(band_rows, batch_format="pyarrow")
     # coarse-shard groupby: fixed group count, exact bucket co-location
     pairs = bands.groupby("band_shard").map_groups(
         dedup.shard_candidate_pairs, batch_format="pandas"
@@ -1708,18 +1613,9 @@ def q_minhash_neardup(sf_dir: str):
     # a cluster-scaled block count keeps blocks tens of MB)
     from ray.data.aggregate import Count
 
-    g = _combine_partials(pairs).groupby(["doc_a", "doc_b"]).aggregate(Count())
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["doc_a", "doc_b", "n_bands"])
-
-    return g.map_batches(rename, batch_format="pyarrow")
-
-
-# Driver bytes of per-block dense blooms up to which
-# q_minhash_neardup_verified builds its bloom densely; the sparse build
-# beyond it gives the same pairs.
-_BLOOM_DENSE_MAX_BYTES = 64 << 20
+    return _combine_partials(pairs).groupby(["doc_a", "doc_b"]).aggregate(
+        Count(alias_name="n_bands")
+    )
 
 
 def q_minhash_neardup_verified(sf_dir: str):
@@ -1735,10 +1631,11 @@ def q_minhash_neardup_verified(sf_dir: str):
 
     * pair-side lookup rows come from a vectorized ``map_batches`` over the
       pairs Dataset (2 rows per pair, built from Arrow arrays);
-    * the corpus pre-filter is a broadcast BLOOM over candidate ids —
-      per-block bit arrays ORed driver-side (bounded by blocks x filter
-      size, never key count).  Bloom false positives only admit unused
-      texts into the attach shuffle; output is unaffected.
+    * the corpus pre-filter is a broadcast BLOOM over candidate ids,
+      built position-sharded: bit positions shuffle by contiguous bit
+      range and the driver receives exactly m/8 bytes of dense sub-arrays
+      (never key count or block count).  Bloom false positives only admit
+      unused texts into the attach shuffle; output is unaffected.
 
     The pairs Dataset is ``materialize()``d — an LSH-bounded intermediate
     held in the (spillable) object store so the bloom pass and the
@@ -1770,50 +1667,25 @@ def q_minhash_neardup_verified(sf_dir: str):
     while m_bits < min(64 * n_pairs, 1 << 33):
         m_bits <<= 1
 
-    n_blocks = pairs.num_blocks()
-    # dense per-block blooms cost blocks x m/8 bytes at the driver; beyond
-    # _BLOOM_DENSE_MAX_BYTES switch to the sparse build: position rows
-    # SHUFFLE (pair-scale groupby) and the driver receives exactly m/8
-    # bytes of dense sub-arrays
-    if n_blocks * (m_bits // 8) <= _BLOOM_DENSE_MAX_BYTES:
-        def block_bloom(batch: pa.Table) -> pa.Table:
-            ids = np.concatenate([
-                batch.column("doc_a").to_numpy(zero_copy_only=False),
-                batch.column("doc_b").to_numpy(zero_copy_only=False),
-            ])
-            bits = dedup.bloom_bits_for_ids(ids, m_bits)
-            return pa.Table.from_arrays(
-                [pa.array([bits.tobytes()], pa.large_binary())], names=["bloom"]
-            )
+    n_bit_shards = max(1, min(_coarse_shards(), m_bits >> 16))
 
-        blooms = [
-            row["bloom"]
-            for row in pairs.map_batches(
-                block_bloom, batch_format="pyarrow"
-            ).take_all()
-        ]
-        bloom_bits = dedup.bloom_or_blocks(blooms, m_bits)
-    else:
-        n_bit_shards = max(1, min(_coarse_shards(), m_bits >> 16))
+    def position_rows(batch: pa.Table) -> pa.Table:
+        ids = np.concatenate([
+            batch.column("doc_a").to_numpy(zero_copy_only=False),
+            batch.column("doc_b").to_numpy(zero_copy_only=False),
+        ])
+        return dedup.bloom_position_rows(ids, m_bits, n_bit_shards)
 
-        def position_rows(batch: pa.Table) -> pa.Table:
-            ids = np.concatenate([
-                batch.column("doc_a").to_numpy(zero_copy_only=False),
-                batch.column("doc_b").to_numpy(zero_copy_only=False),
-            ])
-            return dedup.bloom_position_rows(ids, m_bits, n_bit_shards)
+    def densify(group: "pd.DataFrame") -> "pd.DataFrame":
+        return dedup.bloom_shard_dense(group, m_bits, n_bit_shards)
 
-        def densify(group: "pd.DataFrame") -> "pd.DataFrame":
-            return dedup.bloom_shard_dense(group, m_bits, n_bit_shards)
-
-        rows = (
-            pairs.map_batches(position_rows, batch_format="pyarrow")
-            .groupby("bit_shard")
-            .map_groups(densify, batch_format="pandas")
-            .take_all()
-        )
-        bloom_bits = dedup.bloom_assemble_shards(rows, m_bits, n_bit_shards)
-    bits_ref = ray.put(bloom_bits)
+    rows = (
+        pairs.map_batches(position_rows, batch_format="pyarrow")
+        .groupby("bit_shard")
+        .map_groups(densify, batch_format="pandas")
+        .take_all()
+    )
+    bits_ref = ray.put(dedup.bloom_assemble_shards(rows, m_bits, n_bit_shards))
 
     # candidate texts only: broadcast bloom, vectorized membership test —
     # the corpus streams once, nothing else shuffles text
@@ -2001,9 +1873,11 @@ def q_simhash_neardup(sf_dir: str):
 
     # band rows carry the full code along so the verifier needs no join back
     def band_with_code(batch: pa.Table) -> pa.Table:
-        bands = dedup.simhash_band_rows(batch, n_shards=band_shards)
+        bands = dedup.simhash_band_rows(batch)
         codes = batch.column("simhash").combine_chunks()
-        return bands.append_column("simhash", pa.concat_arrays([codes] * 4))
+        return bands.append_column(
+            "band_shard", _shard_col(bands.column("band_key"), band_shards)
+        ).append_column("simhash", pa.concat_arrays([codes] * 4))
 
     # coarse band_shard groups (fixed group count; exact buckets stay whole
     # within a shard) — the verifier resolves per-bucket boundaries inside
@@ -2015,12 +1889,9 @@ def q_simhash_neardup(sf_dir: str):
 
     # candidate pairs repeat across bands with identical hamming: one
     # aggregate (no per-pair Python map_groups) makes them distinct
-    g = pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["doc_a", "doc_b", "hamming"])
-
-    return g.map_batches(rename, batch_format="pyarrow")
+    return pairs.groupby(["doc_a", "doc_b"]).aggregate(
+        Min("hamming", alias_name="hamming")
+    )
 
 
 def q_fingerprints(sf_dir: str):
@@ -2118,18 +1989,15 @@ def q_embedding_neardup(sf_dir: str):
             pairs.map_batches(pair_ends, batch_format="pyarrow").union(zeros)
         )
         .groupby("vec_id")
-        .aggregate(Sum("c"))
+        .aggregate(Sum("c", alias_name="n_dups"))
     )
 
-    def finish(batch: pa.Table) -> pa.Table:
-        n = pa.compute.cast(batch.column(1), pa.int64())
-        return pa.Table.from_arrays(
-            [batch.column("vec_id"), n,
-             pa.compute.greater(n, pa.scalar(0, pa.int64()))],
-            names=["vec_id", "n_dups", "is_dup"],
+    def is_dup(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "is_dup", pc.greater(batch.column("n_dups"), pa.scalar(0, pa.int64()))
         )
 
-    return counts.map_batches(finish, batch_format="pyarrow")
+    return counts.map_batches(is_dup, batch_format="pyarrow")
 
 
 def q_media_features(sf_dir: str):
@@ -2214,19 +2082,17 @@ def q_interleaved_media_features(sf_dir: str):
             [pc.cast(doc_ids, pa.string())], names=["doc_id"]
         )
         g = t.group_by("doc_id").aggregate([("doc_id", "count")])
-        g = g.rename_columns(["doc_id", "part_media"])
         return pa.Table.from_arrays(
             [g.column("doc_id"), pa.nulls(len(g), pa.int64()),
-             pc.cast(g.column("part_media"), pa.int64())],
+             g.column("doc_id_count")],
             names=["doc_id", "part_text", "part_media"],
         )
 
     def text_partial2(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch.column("kind"), "text"))
         g = t.group_by("doc_id").aggregate([("kind", "count")])
-        g = g.rename_columns(["doc_id", "part_text"])
         return pa.Table.from_arrays(
-            [g.column("doc_id"), pc.cast(g.column("part_text"), pa.int64()),
+            [g.column("doc_id"), g.column("kind_count"),
              pa.nulls(len(g), pa.int64())],
             names=["doc_id", "part_text", "part_media"],
         )
@@ -2237,22 +2103,22 @@ def q_interleaved_media_features(sf_dir: str):
     # the union inherits 2 x upstream-task-count tiny blocks of ~65
     # count rows each — coalesce before the rejoin groupby
     both = _combine_partials(both)
-    g = both.groupby("doc_id").aggregate(Sum("part_text"), Sum("part_media"))
+    g = both.groupby("doc_id").aggregate(
+        Sum("part_text", alias_name="n_text_spans"),
+        Sum("part_media", alias_name="n_media_decoded"),
+    )
 
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["doc_id", "n_text_spans", "n_media_decoded"])
+    def coalesce(batch: pa.Table) -> pa.Table:
+        # a doc with no text (or no media) spans sums to null: count 0
+        zero = pa.scalar(0, pa.int64())
         return pa.Table.from_arrays(
-            [
-                batch.column("doc_id"),
-                pc.cast(pc.coalesce(batch.column("n_text_spans"),
-                                    pa.scalar(0, pa.int64())), pa.int64()),
-                pc.cast(pc.coalesce(batch.column("n_media_decoded"),
-                                    pa.scalar(0, pa.int64())), pa.int64()),
-            ],
+            [batch.column("doc_id"),
+             pc.coalesce(batch.column("n_text_spans"), zero),
+             pc.coalesce(batch.column("n_media_decoded"), zero)],
             names=["doc_id", "n_text_spans", "n_media_decoded"],
         )
 
-    return g.map_batches(finish, batch_format="pyarrow")
+    return g.map_batches(coalesce, batch_format="pyarrow")
 
 
 def q_audio_features(sf_dir: str):
@@ -2365,21 +2231,11 @@ def q_frame_pipeline(sf_dir: str):
     # (round-4 verdict #5 pattern): block count tracks the count DATA,
     # not the upstream actor-task count — the sort-based Aggregate costs
     # n_blocks x n_partitions block tasks
-    partials = resized.map_batches(partial, batch_format="pyarrow").repartition(
-        _pool()[1]
+    partials = _combine_partials(resized.map_batches(partial, batch_format="pyarrow"))
+    return partials.groupby("media_ref").aggregate(
+        Sum("n_frames", alias_name="n_frames"),
+        Sum("total_bytes", alias_name="total_bytes"),
     )
-    g = partials.groupby("media_ref").aggregate(Sum("n_frames"), Sum("total_bytes"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["media_ref", "n_frames", "total_bytes"])
-        return pa.Table.from_arrays(
-            [batch.column("media_ref"),
-             pc.cast(batch.column("n_frames"), pa.int64()),
-             pc.cast(batch.column("total_bytes"), pa.int64())],
-            names=["media_ref", "n_frames", "total_bytes"],
-        )
-
-    return g.map_batches(finish, batch_format="pyarrow")
 
 
 def q_corpus_clean(sf_dir: str):
@@ -2429,24 +2285,12 @@ def q_corpus_clean(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by("lang")
-            .aggregate([("doc_id", "count")])
-            .rename_columns(["lang", "part_n"])
-        )
+        g = batch.group_by("lang").aggregate([("doc_id", "count")])
+        return pa.table({"lang": g.column("lang"), "part_n": g.column("doc_id_count")})
 
-    g = survivors.map_batches(partial, batch_format="pyarrow").groupby(
+    return survivors.map_batches(partial, batch_format="pyarrow").groupby(
         "lang"
-    ).aggregate(Sum("part_n"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["lang", "n_docs"])
-        return pa.Table.from_arrays(
-            [batch.column("lang"), pc.cast(batch.column("n_docs"), pa.int64())],
-            names=["lang", "n_docs"],
-        )
-
-    return g.map_batches(finish, batch_format="pyarrow")
+    ).aggregate(Sum("part_n", alias_name="n_docs"))
 
 
 def q_vocab_topk(sf_dir: str):
@@ -2472,11 +2316,10 @@ def q_vocab_topk(sf_dir: str):
         )
 
     g = ds.map_batches(partial, batch_format="pyarrow").groupby("word").aggregate(
-        Sum("part_n")
+        Sum("part_n", alias_name="n")
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["word", "n"])
         idx = pc.select_k_unstable(
             batch, k=50, sort_keys=[("n", "descending"), ("word", "ascending")]
         )
@@ -2514,15 +2357,13 @@ def q_length_quantiles(sf_dir: str):
             "lang": pc.fill_null(batch.column("lang"), ""),
             "n_chars": batch.column("n_chars"),
         })
-        return (
-            batch.group_by(["lang", "n_chars"])
-            .aggregate([("n_chars", "count")])
-            .rename_columns(["lang", "n_chars", "part_n"])
-        )
+        g = batch.group_by(["lang", "n_chars"]).aggregate([("n_chars", "count")])
+        return pa.table({"lang": g.column("lang"), "n_chars": g.column("n_chars"),
+                         "part_n": g.column("n_chars_count")})
 
     g = ds.map_batches(partial, batch_format="pyarrow").groupby(
         ["lang", "n_chars"]
-    ).aggregate(Sum("part_n"))
+    ).aggregate(Sum("part_n", alias_name="n"))
 
     hist = g.to_pandas()
     if hist.empty:  # zero-row corpus
@@ -2532,7 +2373,6 @@ def q_length_quantiles(sf_dir: str):
              pa.array([], pa.int64())],
             names=["lang", "n_docs", "p50", "p90", "p99"],
         )
-    hist.columns = ["lang", "n_chars", "n"]
     import math
 
     import pandas as pd
@@ -2703,7 +2543,7 @@ def q_sequence_packing(sf_dir: str):
     totals = (
         tok.map_batches(partial_totals, batch_format="pyarrow")
         .groupby(["shard", "range_id"])
-        .aggregate(Sum("part_tok"))
+        .aggregate(Sum("part_tok", alias_name="part_tok"))
         .to_pandas()  # bounded: one row per (shard, doc_id-range)
     )
     if totals.empty:  # zero-row corpus: columnless aggregate frame
@@ -2713,8 +2553,7 @@ def q_sequence_packing(sf_dir: str):
             names=["shard", "pack_id", "n_docs", "n_tokens"],
         )
     totals = totals.sort_values(["shard", "range_id"])
-    tot_col = totals["sum(part_tok)"].astype("int64")
-    offset = totals.groupby("shard")["sum(part_tok)"].cumsum().astype("int64") - tot_col
+    offset = totals.groupby("shard")["part_tok"].cumsum() - totals["part_tok"]
     # broadcast as SORTED parallel numpy arrays (zero-copy plasma reads in
     # every group task — a dict would re-deserialize per group); composite
     # key = shard << 44 | range_id (range_id < 2^44 at any real doc_id span)
@@ -2750,21 +2589,10 @@ def q_sequence_packing(sf_dir: str):
     # partial row per (range boundary, pack) — the groupby moves pack-count
     # rows, never docs)
     merged = packed.groupby(["shard", "pack_id"]).aggregate(
-        Sum("n_docs"), Sum("n_tokens")
+        Sum("n_docs", alias_name="n_docs"), Sum("n_tokens", alias_name="n_tokens")
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [
-                pc.cast(batch.column("shard"), pa.int32()),
-                pc.cast(batch.column("pack_id"), pa.int64()),
-                pc.cast(batch.column("sum(n_docs)"), pa.int64()),
-                pc.cast(batch.column("sum(n_tokens)"), pa.int64()),
-            ],
-            names=["shard", "pack_id", "n_docs", "n_tokens"],
-        )
-
-    return merged.map_batches(finish, batch_format="pyarrow")
+    return merged.map_batches(_int32_key, fn_kwargs={"key": "shard"},
+                              batch_format="pyarrow")
 
 
 _STRATA_RATES = {"en": 4, "zh": 2}  # downsample dominant languages; rest 1:1
@@ -2788,18 +2616,9 @@ def q_stratified_sample(sf_dir: str):
         g = kept.groupby("lang", as_index=False).agg(part_n=("doc_id", "size"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    g = ds.map_batches(fil, batch_format="pyarrow").groupby("lang").aggregate(
-        Sum("part_n")
+    return ds.map_batches(fil, batch_format="pyarrow").groupby("lang").aggregate(
+        Sum("part_n", alias_name="n_kept")
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["lang", "n_kept"])
-        return pa.Table.from_arrays(
-            [batch.column("lang"), pc.cast(batch.column("n_kept"), pa.int64())],
-            names=["lang", "n_kept"],
-        )
-
-    return g.map_batches(finish, batch_format="pyarrow")
 
 
 def q_decontaminate(sf_dir: str):

@@ -35,7 +35,6 @@ __all__ = [
     "popcount64",
     "pairwise_jaccard",
     "bloom_bits_for_ids",
-    "bloom_or_blocks",
     "bloom_test_ids",
     "bloom_position_rows",
     "bloom_shard_dense",
@@ -204,13 +203,14 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def lsh_band_rows(batch: pa.Table, n_shards: int = 1024) -> pa.Table:
-    """flat_map: one row per (doc, band) with exact band key + coarse shard.
+def lsh_band_rows(batch: pa.Table) -> pa.Table:
+    """flat_map: one row per (doc, band) with its exact band key.
 
-    ``band_shard`` is the shuffle key for :func:`shard_candidate_pairs`:
-    uniformly distributed by construction (FNV fold of signature values), so
-    the groupby is skew-free.  Fully vectorized: one FNV-1a fold over the
-    (n_docs,) column per band row — no per-(doc, band) Python loop.
+    ``band_key`` is uniformly distributed by construction (FNV fold of
+    signature values), so a coarse shard of it (the caller's shuffle key
+    for :func:`shard_candidate_pairs`) is skew-free.  Fully vectorized: one
+    FNV-1a fold over the (n_docs,) column per band row — no per-(doc, band)
+    Python loop.
     """
     n = len(batch)
     sigs = (
@@ -235,22 +235,20 @@ def lsh_band_rows(batch: pa.Table, n_shards: int = 1024) -> pa.Table:
             pa.concat_arrays([ids] * LSH_BANDS),
             pa.array(np.repeat(np.arange(LSH_BANDS, dtype=np.int32), n), pa.int32()),
             pa.array(flat_keys.view(np.int64), pa.int64()),
-            pa.array((flat_keys % np.uint64(n_shards)).astype(np.int32), pa.int32()),
         ],
-        names=["doc_id", "band", "band_key", "band_shard"],
+        names=["doc_id", "band", "band_key"],
     )
 
 
 def shard_candidate_pairs(group: pd.DataFrame) -> pd.DataFrame:
     """Pair emission over a *shard* of band buckets (vectorised run-scan).
 
-    The shuffle groups rows by ``band_shard`` (a coarse hash of band_key),
-    guaranteeing every exact band bucket lands wholly in one group; inside
-    the group one sorted scan finds equal-band_key runs and emits pairs.
+    The shuffle groups rows by a coarse shard of band_key, guaranteeing
+    every exact band bucket lands wholly in one group; inside the group one
+    sorted scan finds equal-band_key runs and emits pairs.
 
-    Scale note: group size ~ n_docs * LSH_BANDS / n_shards — raise the
-    shard count (``lsh_band_rows(n_shards=...)``) with corpus size so a
-    group stays task-sized.
+    Scale note: group size ~ n_docs * LSH_BANDS / n_shards — the caller
+    raises the shard count with corpus size so a group stays task-sized.
     """
     keys = group["band_key"].to_numpy()
     docs = group["doc_id"].to_numpy()
@@ -430,13 +428,13 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def simhash_band_rows(batch: pa.Table, n_shards: int = 1024) -> pa.Table:
+def simhash_band_rows(batch: pa.Table) -> pa.Table:
     """flat_map: 4 x 16-bit chunks as near-dup bucket keys (Hamming<=3).
 
-    ``band_shard`` is a coarse shuffle key (fixed group count) that keeps
-    every exact band bucket whole — the verifier groups by it and resolves
-    exact buckets inside, avoiding one Python map_groups call per tiny
-    bucket.
+    The caller shuffles by a coarse shard of ``band_key`` (fixed group
+    count), which keeps every exact band bucket whole — the verifier
+    resolves exact buckets inside a shard, avoiding one Python map_groups
+    call per tiny bucket.
     """
     codes = batch.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
     keys = np.concatenate(
@@ -445,13 +443,11 @@ def simhash_band_rows(batch: pa.Table, n_shards: int = 1024) -> pa.Table:
             for b in range(4)
         ]
     )
-    shards = (keys % np.uint64(n_shards)).astype(np.int32)
     ids = batch.column("doc_id").combine_chunks()
     doc_col = pa.concat_arrays([ids] * 4)
     return pa.Table.from_arrays(
-        [doc_col, pa.array(keys.astype(np.int64), pa.int64()),
-         pa.array(shards, pa.int32())],
-        names=["doc_id", "band_key", "band_shard"],
+        [doc_col, pa.array(keys.astype(np.int64), pa.int64())],
+        names=["doc_id", "band_key"],
     )
 
 
@@ -467,7 +463,7 @@ def popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def simhash_window_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """In-bucket verification of a ``band_shard`` group of
+    """In-bucket verification of a coarse-shard group of
     :func:`simhash_band_rows` rows (with their ``simhash`` codes): pairs
     within SIMHASH_MAX_HAMMING, exact up to SIMHASH_EXACT_CAP, windowed
     above.
@@ -575,9 +571,9 @@ def pairwise_jaccard(texts_a: "pd.Series", texts_b: "pd.Series") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Broadcast bloom filter over candidate doc_ids.  Used by verification stages
 # to prune the corpus->attach shuffle WITHOUT materializing the candidate id
-# list on the driver (round-2 verdict #2): each pair block folds its ids into
-# a fixed-size bit array; the driver only ever ORs per-block bit arrays
-# (blocks x m/8 bytes, never O(pairs)).  False positives are harmless — they
+# list on the driver (round-2 verdict #2): the ids' bit positions shuffle by
+# contiguous bit range and the driver receives m/8 bytes of dense sub-arrays
+# (never O(pairs) or O(blocks)).  False positives are harmless — they
 # admit extra corpus rows into the attach shuffle whose texts simply go
 # unused — so a saturated bloom degrades shuffle bandwidth, never output.
 # ---------------------------------------------------------------------------
@@ -605,7 +601,8 @@ def _bloom_positions(ids: np.ndarray, m_bits: int) -> "list[np.ndarray]":
 
 
 def bloom_bits_for_ids(ids: np.ndarray, m_bits: int) -> np.ndarray:
-    """Fold int64 ids into an m_bits-wide bloom (uint8 byte array)."""
+    """Fold int64 ids into an m_bits-wide bloom (uint8 byte array): the
+    single-array reference for the position-sharded build below."""
     bits = np.zeros(m_bits // 8, dtype=np.uint8)
     for pos in _bloom_positions(ids, m_bits):
         np.bitwise_or.at(
@@ -614,15 +611,6 @@ def bloom_bits_for_ids(ids: np.ndarray, m_bits: int) -> np.ndarray:
             (np.uint64(1) << (pos & np.uint64(7))).astype(np.uint8),
         )
     return bits
-
-
-def bloom_or_blocks(blooms: "list[bytes]", m_bits: int) -> np.ndarray:
-    """OR per-block blooms into the final filter (driver-side, bounded by
-    n_blocks x m_bits/8 bytes — independent of key count)."""
-    acc = np.zeros(m_bits // 8, dtype=np.uint8)
-    for b in blooms:
-        acc |= np.frombuffer(b, dtype=np.uint8)
-    return acc
 
 
 def bloom_test_ids(bits: np.ndarray, ids: np.ndarray, m_bits: int) -> np.ndarray:
@@ -639,10 +627,9 @@ def bloom_position_rows(
 ) -> "pa.Table":
     """Sparse bloom build, stage 1: (bit_shard, pos) rows for a block's ids.
 
-    The scale path when ``blocks x m/8`` dense blooms would swamp the
-    driver: positions are pair-scale rows that SHUFFLE (groupby bit_shard),
-    and the driver later receives exactly m/8 bytes total — one dense
-    sub-array per contiguous bit range — independent of block count.
+    Positions are pair-scale rows that SHUFFLE (groupby bit_shard), and the
+    driver later receives exactly m/8 bytes total — one dense sub-array per
+    contiguous bit range — independent of block count.
     ``n_shards`` and ``m_bits`` must both be powers of two.
     """
     pos = np.concatenate(_bloom_positions(ids, m_bits)) if len(ids) else \

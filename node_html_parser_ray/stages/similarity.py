@@ -39,26 +39,27 @@ LSH_MIN_PLANES = 8
 NEARDUP_COSINE = 0.9  # shard_embedding_neardup_pairs' cosine threshold
 
 
-def embedding_matrix(batch: pa.Table) -> np.ndarray:
-    """The ``embedding`` list<float> column as an (n, d) float32 matrix.
+def embedding_matrix(batch: pa.Table, dim: int | None = None) -> np.ndarray:
+    """The ``embedding`` list column as an (n, dim) matrix of its element
+    type (float32 for the embeddings tables).
 
-    A null embedding becomes a zero row, which every consumer treats as
-    zero-norm (``topk_cosine_batch`` ranks it last, like the SQL oracle's
-    NULL cosine): the flattened child array holds no values for a null
-    list, so a plain reshape would shift every later row."""
-    n = len(batch)
-    if n == 0:
-        # reshape(0, -1) raises on an empty flat array — return an explicit
-        # 0-row matrix (fully-filtered upstream blocks reach here)
-        return np.zeros((0, 0), dtype=np.float32)
+    ``dim`` is the width of the broadcast matrix a caller multiplies with;
+    without one, the width is that of the batch's non-null rows (0 when
+    every row is null).  A null embedding becomes a zero row, which every
+    consumer treats as zero-norm (``topk_cosine_batch`` ranks it last, like
+    the SQL oracle's NULL cosine): the flattened child array holds no
+    values for a null list, so a plain reshape would shift every later
+    row."""
     col = batch.column("embedding").combine_chunks()
-    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float32)
-    if not col.null_count:
-        return flat.reshape(n, -1)
+    flat = col.flatten().to_numpy(zero_copy_only=False)
     valid = col.is_valid().to_numpy(zero_copy_only=False)
     n_valid = int(valid.sum())
-    out = np.zeros((n, len(flat) // max(n_valid, 1)), np.float32)
-    out[valid] = flat.reshape(n_valid, out.shape[1])
+    if dim is None:
+        dim = len(flat) // max(n_valid, 1)
+    if n_valid == len(batch):
+        return flat.reshape(n_valid, dim)
+    out = np.zeros((len(batch), dim), flat.dtype)
+    out[valid] = flat.reshape(n_valid, dim)
     return out
 
 
@@ -89,9 +90,7 @@ def topk_cosine_batch(batch: pa.Table, query_ref) -> pa.Table:
         )
     q_normed = _normalize(_resolve(query_ref))
     ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-    emb = embedding_matrix(batch)
-    if emb.shape[1] == 0:  # every embedding in the batch is null
-        emb = np.zeros((len(batch), q_normed.shape[1]), np.float32)
+    emb = embedding_matrix(batch, q_normed.shape[1])
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     zero_rows = (norms == 0).ravel()
     norms[norms == 0] = 1.0
@@ -131,7 +130,7 @@ def ivf_assign_batch(batch: pa.Table, centroids_ref) -> pa.Table:
     if len(batch) == 0:
         return batch.append_column("ivf_cell", pa.array([], pa.int32()))
     centroids = _normalize(_resolve(centroids_ref))
-    emb = _normalize(embedding_matrix(batch))
+    emb = _normalize(embedding_matrix(batch, centroids.shape[1]))
     cell = np.argmax(emb @ centroids.T, axis=1).astype(np.int32)
     return batch.append_column("ivf_cell", pa.array(cell, pa.int32()))
 
@@ -210,7 +209,7 @@ def kmeans_partial_batch(batch: pa.Table, centroids_ref) -> pa.Table:
             names=["cell", "part_n", "part_sum"],
         )
     centroids = _normalize(_resolve(centroids_ref))
-    emb = _normalize(embedding_matrix(batch))
+    emb = _normalize(embedding_matrix(batch, centroids.shape[1]))
     assign = np.argmax(emb @ centroids.T, axis=1)
     cells = np.unique(assign)
     sums = np.zeros((len(cells), emb.shape[1]), dtype=np.float64)
@@ -359,7 +358,10 @@ def shard_embedding_neardup_pairs(group, n_planes: int):
     order = np.argsort(buckets, kind="stable")
     b = buckets[order]
     ids = group["vec_id"].to_numpy()[order]
-    emb64 = np.stack(group["embedding"].to_numpy()[order]).astype(np.float64)
+    # null embeddings are zero rows, as in every other consumer; doubles
+    # hold float32 embeddings exactly
+    rows = pa.array(group["embedding"].to_numpy()[order], pa.list_(pa.float64()))
+    emb64 = embedding_matrix(pa.table({"embedding": rows}))
     keys = np.stack(group["all_buckets"].to_numpy()[order]).astype(np.int64)
     norms = np.linalg.norm(emb64, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

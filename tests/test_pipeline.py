@@ -906,7 +906,7 @@ class TestDedupStages:
         )
         pairs = (
             ds.map_batches(lsh_band_rows, batch_format="pyarrow")
-            .groupby("band_shard")
+            .groupby("band_key")
             .map_groups(shard_candidate_pairs, batch_format="pandas")
             .take_all()
         )
@@ -1044,6 +1044,37 @@ class TestCosineTopK:
                 assert got_cos[:-1] == pytest.approx(base_cos, rel=1e-6)
                 assert got_cos[-1] == float("-inf")
         assert run([(3, None)]) == ([3], [float("-inf")])
+
+    def test_null_embedding_batch_takes_broadcast_width(self):
+        """A batch whose every embedding is null gives no width of its own:
+        the IVF and k-means partials take the broadcast centroids' width,
+        so a one-row null batch lands in cell 0 (a zero row's argmax) with
+        a zero partial sum, as a null row in a mixed batch does.  Both
+        raised a matmul shape error on an (n, 0) matrix before."""
+        import numpy as np
+
+        from node_html_parser_ray.stages.similarity import (
+            ivf_assign_batch,
+            kmeans_partial_batch,
+        )
+
+        cents = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], np.float32)
+
+        def batch(vecs):
+            return pa.table({
+                "vec_id": pa.array(range(len(vecs)), pa.int64()),
+                "embedding": pa.array(vecs, pa.list_(pa.float32())),
+            })
+
+        null_only = batch([None])
+        assert ivf_assign_batch(null_only, cents).column("ivf_cell").to_pylist() == [0]
+        part = kmeans_partial_batch(null_only, cents).to_pylist()
+        assert part == [{"cell": 0, "part_n": 1, "part_sum": [0.0, 0.0, 0.0]}]
+
+        mixed = batch([[2.0, 0.1, 0.0], None, [0.0, 3.0, 0.0]])
+        assert ivf_assign_batch(mixed, cents).column("ivf_cell").to_pylist() == [1, 0, 0]
+        part = {r["cell"]: r["part_n"] for r in kmeans_partial_batch(mixed, cents).to_pylist()}
+        assert part == {0: 2, 1: 1}
 
 
 class TestIVF:
@@ -1520,7 +1551,7 @@ class TestShardCountInvariance:
     def _run(monkeypatch, name, shards, sf="/root/testdata/sf0.001"):
         from node_html_parser_ray.pipelines import queries as q
 
-        monkeypatch.setattr(q, "_coarse_shards", lambda multiple=4, floor=1: shards)
+        monkeypatch.setattr(q, "_coarse_shards", lambda floor=1: shards)
         df = q.QUERIES[name](sf)
         df = df.to_pandas() if hasattr(df, "to_pandas") else df
         return df.sort_values(list(df.columns)).reset_index(drop=True)
@@ -1539,6 +1570,17 @@ class TestShardCountInvariance:
         a = self._run(monkeypatch, "sliding_window", 4)
         b = self._run(monkeypatch, "sliding_window", 64)
         assert a.equals(b)
+
+    @pytest.mark.parametrize("name", [
+        "segment_order_revenue", "corpus_clean", "simhash_neardup",
+        "minhash_neardup_verified",
+    ])
+    def test_shard_col_queries_shard_invariant(self, ray_session, monkeypatch, name):
+        """The queries whose shard column ``_shard_col`` appends to an
+        Arrow block built elsewhere (a pandas partial, a band-row stage)."""
+        a = self._run(monkeypatch, name, 4)
+        b = self._run(monkeypatch, name, 64)
+        assert len(a) and a.equals(b)
 
 
 class TestEmbeddingNearDupScaling:
@@ -1645,6 +1687,30 @@ class TestEmbeddingNearDupScaling:
         assert len(out) == 1
         assert (int(out["vec_a"].iloc[0]), int(out["vec_b"].iloc[0])) == (1, 2)
         assert out["cosine"].iloc[0] >= v64
+
+    def test_null_embeddings_share_a_group(self):
+        """Null embeddings are zero rows, so their signs put every one of
+        them in the same bucket of every table: the verifier builds the
+        group's rows as ``embedding_matrix`` does and pairs no null.  Two
+        nulls in one group made its ``np.stack`` raise before."""
+        from node_html_parser_ray.stages.similarity import (
+            multitable_bucket_rows,
+            shard_embedding_neardup_pairs,
+        )
+
+        v = [1.0, 0.2, -0.5, 0.3]
+        w = [2.0, 0.4, -1.0, 0.6]  # 2 v: cosine 1, same bucket everywhere
+        t = pa.table({
+            "vec_id": pa.array([0, 1, 2, 3], pa.int64()),
+            "embedding": pa.array([v, None, w, None], pa.list_(pa.float32())),
+        })
+        g = multitable_bucket_rows(t, n_planes=8).to_pandas()
+        out = shard_embedding_neardup_pairs(g, 8)
+        assert out[["vec_a", "vec_b"]].values.tolist() == [[0, 2]]
+        assert out["cosine"].iloc[0] == pytest.approx(1.0)
+        # a group of nulls only pairs nothing either
+        nulls = g[g["vec_id"].isin([1, 3])].reset_index(drop=True)
+        assert len(shard_embedding_neardup_pairs(nulls, 8)) == 0
 
     def test_scaled_n_planes_bounds_buckets(self, monkeypatch):
         """Plane count grows with N so E[bucket] ~ target (scale contract)."""
@@ -2035,8 +2101,8 @@ class TestMinhashVerified:
             assert (df["jaccard"] >= 0.7).all()
 
     def test_sparse_bloom_equals_dense(self):
-        """The position-sharded bloom build (scale path) produces the exact
-        same filter as the dense per-block OR."""
+        """The position-sharded bloom build produces the exact same filter
+        as folding every id into one dense array."""
         import numpy as np
 
         from node_html_parser_ray.stages import dedup
@@ -2058,28 +2124,6 @@ class TestMinhashVerified:
             dedup.bloom_test_ids(dense, probe, m_bits)
             == dedup.bloom_test_ids(sparse, probe, m_bits)
         ).all()
-
-    def test_verified_query_sparse_bloom_path(self, ray_session, monkeypatch):
-        """Forcing the sparse bloom build yields the identical verified-pair
-        output (the adaptive switch is transparent)."""
-        from node_html_parser_ray.pipelines import queries
-        from node_html_parser_ray.pipelines.queries import QUERIES
-
-        sf = "/root/testdata/sf0.001"
-        base = (
-            QUERIES["minhash_neardup_verified"](sf)
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-        monkeypatch.setattr(queries, "_BLOOM_DENSE_MAX_BYTES", -1)  # no dense bloom fits
-        sparse = (
-            QUERIES["minhash_neardup_verified"](sf)
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-        assert base.equals(sparse)
 
     def test_pairwise_jaccard_basics(self):
         import pandas as pd
