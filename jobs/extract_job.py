@@ -11,8 +11,9 @@ On a cluster the driver attaches to the running Ray (``address="auto"``);
 standalone it starts a local session.  The job is resumable: shards already
 committed in the output manifest are skipped at the source scan, so
 re-submitting after a failure finishes only the remaining shards
-(state/manifest.py).  Prints one JSON line with totals + per-shard lineage
-counts.
+(state/manifest.py).  Each shard's batches are sized by bytes, not rows
+(``EXTRACT_BATCH_BYTES`` over the shard's bytes per row).  Prints one JSON
+line with totals and each run shard's rows per batch.
 
 This file OWNS its Ray session (the library never calls ray.init).
 """
@@ -36,7 +37,6 @@ def main() -> None:
                         help="output root (shard dirs + _manifest)")
     parser.add_argument("--shards", type=int, default=0,
                         help="shard count (0 = one per ~16 input files)")
-    parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--partition-output", action="store_true",
                         help="hash-partition each shard's output by salted "
                              "doc_id (partition_id=N/ hive dirs)")
@@ -87,7 +87,7 @@ def main() -> None:
     t0 = time.perf_counter()
     result = run_checkpointed(
         files, args.output, shard_count=shard_count,
-        batch_size=args.batch_size, partition_output=args.partition_output,
+        partition_output=args.partition_output,
     )
     wall = time.perf_counter() - t0
     totals = result["totals"]
@@ -108,6 +108,9 @@ def main() -> None:
         "shards_skipped": len(result["skipped"]),
         "docs_this_run": ran_docs,
         "docs_per_sec": round(ran_docs / wall, 1) if wall else None,
+        # rows per extraction batch, derived from each run shard's bytes
+        # per row (pipelines.extraction.rows_per_batch)
+        "rows_per_batch": result["rows_per_batch"],
         **totals,
     }))
     ray.shutdown()

@@ -23,29 +23,58 @@ import os
 import shutil
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
+import pyarrow.parquet as pq
 import ray
 
 from ..sources import lance_io
 from ..stages.extract_stage import add_partition_column, make_extract_batch
 from ..state.manifest import ShardManifest
 
-__all__ = ["run_checkpointed", "DEFAULT_BATCH_SIZE"]
+__all__ = [
+    "run_checkpointed", "rows_per_batch", "DEFAULT_BATCH_SIZE", "EXTRACT_BATCH_BYTES",
+]
 
-# Modest batch size so a batch of multi-MB giant docs stays well under the
-# object-store slice (SURVEY.md §4 memory row); Ray's dynamic block splitting
-# handles the output side.  Heap multiplier (round-4 ADVICE): extract_batch
-# assembles the whole batch's html strings before the per-doc loop and
-# releases each as it is consumed, so peak per-task heap is ~1x the batch's
-# html bytes.  Size batch_size x concurrency x max_doc_bytes against the
-# worker heap.
+# Uncompressed input bytes per map_batches batch: each shard's rows per
+# batch is this over the shard's bytes per row (rows_per_batch).  Heap
+# bound: a task holds its input batch (~1x this), the Arrow-assembled html
+# column while it becomes Python strings (~1x), and the strings, each
+# released as its row is consumed (1x for ASCII, up to 4x for astral text
+# in CPython's str), so size this x 3-6 x concurrency against the worker
+# heap.  A row above the budget runs alone (1 row per batch).  The bytes
+# per row are the shard's average, so a shard that mixes tiny and giant
+# files gets the blended figure: its batches of giant rows hold
+# proportionally more bytes than the budget.
+EXTRACT_BATCH_BYTES = 1_310_720
+
+# The benchmark's in-process replay batches by this many rows; also the
+# rows per batch of a shard whose inputs have no parquet footer rows (a
+# Lance dataset, or only empty files).
 DEFAULT_BATCH_SIZE = 64
+
+
+def rows_per_batch(files: list[str]) -> int:
+    """Rows per extraction batch for a shard of ``files``:
+    ``max(1, EXTRACT_BATCH_BYTES // bytes_per_row)``, with the shard's
+    bytes per row summed from its parquet footers (row groups'
+    ``total_byte_size`` over ``num_rows``; no data is read)."""
+    rows = nbytes = 0
+    for path in files:
+        if lance_io.is_lance_dataset(path):
+            continue
+        meta = pq.read_metadata(path)
+        rows += meta.num_rows
+        nbytes += sum(
+            meta.row_group(i).total_byte_size for i in range(meta.num_row_groups)
+        )
+    if not rows:
+        return DEFAULT_BATCH_SIZE
+    return max(1, EXTRACT_BATCH_BYTES // max(1, nbytes // rows))
 
 
 def run_checkpointed(
     input_files: list[str],
     out_dir: str,
     shard_count: int = 8,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     partition_output: bool = False,
 ) -> dict:
     """Run the extraction over input files with shard-granular resume.
@@ -60,11 +89,13 @@ def run_checkpointed(
     starts, the running ones finish and commit, and the first failure (in
     shard order) is raised.  Already-committed shards are skipped at the
     source scan.  Returns the run summary (shards run/skipped, in shard
-    order, and aggregate metrics).
+    order, aggregate metrics, lineage, and each run shard's rows per
+    batch).
 
     A shard's dataset reads its files (``lance_io.read_documents``) and maps
-    ``make_extract_batch()``'s function over ``batch_size``-row pyarrow
-    batches, with the reference's default ParsingOptions.
+    ``make_extract_batch()``'s function over pyarrow batches of
+    :func:`rows_per_batch` rows, with the reference's default
+    ParsingOptions.
     ``partition_output=True`` additionally hash-partitions each shard's
     parquet output by the salted doc_id partition (north_rule clause:
     ``partition_id=N/`` hive directories for
@@ -104,10 +135,13 @@ def run_checkpointed(
         elif files:
             pending.append(shard_id)
 
+    batch_rows = {s: rows_per_batch(shards[s]) for s in pending}
+
     def run_shard(shard_id: int) -> None:
         shard_out = os.path.join(out_dir, f"shard={shard_id:06d}")
         # Lance dataset dirs go through read_lance when available,
         # everything else read_parquet
+        batch_size = batch_rows[shard_id]
         ds = lance_io.read_documents(shards[shard_id]).map_batches(
             make_extract_batch(), batch_format="pyarrow", batch_size=batch_size,
         )
@@ -148,4 +182,5 @@ def run_checkpointed(
         k: sum(r["metrics"].get(k, 0) for r in lineage)
         for k in ("n_docs", "n_valid", "n_invalid", "n_nodes", "n_fixups", "n_bytes", "n_spans")
     }
-    return {"ran": pending, "skipped": skipped, "totals": total, "lineage": lineage}
+    return {"ran": pending, "skipped": skipped, "totals": total,
+            "lineage": lineage, "rows_per_batch": batch_rows}

@@ -7,8 +7,10 @@ a worker's first site that needs the full pattern.  The tokenizer bounds
 every parse with its own deadline (``parser.parse_timeout``, re-exported
 here); :func:`map_documents` turns a row whose parse raised into a
 bounded-out row.  Batch I/O is zero-copy Arrow
-(``batch_format="pyarrow"``); the output list<struct> column is built from
-flat arrays + offsets (no per-row Python object churn on the Arrow side).
+(``batch_format="pyarrow"``): :func:`assemble_batch` builds every row's
+document with Arrow compute, so each document crosses into Python once, as
+one string, and the output list<struct> column is built from flat arrays +
+offsets (no per-row Python object churn on the Arrow side).
 
 Output schema (per-row invariant, FIXTURES.md §2):
 
@@ -26,8 +28,9 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..kernel.extract import assemble_document
+from ..kernel.extract import MEDIA_PLACEHOLDER_ATTR
 from ..kernel.fast_extract import extract_spans_into
 from ..kernel.parser import ParseMetrics, parse_timeout
 
@@ -36,6 +39,7 @@ __all__ = [
     "OUTPUT_SCHEMA",
     "extract_batch",
     "make_extract_batch",
+    "assemble_batch",
     "decode_spans_batch",
     "htmls_from_batch",
     "spans_column",
@@ -81,8 +85,6 @@ def _row_offsets(spans_col: pa.ListArray) -> np.ndarray:
     """Row-boundary offsets into the flattened child arrays of a (combined)
     list column: ``value_lengths`` (correct for sliced arrays, nulls count
     0) -> one cumsum.  int64, length ``num_rows + 1``."""
-    import pyarrow.compute as pc
-
     lengths = pc.fill_null(spans_col.value_lengths(), 0).to_numpy(
         zero_copy_only=False
     )
@@ -97,11 +99,11 @@ def decode_spans_batch(
     """Flat-array decode of an interleaved (doc_id, spans) OR (doc_id, html)
     batch -> (row_offsets, kinds, texts, media_refs, offsets).
 
-    One to_pylist per child column instead of a Python dict per span
-    (list<struct> to_pylist is 2-3x slower); NULL lists and NULL struct
-    fields coalesce to ""/0, and a NULL span element is dropped.  Shared by
-    the extraction, classifier and selector stages so every spans consumer
-    gets the fast, null-safe path.
+    One to_pylist per child column; NULL lists and NULL struct fields
+    coalesce to ""/0, and a NULL span element is dropped.  With
+    ``kernel.extract.assemble_document`` per row this is the Python
+    assembly that :func:`assemble_batch` must equal: the tests' reference,
+    and the steps the benchmark's in-process replay times.
     """
     if "spans" in batch.column_names:
         spans_col = batch.column("spans").combine_chunks()
@@ -141,16 +143,86 @@ def decode_spans_batch(
     return row_offsets, f_kind, f_text, f_ref, f_off
 
 
+_PLACEHOLDER_OPEN = f"<img {MEDIA_PLACEHOLDER_ATTR}="
+
+
+def assemble_batch(
+    batch: pa.Table,
+) -> tuple[pa.Array, list[Optional[dict[int, tuple[str, str, str]]]]]:
+    """Every row's assembled document, built with Arrow compute -> (html
+    column, per-row media maps).
+
+    The same documents as :func:`decode_spans_batch` with
+    ``assemble_document`` per row: a row's spans in stable ``offset``
+    order, each ``html`` span as its text and any other span (a NULL or
+    unknown kind included) as a ``<img data-nhpr-media=K>`` placeholder,
+    ``K`` counting the row's media spans.  NULL lists and fields coalesce to
+    ""/0 and a NULL span element is dropped.  The html column is
+    ``large_string`` with one non-null value per row, so a caller reads it
+    with one ``to_pylist`` (or ``pc.utf8_length``, which counts code points
+    like ``len``); a row's media map ``{K: (kind, text, media_ref)}`` is
+    built from its media spans only, and is ``None`` for a row without
+    any.  Takes the (doc_id, spans) or the (doc_id, html) schema, sliced
+    or chunked.
+    """
+    n = batch.num_rows
+    if "spans" not in batch.column_names:
+        html = batch.column("html").combine_chunks().cast(pa.large_string())
+        return pc.fill_null(html, ""), [None] * n
+    spans_col = batch.column("spans").combine_chunks()
+    flat = spans_col.flatten()
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(_row_offsets(spans_col)))
+    kind, text, ref, off = (
+        flat.field(f) for f in ("kind", "text", "media_ref", "offset")
+    )
+    if flat.null_count:
+        # a null span element is no span; its fields may still hold values
+        # (StructArray.field ignores the parent's validity)
+        keep = flat.is_valid()
+        row = row[keep.to_numpy(zero_copy_only=False)]
+        kind, text, ref, off = (c.filter(keep) for c in (kind, text, ref, off))
+    # row is non-decreasing, so this orders each row's spans by offset,
+    # ties kept in input order
+    order = pc.sort_indices(
+        pa.table({"row": row, "offset": pc.fill_null(off, 0)}),
+        sort_keys=[("row", "ascending"), ("offset", "ascending")],
+    ).to_numpy()
+    row = row[order]
+    is_media = pc.fill_null(pc.not_equal(kind.take(order), "html"), True)
+    media = is_media.to_numpy(zero_copy_only=False)
+    # K: a media span's ordinal within its row, from the running count of
+    # media spans minus the count before the row's first span
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+    seen = np.cumsum(media)
+    m_idx = np.flatnonzero(media)
+    m_row = row[m_idx]
+    k = (seen[m_idx] - 1) - np.concatenate([[0], seen])[bounds[:-1]][m_row]
+    placeholders = pc.binary_join_element_wise(
+        _PLACEHOLDER_OPEN, pa.array(k).cast(pa.string()), ">", ""
+    ).cast(pa.large_string())
+    pieces = pc.replace_with_mask(
+        pc.fill_null(text.take(order).cast(pa.large_string()), ""),
+        is_media, placeholders,
+    )
+    html = pc.binary_join(
+        pa.LargeListArray.from_arrays(pa.array(bounds, pa.int64()), pieces),
+        pa.scalar("", pa.large_string()),
+    )
+
+    media_maps: list[Optional[dict]] = [None] * n
+    m_src = order[m_idx]
+    fields = (pc.fill_null(c.take(m_src), "").to_pylist() for c in (kind, text, ref))
+    for r, key, *span in zip(m_row.tolist(), k.tolist(), *fields):
+        if media_maps[r] is None:
+            media_maps[r] = {}
+        media_maps[r][key] = tuple(span)
+    return html, media_maps
+
+
 def htmls_from_batch(batch: pa.Table) -> list[str]:
     """Assembled HTML string per row (media spans become placeholder tags)
     for stages that parse whole documents (classifier, selector stages)."""
-    row_offsets, f_kind, f_text, f_ref, f_off = decode_spans_batch(batch)
-    return [
-        assemble_document(
-            f_kind[lo:hi], f_text[lo:hi], f_ref[lo:hi], f_off[lo:hi]
-        )[0]
-        for lo, hi in zip(row_offsets[:-1], row_offsets[1:])
-    ]
+    return assemble_batch(batch)[0].to_pylist()
 
 
 def prescan_flags(htmls: list[str], timeout: float):
@@ -254,8 +326,9 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
     and ``n_bytes=len(html)`` (a dropped truncated crawl page, recorded in
     lineage like any other invalid doc).
     """
-    doc_ids = batch.column("doc_id").to_pylist()
-    row_offsets, f_kind, f_text, f_ref, f_off = decode_spans_batch(batch)
+    html_col, media_maps = assemble_batch(batch)
+    htmls = html_col.to_pylist()
+    del html_col
 
     # flat builders for the list<struct> output column
     kinds: list[str] = []
@@ -265,15 +338,6 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
     valids: list[bool] = []
     metrics_rows: list[tuple] = []  # one METRICS_STRUCT tuple per row
     total_spans = 0
-
-    htmls: list[str] = []
-    media_maps: list[dict] = []
-    for lo, hi in zip(row_offsets[:-1], row_offsets[1:]):
-        html, media_map = assemble_document(
-            f_kind[lo:hi], f_text[lo:hi], f_ref[lo:hi], f_off[lo:hi]
-        )
-        htmls.append(html)
-        media_maps.append(media_map)
 
     results = map_documents(htmls, kernel_extract, options, per_row=media_maps)
     for r, res in enumerate(results):
@@ -287,8 +351,8 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
             refs.extend(c_refs)
         # release the assembled string as soon as this row is consumed:
         # peak heap stays ~1x the batch's html bytes instead of holding
-        # every assembled doc through the whole loop (the multiplier is
-        # documented next to DEFAULT_BATCH_SIZE)
+        # every assembled doc through the whole loop (the bound is
+        # documented next to pipelines.extraction.EXTRACT_BATCH_BYTES)
         htmls[r] = media_maps[r] = None
         total_spans += n_spans
         offsets.append(total_spans)
@@ -296,14 +360,14 @@ def extract_batch(batch: pa.Table, options: Optional[dict] = None) -> pa.Table:
         metrics_rows.append((*mt, n_spans))
 
     spans_col = spans_column(kinds, texts, refs, offsets)
-    m_cols = list(zip(*metrics_rows)) or [()] * len(METRICS_STRUCT)
+    m_cols = np.array(metrics_rows, np.int64).reshape(-1, len(METRICS_STRUCT))
     metrics_col = pa.StructArray.from_arrays(
-        [pa.array(col, f.type) for col, f in zip(m_cols, METRICS_STRUCT)],
+        [pa.array(m_cols[:, i], f.type) for i, f in enumerate(METRICS_STRUCT)],
         fields=list(METRICS_STRUCT),
     )
     return pa.Table.from_arrays(
         [
-            pa.array(doc_ids, pa.string()),
+            batch.column("doc_id").cast(pa.string()),
             spans_col,
             pa.array(valids, pa.bool_()),
             metrics_col,
@@ -344,20 +408,19 @@ def add_partition_column(batch: pa.Table, num_partitions: int = 64) -> pa.Table:
     so that the heavy tail cannot skew ordinary partitions (north_rule skew
     clause).  Works on both input schemas and the output schema: an output
     row's size is its ``metrics.n_bytes``, an input row's is the length of
-    its assembled HTML (:func:`htmls_from_batch`), which is the number
-    :func:`extract_batch` writes as ``n_bytes`` for every row, bounded-out
-    ones included, so every document keeps its ``partition_id`` through
-    extraction.  ``num_partitions`` is 64 in the checkpointed pipeline and
-    8 in q_partition_metrics.
+    its assembled HTML (``pc.utf8_length`` of :func:`assemble_batch`'s
+    column), which is the number :func:`extract_batch` writes as
+    ``n_bytes`` for every row, bounded-out ones included, so every document
+    keeps its ``partition_id`` through extraction.  ``num_partitions`` is
+    64 in the checkpointed pipeline and 8 in q_partition_metrics.
     """
-    doc_ids = batch.column("doc_id").to_pylist()
-    base = partition_ids(doc_ids, num_partitions)
+    base = np.array(
+        partition_ids(batch.column("doc_id").to_pylist(), num_partitions), np.int64
+    )
     if "metrics" in batch.column_names:
-        sizes = batch.column("metrics").combine_chunks().field("n_bytes").to_pylist()
+        sizes = batch.column("metrics").combine_chunks().field("n_bytes")
     else:
-        sizes = [len(html) for html in htmls_from_batch(batch)]
-    pids = [
-        num_partitions + (p % GIANT_PARTITIONS) if size > GIANT_BYTES else p
-        for p, size in zip(base, sizes)
-    ]
+        sizes = pc.utf8_length(assemble_batch(batch)[0])
+    giant = pc.greater(sizes, GIANT_BYTES).to_numpy(zero_copy_only=False)
+    pids = np.where(giant, num_partitions + base % GIANT_PARTITIONS, base)
     return batch.append_column("partition_id", pa.array(pids, pa.int32()))

@@ -17,6 +17,10 @@ square of the input or worse:
   full-pattern retry scanned on through the later quotes, and is now past
   the document's last ``>``, where ``flat_parse`` ends its token loop.
 
+A fourth shape is one document of many interleaved spans, half of them
+media, through ``extract_batch``'s Arrow assembly (the offset sort, the
+media ordinals and placeholders, the media map).
+
 The controls were near linear already.  Each ``n`` is sized so that a
 quadratic path's ``8n`` case still finishes in about 10 s.  Both
 ``SelectorStage`` modes run the selectors ``div div`` and ``section div``,
@@ -33,6 +37,7 @@ import pyarrow as pa
 import pytest
 
 from node_html_parser_ray.kernel.parser import flat_parse, parse
+from node_html_parser_ray.sources.corpus import INPUT_SCHEMA
 from node_html_parser_ray.stages.classify import BoilerplateClassifier
 from node_html_parser_ray.stages.extract_stage import extract_batch
 from node_html_parser_ray.stages.selector_stage import SelectorStage
@@ -111,5 +116,30 @@ def test_growth_is_near_linear(family, path, monkeypatch):
     large = _best(fn, make(SCALE * n), stop_below=RATIO_LIMIT * small)
     assert large < RATIO_LIMIT * small, (
         f"{family} via {path}: {large:.3f} s at n={SCALE * n} against "
+        f"{small:.4f} s at n={n} (ratio {large / small:.1f})"
+    )
+
+
+def _interleaved(n: int) -> pa.Table:
+    """One document of ``n`` spans, every other one an image, with
+    offsets in reverse so the assembly has to sort them."""
+    spans = [
+        {"kind": "image", "text": "alt", "media_ref": f"/m/{i}.png", "offset": n - i}
+        if i % 2 else
+        {"kind": "html", "text": f"<p>w{i}</p>", "media_ref": "", "offset": n - i}
+        for i in range(n)
+    ]
+    return pa.Table.from_pylist([{"doc_id": "d", "spans": spans}], schema=INPUT_SCHEMA)
+
+
+def test_interleaved_spans_growth_is_near_linear(monkeypatch):
+    monkeypatch.setenv("NHPR_PARSE_TIMEOUT", "0")
+    n = 10_000
+    small_doc, large_doc = _interleaved(n), _interleaved(SCALE * n)
+    extract_batch(small_doc)  # warm-up
+    small = _best(extract_batch, small_doc)
+    large = _best(extract_batch, large_doc, stop_below=RATIO_LIMIT * small)
+    assert large < RATIO_LIMIT * small, (
+        f"interleaved spans: {large:.3f} s at n={SCALE * n} against "
         f"{small:.4f} s at n={n} (ratio {large / small:.1f})"
     )

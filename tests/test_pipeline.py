@@ -696,6 +696,116 @@ class TestPartitioning:
             null_pid, empty_pid = pids.column("partition_id").to_pylist()
             assert null_pid == empty_pid < 8
 
+    def test_partition_ids_match_python_assembly(self, monkeypatch):
+        """Input rows route by the code-point length of the document the
+        Python path assembles (``len(html)``), giant and ordinary rows
+        alike: a non-ASCII document whose UTF-8 bytes exceed GIANT_BYTES
+        but whose characters do not stays unsalted."""
+        import zlib
+
+        from node_html_parser_ray.kernel.extract import assemble_document
+        from node_html_parser_ray.stages import extract_stage
+
+        monkeypatch.setattr(extract_stage, "GIANT_BYTES", 1000)
+
+        def span(kind, text, offset):
+            return {"kind": kind, "text": text, "media_ref": "/m", "offset": offset}
+
+        rows = [
+            ("plain", [span("html", "<p>x</p>", 0)]),
+            ("giant", [span("html", "<p>" + "x" * 600, 1), span("image", "", 2),
+                       span("html", "y" * 600 + "</p>", 3)]),
+            ("wide", [span("html", "<p>" + "é€" * 400 + "</p>", 0)]),  # 807 chars, 2007 B
+            ("astral", [span("html", "😀" * 1001, 0)]),
+            # 993 characters of html plus a 24-character placeholder
+            ("edge", [span("html", "x" * 993, 0), span("video", "", 1)]),
+            ("null", None),
+        ]
+        batch = pa.Table.from_pylist(
+            [{"doc_id": d, "spans": s} for d, s in rows], schema=INPUT_SCHEMA)
+        bounds, kinds, texts, refs, offs = extract_stage.decode_spans_batch(batch)
+        want = []
+        for (doc_id, _), lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+            html, _ = assemble_document(kinds[lo:hi], texts[lo:hi], refs[lo:hi], offs[lo:hi])
+            pid = zlib.crc32(doc_id.encode()) % 64
+            want.append(64 + pid % 8 if len(html) > 1000 else pid)
+        got = add_partition_column(batch, 64).column("partition_id").to_pylist()
+        assert got == want
+        assert [p >= 64 for p in got] == [False, True, False, True, True, False]
+        out = add_partition_column(extract_batch(batch), 64)
+        assert out.column("partition_id").to_pylist() == want
+
+
+class TestRowsPerBatch:
+    """Rows per extraction batch come from the shard's parquet footers:
+    EXTRACT_BATCH_BYTES over the shard's bytes per row."""
+
+    @staticmethod
+    def footer_bytes_per_row(paths):
+        import pyarrow.parquet as pq
+
+        metas = [pq.read_metadata(p) for p in paths]
+        nbytes = sum(m.row_group(i).total_byte_size
+                     for m in metas for i in range(m.num_row_groups))
+        return nbytes // sum(m.num_rows for m in metas)
+
+    def test_crawl_like_shard(self, tmp_path):
+        from node_html_parser_ray.pipelines.extraction import (
+            EXTRACT_BATCH_BYTES,
+            rows_per_batch,
+        )
+        from node_html_parser_ray.sources.corpus import write_corpus_shard
+
+        path, _ = write_corpus_shard(str(tmp_path), 0, 400, seed=3)
+        per_row = self.footer_bytes_per_row([path])
+        assert 300 < per_row < 2000
+        assert rows_per_batch([path]) == EXTRACT_BATCH_BYTES // per_row > 100
+
+    def test_giant_shard_and_mixed_shard(self, tmp_path):
+        from node_html_parser_ray.pipelines.extraction import (
+            EXTRACT_BATCH_BYTES,
+            rows_per_batch,
+        )
+        from node_html_parser_ray.sources.corpus import write_corpus_shard
+
+        crawl, _ = write_corpus_shard(str(tmp_path), 0, 200, seed=3)
+        giant, _ = write_corpus_shard(str(tmp_path), 200, 4, seed=3,
+                                      giant_fraction=1.0)
+        assert self.footer_bytes_per_row([giant]) > 100_000
+        assert rows_per_batch([giant]) == max(
+            1, EXTRACT_BATCH_BYTES // self.footer_bytes_per_row([giant]))
+        # a mixed shard gets the blended average of its files
+        mixed = rows_per_batch([crawl, giant])
+        assert mixed == EXTRACT_BATCH_BYTES // self.footer_bytes_per_row([crawl, giant])
+        assert rows_per_batch([giant]) < mixed < rows_per_batch([crawl])
+
+    def test_row_larger_than_budget_runs_alone(self, tmp_path, monkeypatch):
+        from node_html_parser_ray.pipelines import extraction
+        from node_html_parser_ray.sources.corpus import write_corpus_shard
+
+        path, _ = write_corpus_shard(str(tmp_path), 0, 50, seed=3)
+        monkeypatch.setattr(extraction, "EXTRACT_BATCH_BYTES", 100)
+        assert extraction.rows_per_batch([path]) == 1
+
+    def test_zero_row_files(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        from node_html_parser_ray.pipelines.extraction import (
+            DEFAULT_BATCH_SIZE,
+            EXTRACT_BATCH_BYTES,
+            rows_per_batch,
+        )
+        from node_html_parser_ray.sources.corpus import write_corpus_shard
+
+        # no rows to batch: any size does, and there is no division by 0
+        empty = str(tmp_path / "empty.parquet")
+        pq.write_table(INPUT_SCHEMA.empty_table(), empty)
+        assert rows_per_batch([empty]) == DEFAULT_BATCH_SIZE
+        assert rows_per_batch([]) == DEFAULT_BATCH_SIZE
+        path, _ = write_corpus_shard(str(tmp_path), 0, 50, seed=3)
+        assert rows_per_batch([empty, path]) == (
+            EXTRACT_BATCH_BYTES // self.footer_bytes_per_row([empty, path]))
+
 
 class TestStatefulStages:
     def test_actor_pool_refuses_one_cpu_cluster(self, monkeypatch):

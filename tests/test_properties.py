@@ -179,3 +179,92 @@ class TestBatchKernelParity:
         want = [(n, texts) for html in htmls
                 for n, texts in select_document(html, sels, None, True)]
         assert got == want, htmls
+
+
+# span fields: null, empty, markup, non-ASCII and astral text
+span_text = st.one_of(st.none(), st.text(
+    alphabet=st.sampled_from(list("<>/ ab=\"") + ["é", "€", " ", "𝄞", "😀"]),
+    max_size=12,
+))
+span = st.one_of(
+    st.none(),  # a null span element
+    st.fixed_dictionaries({
+        "kind": st.sampled_from([None, "", "html", "html", "image", "video", "xyz"]),
+        "text": span_text,
+        "media_ref": span_text,
+        # a narrow range gives tied offsets; negatives and None too
+        "offset": st.one_of(st.none(), st.integers(-3, 3)),
+    }),
+)
+span_rows = st.lists(
+    st.tuples(st.one_of(st.none(), st.text(max_size=3)),
+              st.one_of(st.none(), st.lists(span, max_size=8))),
+    max_size=8,
+)
+
+
+@st.composite
+def batch_views(draw, table):
+    """``table`` as Ray may hand it over: split into column chunks at a
+    drawn row, then sliced at a drawn offset and length."""
+    import pyarrow as pa
+
+    n = table.num_rows
+    cut = draw(st.integers(0, n))
+    table = pa.concat_tables([table.slice(0, cut), table.slice(cut)])
+    start = draw(st.integers(0, n))
+    return table.slice(start, draw(st.integers(0, n - start)))
+
+
+def _python_assembly(batch):
+    """Per-row (html, media map or None) by the Python reference path."""
+    from node_html_parser_ray.kernel.extract import assemble_document
+    from node_html_parser_ray.stages.extract_stage import decode_spans_batch
+
+    rows, kinds, texts, refs, offsets = decode_spans_batch(batch)
+    out = []
+    for lo, hi in zip(rows[:-1], rows[1:]):
+        html, media = assemble_document(
+            kinds[lo:hi], texts[lo:hi], refs[lo:hi], offsets[lo:hi])
+        out.append((html, media or None))
+    return out
+
+
+class TestArrowAssemblyParity:
+    """``assemble_batch`` (Arrow compute) builds the same documents and
+    media maps as ``decode_spans_batch`` + ``assemble_document``."""
+
+    def _check(self, batch):
+        from node_html_parser_ray.stages.extract_stage import (
+            assemble_batch,
+            extract_batch,
+        )
+
+        html, media = assemble_batch(batch)
+        assert html.null_count == 0
+        assert list(zip(html.to_pylist(), media)) == _python_assembly(batch)
+        out = extract_batch(batch)
+        assert out.column("doc_id").to_pylist() == batch.column("doc_id").to_pylist()
+        assert out.column("metrics").combine_chunks().field("n_bytes").to_pylist() == [
+            len(h) for h in html.to_pylist()]
+
+    @given(span_rows, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_spans_schema(self, rows, data):
+        import pyarrow as pa
+
+        from node_html_parser_ray.sources.corpus import INPUT_SCHEMA
+
+        table = pa.Table.from_pylist(
+            [{"doc_id": d, "spans": s} for d, s in rows], schema=INPUT_SCHEMA)
+        self._check(data.draw(batch_views(table)))
+
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.text(max_size=3)), span_text),
+                    max_size=8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_html_schema(self, rows, data):
+        import pyarrow as pa
+
+        table = pa.table({"doc_id": pa.array([d for d, _ in rows], pa.string()),
+                          "html": pa.array([h for _, h in rows], pa.string())})
+        self._check(data.draw(batch_views(table)))
