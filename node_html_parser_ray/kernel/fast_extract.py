@@ -5,10 +5,16 @@ tree with :func:`walk_spans`, the structuredText-style span walk (reference
 src/index.ts:231-268) of :func:`extract.extract_spans`, which walks the
 object tree ``parse()`` materialises.  No HTMLElement / TextNode is ever
 constructed: the object allocation traffic is what limits the flagship
-pipeline's memory bandwidth at high CPU counts.  Comment slots (tag
-``None``) are elements without kids or media, so the walk passes over them.
-:func:`structured_text` runs the same walk from one element, without media
-tags: it is ``HTMLElement.structured_text`` for the boilerplate classifier.
+pipeline's memory bandwidth at high CPU counts.  The walk is one ``for``
+loop over the tree's pre-order events (open ``k``, close ``-1``, text
+``-(j + 2)``, and the repair pass's :data:`parser.SKIP`, which stands for
+nothing) with a stack of the open elements' roles: a block element's open
+and close end the current text block, a media element's open emits its
+span.  Comment slots (tag ``None``) are elements without kids or media, so
+the walk passes over them.  :func:`structured_text` runs the same walk
+over one element's events, from its open (``FlatTree.opens``) to its
+close, without media tags: it is ``HTMLElement.structured_text`` for the
+boilerplate classifier.
 
 For every input both walks return the same spans; the differential tests
 (tests/test_fast_extract.py) check that, with ``valid``, the metrics and
@@ -29,7 +35,7 @@ from .entities import decode
 from .extract import MEDIA_PLACEHOLDER_ATTR as _MEDIA_PLACEHOLDER_ATTR
 from .extract import MEDIA_TAG_KINDS as _MEDIA_TAG_KINDS
 from .jsregex import js_trim
-from .parser import ParseMetrics, flat_parse
+from .parser import SKIP, ParseMetrics, flat_parse
 
 __all__ = ["extract_spans_fast", "extract_spans_into", "structured_text", "walk_spans"]
 
@@ -74,7 +80,7 @@ def extract_spans_into(
     tree = flat_parse(data, options, metrics)
     n_spans = walk_spans(tree, 0, _MEDIA_TAG_KINDS, media_map, False,
                          out_kinds, out_texts, out_refs)
-    return n_spans, tree[5]
+    return n_spans, tree[4]
 
 
 def structured_text(tree: tuple, k: int) -> str:
@@ -92,8 +98,13 @@ def walk_spans(tree: tuple, start: int, media_kinds: dict[str, str],
     """The span walk of element ``start``'s subtree, emitting into the
     caller's builders; returns the number of spans.  Elements whose tag is
     in ``media_kinds`` become media spans; a text block that normalises to
-    ``""`` is emitted only when ``keep_empty`` is set."""
-    tag, val, kids, _, texts, _ = tree
+    ``""`` is emitted only when ``keep_empty`` is set.
+
+    One pass over the events from ``start``'s open event (from the first
+    event for the root) to its close, with a stack of the open elements'
+    roles: ``True`` for a block element, whose close ends the current text
+    block."""
+    tag, val, events, texts, _ = tree
     n_spans = 0
     block: list[str] = []
     prepend_ws = False
@@ -103,51 +114,61 @@ def walk_spans(tree: tuple, start: int, media_kinds: dict[str, str],
     t_app = out_texts.append
     r_app = out_refs.append
 
-    # the -1 under the start element flushes the last block when the walk ends
-    walk: list[int] = [-1, start]
-    while walk:
-        nid = walk.pop()
-        if nid >= 0:
-            tg = tag[nid]
+    if start == 0:
+        # the root has no events: its bottom entry is never popped
+        roles = [False]
+        scan = events
+    else:
+        roles = []
+        scan = map(events.__getitem__, range(tree.opens[start], len(events)))
+    push = roles.append
+    pop = roles.pop
+    for e in scan:
+        if e >= 0:
+            tg = tag[e]
             media_kind = media_kinds.get(tg)
-            if media_kind is not None or tg in K_BLOCK_ELEMENTS:
-                # block and media elements end the current text block
-                if block:
-                    text = multi_ws_sub(" ", js_trim("".join(block)))
-                    if text or keep_empty:
-                        k_app("text"); t_app(text); r_app(""); n_spans += 1
-                    block.clear()
-                    prepend_ws = False
-                if media_kind is None:
-                    walk.append(-1)
-                else:
-                    placeholder = None
-                    attrs = attribute_map(val[nid])
-                    if media_map:
-                        idx = attrs.get(_MEDIA_PLACEHOLDER_ATTR)
-                        # document-controlled value: only well-formed small
-                        # ints resolve (a wild doc carrying the attr must not
-                        # crash).  isascii() is required: isdigit() accepts
-                        # codepoints like '²' that int() rejects.
-                        if idx is not None and idx.isascii() and idx.isdigit() and len(idx) <= 9:
-                            placeholder = media_map.get(int(idx))
-                    if placeholder is not None:
-                        kind, text, media_ref = placeholder
-                    else:
-                        kind = media_kind
-                        text = attrs.get("alt") or ""
-                        media_ref = attrs.get("src") or ""
-                    k_app(kind); t_app(text); r_app(media_ref); n_spans += 1
-            walk.extend(reversed(kids[nid]))
-        elif nid == -1:  # POST marker: block-element exit flush
+            if media_kind is None and tg not in K_BLOCK_ELEMENTS:
+                push(False)
+                continue
+            # block and media elements end the current text block
             if block:
                 text = multi_ws_sub(" ", js_trim("".join(block)))
                 if text or keep_empty:
                     k_app("text"); t_app(text); r_app(""); n_spans += 1
                 block.clear()
                 prepend_ws = False
-        else:
-            v = texts[-2 - nid]
+            if media_kind is None:
+                push(True)
+                continue
+            push(False)
+            placeholder = None
+            attrs = attribute_map(val[e])
+            if media_map:
+                idx = attrs.get(_MEDIA_PLACEHOLDER_ATTR)
+                # document-controlled value: only well-formed small ints
+                # resolve (a wild doc carrying the attr must not crash).
+                # isascii() is required: isdigit() accepts codepoints like
+                # '²' that int() rejects.
+                if idx is not None and idx.isascii() and idx.isdigit() and len(idx) <= 9:
+                    placeholder = media_map.get(int(idx))
+            if placeholder is not None:
+                kind, text, media_ref = placeholder
+            else:
+                kind = media_kind
+                text = attrs.get("alt") or ""
+                media_ref = attrs.get("src") or ""
+            k_app(kind); t_app(text); r_app(media_ref); n_spans += 1
+        elif e == -1:
+            if pop() and block:  # a block element's close ends its block
+                text = multi_ws_sub(" ", js_trim("".join(block)))
+                if text or keep_empty:
+                    k_app("text"); t_app(text); r_app(""); n_spans += 1
+                block.clear()
+                prepend_ws = False
+            if not roles:  # start's own close
+                break
+        elif e != SKIP:
+            v = texts[-2 - e]
             # TextNode.is_whitespace: /^(\s|&nbsp;)*$/ with the ASCII fast path
             if not v or not v.strip(_ASCII_WS) or ws_match(v) is not None:
                 prepend_ws = True
@@ -157,4 +178,9 @@ def walk_spans(tree: tuple, start: int, media_kinds: dict[str, str],
                     text = " " + text
                     prepend_ws = False
                 block.append(text)
+    # the end of the walk ends the last block
+    if block:
+        text = multi_ws_sub(" ", js_trim("".join(block)))
+        if text or keep_empty:
+            k_app("text"); t_app(text); r_app(""); n_spans += 1
     return n_spans

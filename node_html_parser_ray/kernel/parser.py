@@ -8,10 +8,17 @@ pre), void elements (kSelfClosingElements) and aggressive unwind on close
 tags; a post-pass repairs leftover unclosed elements (pair-error vs
 single-error) and sets ``root.valid``.
 
-:func:`flat_parse` is that algorithm, writing the tree into flat parallel
-lists without a node object; the span walk (``fast_extract``) and the
-selector node table (``stages/flat_select``) read those lists directly.
-:func:`parse` materialises them into ``HTMLElement`` / ``TextNode`` /
+:func:`flat_parse` is that algorithm, writing the tree without a node
+object: parallel ``tag`` / ``val`` lists per element and one pre-order event
+list (``k >= 0`` opens element ``k``, ``-1`` closes the innermost open
+element, ``-(j + 2)`` is text ``j``).  The repair pass marks only the events
+of the elements left open: a removed element's open event becomes
+:data:`SKIP`, a pair-closed element's close event goes where its pair
+opened, and when the root ends up as the repair target the trailing text
+goes right after the outermost such close.  Every reader is one stack scan
+over the events: the span walk (``fast_extract``), the selector node table
+(``stages/flat_select``), the boilerplate classifier (``stages/classify``)
+and :func:`parse`, which materialises ``HTMLElement`` / ``TextNode`` /
 ``CommentNode`` objects.
 
 This is a *pure function of the input string* — deterministic and idempotent,
@@ -32,7 +39,7 @@ from typing import Optional
 from .dom import CommentNode, HTMLElement, TextNode
 from .jsregex import WS, js_trim
 
-__all__ = ["flat_parse", "parse", "parse_timeout", "ParseMetrics"]
+__all__ = ["FlatTree", "SKIP", "flat_parse", "parse", "parse_timeout", "ParseMetrics"]
 
 # reference src/index.ts:833 — kMarkupPattern, translated:
 #   [^]        -> [\s\S]
@@ -58,8 +65,11 @@ _KMARKUP_SRC = (
     r"|[^</>" + WS + r"]+))*)"
     + _S + r"*(?P<selfclose>/?)>"
 )
+# A `fail` group that never matches: appended to the full pattern, it
+# gives its matches the first-path copy's five groups.
+_NO_FAIL = r"|<(?P<fail>(?!))"
 # The full pattern on `re`: the tests' reference for flat_parse's trees.
-KMARKUP = re.compile(_KMARKUP_SRC, re.IGNORECASE)
+KMARKUP = re.compile(_KMARKUP_SRC + _NO_FAIL, re.IGNORECASE)
 # The first path through KMARKUP: every quantifier possessive, every
 # alternation atomic, the lazy quoted values written as [^"]*+ (the comment
 # branch is unchanged).  A backtracking engine returns the first successful
@@ -118,7 +128,7 @@ def _bounded_kmarkup():
     """KMARKUP compiled with `regex` (imported on first use: ~15 ms)."""
     import regex
 
-    return regex.compile(_KMARKUP_SRC.replace("a-z", _RE_FOLDED_AZ))
+    return regex.compile(_KMARKUP_SRC.replace("a-z", _RE_FOLDED_AZ) + _NO_FAIL)
 
 
 def _full_match(data: str, q: int, deadline: Optional[float]):
@@ -174,6 +184,12 @@ K_ELEMENTS_CLOSED_BY_OPENING: dict[str, frozenset[str]] = {
 # reference src/index.ts:879-884 — kBlockTextElements (raw-text elements).
 K_BLOCK_TEXT_ELEMENTS = frozenset(("script", "noscript", "style", "pre"))
 
+# The event that replaces a removed element's open event.  It lies below
+# every text event of a document under 2**30 texts, and fits one 30-bit
+# digit, so that comparing an event with it stays on CPython's small-int
+# path.
+SKIP = 1 - (1 << 30)
+
 
 class ParseMetrics:
     """Per-document counters for lineage/metrics (target-side design)."""
@@ -191,11 +207,20 @@ class ParseMetrics:
         self.valid = True
 
 
+class FlatTree(tuple):
+    """:func:`flat_parse`'s tree, the tuple ``(tag, val, events, texts,
+    valid)``, with ``opens``: the position in ``events`` of each element's
+    open event, -1 for the root (for an element the repair pass removed,
+    the position of the event that replaced it)."""
+
+    opens: list[int]
+
+
 def flat_parse(
     data: str,
     options: Optional[dict] = None,
     metrics: Optional[ParseMetrics] = None,
-) -> tuple[list, list[str], list[list[int]], list[int], list[str], bool]:
+) -> FlatTree:
     """Tokenize and repair ``data`` into the flat tree; the only tokenizer.
 
     Tokens come from KMARKUP's first-path copy, and from the full pattern
@@ -204,23 +229,30 @@ def flat_parse(
     token loop, since every token ends in ``>``.  The whole parse is
     bounded by a deadline :func:`parse_timeout` seconds after entry: past
     it, the next failing site before that ``>`` or full-pattern retry
-    raises TimeoutError.  The repair pass runs in time linear in the
-    unclosed elements and the kids it moves: the token loop keeps each open
-    element the last kid of the one below it on the stack, and the repair
-    moves each removed element's kids once.
+    raises TimeoutError.
 
-    Returns ``(tag, val, kids, par, texts, valid)``.  Elements are indexes
-    into the parallel lists ``tag`` / ``val`` (the raw, untrimmed attribute
-    text of the open tag) / ``kids`` / ``par``, in creation order; element 0
-    is the fictive root.  ``kids[i]`` lists element ids (``>= 0``) and text
-    nodes, encoded as ``-(j + 2)`` for ``texts[j]``.  ``par[i]`` is element
-    ``i``'s ``parent_node``: -1 for the root and for elements the repair
-    pass detached, and always lower than ``i``.  A detached element keeps
-    no kids, so every element and text reachable from the root is listed
-    once, under its ``par``.  A comment is stored, only
-    when ``options["comment"]`` is set, as an element slot whose tag is
-    ``None`` and whose ``val`` is the comment text (its ``par`` is unused:
-    comments have no ``parent_node``).  ``valid`` is ``root.valid``.
+    Returns the :class:`FlatTree` ``(tag, val, events, texts, valid)``.
+    Elements are indexes into the parallel lists ``tag`` / ``val`` (the
+    raw, untrimmed attribute text of the open tag), in creation order;
+    element 0 is the fictive root.  ``events`` lists the tree below the
+    root in pre-order: ``k >= 0`` opens element ``k``, ``-1`` closes the
+    innermost open element, ``-(j + 2)`` is the text node ``texts[j]``, and
+    :data:`SKIP` (the open event of an element the repair pass removed)
+    stands for nothing.  Every open event has its close, and the root has
+    neither, so a reader keeps a stack and finds each node's
+    ``parent_node`` on its top.  A comment is stored, only when
+    ``options["comment"]`` is set, as an element slot whose tag is ``None``
+    and whose ``val`` is the comment text, opened and closed at once (it
+    has no ``parent_node``).  ``valid`` is ``root.valid``.
+
+    The token loop writes every event in document order, and leaves the
+    elements still open at the end on its stack.  The repair pass then
+    changes only their events, each in O(1): a removed element's open
+    event becomes :data:`SKIP`; a pair-closed element's close event goes
+    where its pair opened; the top-level element left open closes at the
+    end.  The trailing text follows, except when the outermost pair close
+    makes the root the repair target: the text then goes right after that
+    close, ahead of the removed elements' kids.
 
     ``options`` mirrors the reference's ParsingOptions
     (``lowerCaseTagName`` / ``script`` / ``style`` / ``pre`` / ``comment``;
@@ -234,12 +266,11 @@ def flat_parse(
 
     tag: list = [""]
     val: list[str] = [""]
-    kids: list[list[int]] = [[]]
-    par: list[int] = [-1]
+    events: list[int] = []
     texts: list[str] = []
+    opens: list[int] = [-1]
 
-    cur_kids = kids[0]
-    cur = 0
+    cur_tag = ""  # tag of the innermost open element, stack[-1]
     stack: list[int] = [0]
     last_text_pos = 0
     pos = 0
@@ -254,8 +285,8 @@ def flat_parse(
     search = KMARKUP_FIRST_PATH.search
     tag_append = tag.append
     val_append = val.append
-    kids_append = kids.append
-    par_append = par.append
+    ev = events.append
+    opens_append = opens.append
     texts_append = texts.append
     stack_append = stack.append
     stack_pop = stack.pop
@@ -264,7 +295,8 @@ def flat_parse(
         m = search(data, pos)
         if m is None:
             break
-        if m.lastindex == 5:
+        close_g, t, attrs, self_g, fail = m.groups()
+        if fail is not None:
             # A site the first path fails at: KMARKUP fails at a comment
             # open too, and may match a tag open only through give-back.
             # Every token ends in '>', so past the document's last '>' no
@@ -276,7 +308,7 @@ def flat_parse(
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError("flat_parse deadline passed")
-            if m.group(5) == "!--":
+            if fail == "!--":
                 search = _KMARKUP_NO_COMMENT.search
                 m = None
             else:
@@ -284,115 +316,110 @@ def flat_parse(
             if m is None:
                 pos = q + 1
                 continue
+            close_g, t, attrs, self_g, _ = m.groups()
         m_start, m_end = m.span()
         # Inter-tag text (reference src/index.ts:902-906).
         if last_text_pos < m_start:
-            cur_kids.append(-2 - len(texts))
+            ev(-2 - len(texts))
             texts_append(data[last_text_pos:m_start])
         last_text_pos = pos = m_end
 
-        close_g, t, attrs, self_g = m.group(1, 2, 3, 4)
         if t is None:
             # Comment branch (reference src/index.ts:911-919).
             if keep_comments:
-                cur_kids.append(len(tag))
+                opens_append(len(events))
+                ev(len(tag))
+                ev(-1)
                 tag_append(None)
                 val_append(data[m_start + 4 : m_end - 3])
-                kids_append([])
-                par_append(cur)
             continue
         if lower_case:
             t = t.lower()
-        is_closing = close_g != ""
-        is_self_syntax = self_g != ""
+
+        if close_g:
+            # Close branch (reference src/index.ts:962-991).  Explicit
+            # closing tags for void elements like </col> are ignored.
+            if t in K_SELF_CLOSING:
+                continue
+            # Aggressive unwind: close unclosed child tags before the
+            # parent (<a><b>text</a> closes <b> first); with no open
+            # element of this tag, everything down to the root closes.
+            while len(stack) > 1:
+                stack_pop()
+                ev(-1)
+                if cur_tag == t:
+                    cur_tag = tag[stack[-1]]
+                    break
+                cur_tag = tag[stack[-1]]
+            continue
 
         # Opening-tag branch (reference src/index.ts:924-960).
-        if not is_closing:
-            if not is_self_syntax:
-                closed_by = closed_get(tag[cur])
-                if closed_by is not None and t in closed_by:
-                    stack_pop()
-                    cur = stack[-1]
-                    cur_kids = kids[cur]
-            nid = len(tag)
-            tag_append(t)
-            val_append(attrs or "")
-            child_list: list[int] = []
-            kids_append(child_list)
-            par_append(cur)
-            cur_kids.append(nid)
-            cur = nid
-            cur_kids = child_list
-            stack_append(cur)
-            if t in K_BLOCK_TEXT_ELEMENTS:
-                # Raw-text fast-forward (reference src/index.ts:936-959):
-                # scan for the literal close markup; content becomes a single
-                # text node only when the matching option is enabled.
-                close_markup = "</" + t + ">"
-                index = data.find(close_markup, pos)
-                if opts.get(t):
-                    text = data[pos:] if index == -1 else data[pos:index]
-                    if text:
-                        cur_kids.append(-2 - len(texts))
-                        texts_append(text)
-                if index == -1:
-                    last_text_pos = pos = data_len + 1
-                else:
-                    last_text_pos = pos = index + len(close_markup)
-                    is_closing = True  # match[1] = 'true' (src/index.ts:957)
+        if not self_g:
+            closed_by = closed_get(cur_tag)
+            if closed_by is not None and t in closed_by:
+                stack_pop()
+                ev(-1)
+                cur_tag = tag[stack[-1]]
+        nid = len(tag)
+        tag_append(t)
+        val_append(attrs or "")
+        opens_append(len(events))
+        ev(nid)
+        if t in K_BLOCK_TEXT_ELEMENTS:
+            # Raw-text fast-forward (reference src/index.ts:936-959):
+            # scan for the literal close markup; content becomes a single
+            # text node only when the matching option is enabled.
+            close_markup = "</" + t + ">"
+            index = data.find(close_markup, pos)
+            if opts.get(t):
+                text = data[pos:] if index == -1 else data[pos:index]
+                if text:
+                    ev(-2 - len(texts))
+                    texts_append(text)
+            if index == -1:
+                last_text_pos = pos = data_len + 1
+            else:
+                last_text_pos = pos = index + len(close_markup)
+                self_g = "/"  # closed by its markup (src/index.ts:957)
+        # A void or self-closed element closes at once; so does a raw-text
+        # element whose close markup was found.
+        if self_g or t in K_SELF_CLOSING:
+            ev(-1)
+        else:
+            stack_append(nid)
+            cur_tag = t
 
-        # Close / self-close branch (reference src/index.ts:962-991).
-        if is_closing or is_self_syntax or t in K_SELF_CLOSING:
-            # Ignore explicit closing tags for void elements like </col>.
-            if is_closing and t in K_SELF_CLOSING:
-                continue
-            while True:
-                if tag[cur] == t:
-                    stack_pop()
-                    cur = stack[-1]
-                    break
-                elif len(stack) > 1:
-                    # Close unclosed child tag before closing the parent
-                    # (<a><b>text</a> closes <b> first).
-                    stack_pop()
-                    cur = stack[-1]
-                else:
-                    break
-            cur_kids = kids[cur]
-
-    # Trailing text (reference src/index.ts:995-998) — appended to *root*.
-    if last_text_pos < data_len:
-        kids[0].append(-2 - len(texts))
-        texts.append(data[last_text_pos:])
-
-    # Malformed-HTML repair (reference src/index.ts:1000-1026).  The token
-    # loop leaves every open element the last kid of the element below it
-    # on the stack, and that element is its par.  Each element above the
-    # top-level leftover stack[1] is removed and its kids move up; on a pair
+    # Malformed-HTML repair (reference src/index.ts:1000-1026), on the
+    # events of the elements left open, innermost first.  Each element
+    # above the top-level leftover stack[1] is removed, and its kids stay
+    # where they are, now under the nearest element still open; on a pair
     # error (<h3><h3> -> <h3></h3>, same tag as the element below) that
-    # element is closed too.  Every moved run so ends in stack[-1], so the
-    # runs are appended there once, outermost first; appendChild sets the
-    # parent of moved elements only (src/index.ts:483-489).  A removed
-    # element is unreachable from the root and keeps no kids.
+    # element closes where the removed one opened.  appendChild sets the
+    # parent of moved elements only (src/index.ts:483-489).
     valid = len(stack) == 1
     n_fixups = 0
-    runs: list[list[int]] = []
     while len(stack) > 2:
         n_fixups += 1
         last = stack.pop()
-        kids[stack[-1]].pop()
-        par[last] = -1
-        runs.append(kids[last])
-        kids[last] = []
         if tag[last] == tag[stack[-1]]:
             stack.pop()
+            events[opens[last]] = -1
+        else:
+            events[opens[last]] = SKIP
     n_fixups += len(stack) - 1  # the top-level leftover is just skipped
-    target = stack[-1]
-    for run in reversed(runs):
-        kids[target] += run
-        for c in run:
-            if c >= 0:
-                par[c] = target
+    if len(stack) == 2:
+        events.append(-1)
+
+    # Trailing text (reference src/index.ts:995-998), appended to *root*:
+    # after the removed elements' kids, unless those went to the root too.
+    if last_text_pos < data_len:
+        if not valid and len(stack) == 1:
+            at = opens[last] + 1
+            events.insert(at, -2 - len(texts))
+            opens = [i + (i >= at) for i in opens]
+        else:
+            events.append(-2 - len(texts))
+        texts.append(data[last_text_pos:])
 
     if metrics is not None:
         n_comments = tag.count(None) if keep_comments else 0
@@ -403,7 +430,9 @@ def flat_parse(
         metrics.n_fixups = n_fixups
         metrics.n_bytes = data_len
         metrics.valid = valid
-    return tag, val, kids, par, texts, valid
+    tree = FlatTree((tag, val, events, texts, valid))
+    tree.opens = opens
+    return tree
 
 
 def parse(
@@ -413,26 +442,31 @@ def parse(
 ) -> HTMLElement:
     """Parse HTML, returning a fictive root element with ``valid`` set.
 
-    Materialises :func:`flat_parse`'s tree: ``raw_attrs`` is the trimmed
-    attribute text, and ``parent_node`` is set on elements only
-    (appendChild, reference src/index.ts:485-487).  Raises TimeoutError
+    Materialises :func:`flat_parse`'s tree in one pass over its events:
+    ``raw_attrs`` is the trimmed attribute text, and ``parent_node``, the
+    top of the stack of open nodes, is set on elements only (appendChild,
+    reference src/index.ts:485-487).  Raises TimeoutError
     past :func:`flat_parse`'s deadline.
     """
-    tag, val, kids, par, texts, valid = flat_parse(data, options, metrics)
-    nodes: list = []
-    append = nodes.append
-    for t, v, p in zip(tag, val, par):
-        if t is None:
-            append(CommentNode(v))
-        else:
-            append(HTMLElement(t, js_trim(v) if v else "",
-                               nodes[p] if p >= 0 else None))
-    # kids hold element k as k and text j as -(j + 2): with the text nodes
-    # appended in reverse plus one pad, list indexing resolves both
-    get = (nodes + [TextNode(v) for v in reversed(texts)] + [None]).__getitem__
-    for node, ks in zip(nodes, kids):
-        if ks:
-            node.child_nodes = list(map(get, ks))
-    root = nodes[0]
+    tag, val, events, texts, valid = flat_parse(data, options, metrics)
+    root = HTMLElement("", "", None)
+    kids = root.child_nodes
+    stack = [root]
+    for e in events:
+        if e >= 0:
+            t = tag[e]
+            if t is None:
+                node = CommentNode(val[e])
+            else:
+                v = val[e]
+                node = HTMLElement(t, js_trim(v) if v else "", stack[-1])
+            kids.append(node)
+            stack.append(node)
+            kids = node.child_nodes
+        elif e == -1:
+            stack.pop()
+            kids = stack[-1].child_nodes
+        elif e != SKIP:
+            kids.append(TextNode(texts[-2 - e]))
     root.valid = valid
     return root

@@ -7,7 +7,10 @@ candidate region scored by its text length and link density (the share of
 that text inside ``<a>`` elements — the classic content-extraction
 heuristic).  Regions that pass both thresholds are "content"; the rest is
 boilerplate.  The classifier reads :func:`kernel.parser.flat_parse`'s flat
-tree, and a content region's text is the flat span walk's structuredText
+tree in one scan of its pre-order events (open ``k``, close ``-1``, text
+``-(j + 2)``; the repair pass's ``SKIP`` marks stand for removed elements
+and count for nothing), deciding each element at its close, and a content
+region's text is the flat span walk's structuredText
 (:func:`kernel.fast_extract.structured_text`); no DOM node object is built.
 
 Stateful stage: thresholds + compiled structures live on the actor
@@ -19,7 +22,7 @@ import pyarrow as pa
 
 from ..kernel.dom import BLOCK_TAGS
 from ..kernel.fast_extract import structured_text
-from ..kernel.parser import flat_parse
+from ..kernel.parser import SKIP, flat_parse
 from .extract_stage import htmls_from_batch, map_documents
 
 __all__ = ["BoilerplateClassifier", "CLASSIFY_OUTPUT_SCHEMA", "classify_document"]
@@ -40,23 +43,10 @@ _BOILERPLATE_TAGS = frozenset(("nav", "header", "footer", "aside", "form"))
 _STRUCTURAL_TAGS = frozenset(("html", "body", "head"))
 
 
-def _text_lengths(tag: list, kids: list, texts: list, k: int) -> tuple[int, int]:
-    """(text_len, link_text_len) of element ``k``'s subtree: the stripped
-    lengths of its raw texts, and of those inside an ``a`` element (the tag
-    test is case-sensitive)."""
-    text_len = link_len = 0
-    stack: list[tuple[int, bool]] = [(k, False)]
-    while stack:
-        nid, in_link = stack.pop()
-        if nid < 0:
-            n = len(texts[-2 - nid].strip())
-            text_len += n
-            if in_link:
-                link_len += n
-        elif tag[nid] is not None:  # comment slots are skipped
-            child_in_link = in_link or tag[nid] == "a"
-            stack.extend((c, child_in_link) for c in kids[nid])
-    return text_len, link_len
+# the decision role of a lowercased tag: 2 for a boilerplate block, 1 for
+# any other scored block, none for the rest
+_ROLES = {t: 2 if t in _BOILERPLATE_TAGS else 1
+          for t in BLOCK_TAGS - _STRUCTURAL_TAGS}
 
 
 def classify_document(html, options, min_text_len, max_link_density):
@@ -66,9 +56,8 @@ def classify_document(html, options, min_text_len, max_link_density):
 
     Decision regions are LEAF blocks (block elements with no direct
     block-element child); wrappers descend, classifications stop descent.
-    The walk starts at the root's children and follows ``kids``, so
-    elements the repair pass detached are never reached.  Rules, in order
-    per element:
+    Elements the repair pass removed have no events, so they are never
+    reached.  Rules, in order per element:
 
     1. structural containers (html/body/head) descend, never scored —
        otherwise a wrapped page is one whole-document "content" region
@@ -78,43 +67,71 @@ def classify_document(html, options, min_text_len, max_link_density):
        footer must not leak into main_text;
     3. blocks with a direct block child are wrappers: descend unscored
        (their leaf blocks are the decisions);
-    4. leaf blocks score by text length / link density and stop.
+    4. leaf blocks score by text length / link density and stop: the
+       length is that of the subtree's stripped raw texts, the link length
+       that of those inside an ``a`` element at or below the block (the
+       tag test is case-sensitive).
 
-    Scored subtrees are disjoint, so feature extraction touches every
-    node at most once — the walk is linear in document size.
+    One pass over the events decides every element at its close, when its
+    subtree's lengths and whether it has a direct block child are known.
+    An element that stops descent drops the decisions made inside it, so
+    the regions left are disjoint and in document order; only their
+    structuredText is built, after the pass, so the whole is linear in
+    document size.
     """
     tree = flat_parse(html, options)
-    tag, _, kids, _, texts, _ = tree
-
-    def elements(k: int) -> list[int]:
-        """``k``'s element children (no texts or comments), reversed."""
-        return [c for c in reversed(kids[k]) if c >= 0 and tag[c] is not None]
+    tag, _, events, texts, _ = tree
+    n = len(tag)
+    roles = [0] * n
+    text_len = [0] * n
+    link_len = [0] * n
+    wraps = [False] * n  # has a direct block child
+    marks = [0] * n  # len(decided) at the element's open
+    # the regions decided so far: a content region's element, or -1
+    decided: list[int] = []
+    role_of = _ROLES.get
+    skip = SKIP
+    stack = [0]
+    for e in events:
+        if e >= 0:
+            t = tag[e]
+            if t is not None:  # comment slots have no role
+                t = t.lower()
+                if t in BLOCK_TAGS:
+                    wraps[stack[-1]] = True
+                    role = role_of(t)
+                    if role:
+                        roles[e] = role
+                        marks[e] = len(decided)
+            stack.append(e)
+        elif e == -1:
+            k = stack.pop()
+            if tag[k] == "a":
+                link_len[k] = text_len[k]
+            role = roles[k]
+            if role == 2:
+                del decided[marks[k]:]
+                decided.append(-1)
+            elif role and not wraps[k]:
+                del decided[marks[k]:]
+                n_text = text_len[k]
+                density = link_len[k] / n_text if n_text else 1.0
+                decided.append(k if n_text >= min_text_len
+                               and density <= max_link_density else -1)
+            p = stack[-1]
+            text_len[p] += text_len[k]
+            link_len[p] += link_len[k]
+        elif e != skip:
+            text_len[stack[-1]] += len(texts[-2 - e].strip())
 
     content_parts: list[str] = []
-    n_content = n_boiler = 0
-    stack = elements(0)
-    while stack:
-        k = stack.pop()
-        t = tag[k].lower()
-        children = elements(k)
-        if t in BLOCK_TAGS and t not in _STRUCTURAL_TAGS:
-            if t in _BOILERPLATE_TAGS:
-                n_boiler += 1
-                continue
-            if not any(tag[c].lower() in BLOCK_TAGS for c in children):
-                text_len, link_len = _text_lengths(tag, kids, texts, k)
-                link_density = (link_len / text_len) if text_len else 1.0
-                if (text_len >= min_text_len
-                        and link_density <= max_link_density):
-                    st = structured_text(tree, k)
-                    if st:
-                        content_parts.append(st)
-                    n_content += 1
-                else:
-                    n_boiler += 1
-                continue
-        stack.extend(children)
-    return "\n".join(content_parts), n_content, n_boiler
+    for k in decided:
+        if k >= 0:
+            st = structured_text(tree, k)
+            if st:
+                content_parts.append(st)
+    n_content = len(decided) - decided.count(-1)
+    return "\n".join(content_parts), n_content, len(decided) - n_content
 
 
 class BoilerplateClassifier:

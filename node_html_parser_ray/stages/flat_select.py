@@ -3,7 +3,10 @@
 Each document's flat tree (kernel/parser.flat_parse) becomes rows of a
 batch-wide Arrow node table — one row per element reachable from the
 fictive root, in pre-order (text nodes and the root match no selector part,
-so they have no row):
+so they have no row).  :func:`explode_document` reads them in one scan of
+the tree's pre-order events: an open event adds a row under the row on top
+of its stack, a close pops it, and the repair pass's ``SKIP`` marks (the
+removed elements) add nothing:
 
     parent, tag, id, classes, @key…
 
@@ -38,7 +41,7 @@ import pyarrow.compute as pc
 
 from ..kernel.dom import attribute_map, id_and_classes
 from ..kernel.jsregex import S as _JS_WS_CLASS
-from ..kernel.parser import flat_parse
+from ..kernel.parser import SKIP, flat_parse
 from ..kernel.selector import Part, selector_chains
 
 __all__ = [
@@ -121,7 +124,7 @@ def explode_document(html: str, keys=(), texts: bool = False):
     the ``lo`` and ``hi`` of its ``[lo, hi)`` run in the document's raw
     texts, and those texts in pre-order; row ``i``'s ``.text`` is
     ``decode("".join(texts[lo[i]:hi[i]]))``."""
-    tag, val, kids, _, doc_texts, _ = flat_parse(html or "")
+    tag, val, events, doc_texts, _ = flat_parse(html or "")
     out_par: list[int] = []
     out_tag: list[str] = []
     out_id: list[str] = []
@@ -132,38 +135,35 @@ def explode_document(html: str, keys=(), texts: bool = False):
     hi: list[int] = []
     run: list[str] = []
     closed = 0
-    # flat_parse(html) stores no comments: every kid c >= 0 is an element,
-    # every c < 0 the text -(c + 2); a None entry closes row `parent`
-    stack = [(c, -1) for c in reversed(kids[0]) if texts or c >= 0]
-    while stack:
-        k, parent = stack.pop()
-        if k is None:
-            post[parent] = closed
-            hi[parent] = len(run)
-            closed += 1
-            continue
-        if k < 0:
+    # flat_parse(html) stores no comments: every open event is an element;
+    # the stack holds the rows of the open elements over the root's -1
+    stack = [-1]
+    for k in events:
+        if k >= 0:
+            row = len(out_par)
+            out_par.append(stack[-1])
+            stack.append(row)
+            out_tag.append(tag[k])
+            v = val[k]
+            id_, classes = id_and_classes(v)
+            out_id.append(id_)
+            out_cls.append(" ".join(classes))
+            if keys:
+                attrs = attribute_map(v)
+                for out, key in zip(out_vals, keys):
+                    out.append(attrs.get(key))
+            if texts:
+                post.append(-1)
+                lo.append(len(run))
+                hi.append(-1)
+        elif k == -1:
+            row = stack.pop()
+            if texts:
+                post[row] = closed
+                hi[row] = len(run)
+                closed += 1
+        elif texts and k != SKIP:
             run.append(doc_texts[-k - 2])
-            continue
-        row = len(out_par)
-        out_par.append(parent)
-        out_tag.append(tag[k])
-        v = val[k]
-        id_, classes = id_and_classes(v)
-        out_id.append(id_)
-        out_cls.append(" ".join(classes))
-        if keys:
-            attrs = attribute_map(v)
-            for out, key in zip(out_vals, keys):
-                out.append(attrs.get(key))
-        if texts:
-            post.append(-1)
-            lo.append(len(run))
-            hi.append(-1)
-            stack.append((None, row))
-            stack.extend([(c, row) for c in reversed(kids[k])])
-        else:
-            stack.extend([(c, row) for c in reversed(kids[k]) if c >= 0])
     if texts:
         return (out_par, out_tag, out_id, out_cls, *out_vals,
                 post, lo, hi, run)

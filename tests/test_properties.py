@@ -35,6 +35,21 @@ def nestings(draw, depth=0):
     return "".join(out)
 
 
+@st.composite
+def root_targets(draw):
+    """A document that ends with a top-level same-tag pair left open, then
+    text: ``<t>..<t>..tail``.  The repair pass closes the outer element of
+    the pair, so the root receives the kids of the elements it removes, and
+    the trailing text lands between that close and those kids.  A closed
+    ``<ul>`` of nestings may come first; the two insides are nestings, so
+    they may leave more elements open."""
+    head = f"<ul>{draw(nestings())}</ul>" if draw(st.booleans()) else ""
+    tag = draw(st.sampled_from(["div", "section", "span", "a", "video"]))
+    inner = [draw(st.one_of(st.just(""), nestings())) for _ in range(2)]
+    tail = draw(st.sampled_from([" tail", ">", "&nbsp;", " ", "x y"]))
+    return f"{head}<{tag}>{inner[0]}<{tag}>{inner[1]}{tail}"
+
+
 class TestParserTotality:
     @given(markup_text)
     @settings(max_examples=300, deadline=None)
@@ -100,6 +115,16 @@ class TestBatchKernelParity:
     @settings(max_examples=100, deadline=None)
     def test_extract_batch_matches_kernel(self, htmls):
         """The Arrow batch kernel emits exactly the pure-kernel spans."""
+        self._check_extract_batch(htmls)
+
+    @given(st.lists(root_targets(), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_extract_batch_matches_kernel_root_target(self, htmls):
+        """The same on documents whose repair target is the root."""
+        self._check_extract_batch(htmls)
+
+    @staticmethod
+    def _check_extract_batch(htmls):
         import pyarrow as pa
 
         from node_html_parser_ray.stages.extract_stage import extract_batch
@@ -156,7 +181,7 @@ class TestBatchKernelParity:
                     root.query_selector_all(part)
                 ), (html, part)
 
-    @given(st.lists(nestings(), min_size=1, max_size=4))
+    @given(st.lists(st.one_of(nestings(), root_targets()), min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_selector_stage_text_order_fuzz(self, htmls):
         """Text-mode SelectorStage (the columnar masks, ordered by

@@ -29,7 +29,8 @@ import sys
 
 import pytest
 
-from node_html_parser_ray.kernel.extract import assemble_document
+from node_html_parser_ray.kernel.extract import assemble_document, extract_spans
+from node_html_parser_ray.kernel.fast_extract import extract_spans_fast
 from node_html_parser_ray.kernel.parser import ParseMetrics, parse
 from node_html_parser_ray.sources.corpus import generate_documents
 from test_fast_extract import EDGE_CASES, OPTION_SETS, TAG_FRAGMENTS
@@ -105,6 +106,40 @@ def assert_golden(case_set: str) -> None:
     assert got.keys() == golden.keys()
     changed = sorted(cid for cid in got if got[cid] != golden[cid])
     assert not changed, f"{len(changed)} trees differ, e.g. {changed[:10]}"
+
+
+# Both end in a top-level pair error (<video><video>, <embed><embed>)
+# followed by text: the repair pass closes the outer element of the pair,
+# so the root is where the removed elements' kids go, and the trailing
+# text sits between the pair-closed element and those kids.
+ROOT_TARGET_CASES = {
+    "<video><video><img src='/x'>>": (
+        [False, [4, 3, 1, 0, 1, 29, False],
+         ["E", "", "", 3, -1], ["E", "video", "", 0, 0], ["T", ">", -1],
+         ["E", "img", "src='/x'", 0, 0]],
+        [("video", "", "", 0), ("text", ">", "", 1), ("image", "", "/x", 2)],
+    ),
+    "text <embed>&nbsp;<embed><li><embed><embed>'": (
+        [False, [8, 5, 3, 0, 3, 44, False],
+         ["E", "", "", 4, -1], ["T", "text ", -1], ["E", "embed", "", 1, 0],
+         ["T", "&nbsp;", -1], ["T", "'", -1], ["E", "embed", "", 0, 0]],
+        [("text", "text", "", 0), ("embed", "", "", 1), ("text", "'", "", 2),
+         ("embed", "", "", 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("options", OPTION_SETS)
+@pytest.mark.parametrize("html", list(ROOT_TARGET_CASES))
+def test_root_repair_target(html, options):
+    """The trees and spans of the root-target repair case, on both span
+    walks."""
+    rows, spans = ROOT_TARGET_CASES[html]
+    metrics = ParseMetrics()
+    root = parse(html, options, metrics)
+    assert serialise(root, metrics) == rows
+    assert extract_spans(root) == spans
+    assert extract_spans_fast(html, None, options) == (spans, False)
 
 
 @pytest.mark.parametrize("case_set", CASE_SETS)
