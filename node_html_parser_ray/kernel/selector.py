@@ -11,8 +11,7 @@ exploration (src/index.ts:400-476):
   per part a recursive explore that forks the matcher per child (clone) and
   re-explores descendants with a rewound clone after an advance — result
   order is pre-order for one part (reference test/html.test.ts:608-611),
-  but not for a chain (the rule is stated at
-  ``stages/flat_select.columnar_select_order``);
+  but not for a chain (the rule is stated at :func:`select_union`);
 * ``querySelector``: first match, short-circuit DFS; comma parts tried
   left-to-right — selector-order precedence, not document order
   (src/index.ts:469-474).
@@ -268,9 +267,23 @@ def compile_parts(selector: str) -> list[Matcher]:
 
 def select_union(root: HTMLElement, parts: list[Matcher]) -> list[HTMLElement]:
     """Union of the compiled comma parts' matches, each part's in the
-    explore's emission order (not pre-order; the rule is stated at
-    ``stages/flat_select.columnar_select_order``), deduped in insertion
-    order (JS Set semantics); the parts stay reusable."""
+    explore's emission order, deduped in insertion order (JS Set
+    semantics); the parts stay reusable.
+
+    The emission order is not pre-order for a chain: ``div p`` on
+    ``<div><p>1</p><div><p>2</p></div></div>`` gives 2, then 1.  The
+    explore visits an element that takes part k first with the matcher
+    rewound (its subtree, still at part k) and then advanced (part
+    k + 1), src/index.ts:423-451.  So it reaches a match ``x`` of
+    ``p0..p{m-1}`` first through its deepest ancestors
+    ``b_0 < … < b_{m-2}`` taking parts 0..m-2, found bottom-up:
+    ``b_{m-2}`` is ``x``'s nearest ancestor taking part m-2 (with an
+    ancestor chain taking the parts before it), and ``b_k`` the nearest
+    such ancestor of ``b_{k+1}`` for part k.  And it finishes everything
+    it reaches below a ``b_k`` before that ``b_k``'s advance.  So one
+    chain's matches sort by the post-order ranks of ``b_0``, …,
+    ``b_{m-2}``, then by pre-order.  The comma parts follow one another
+    in selector order, and an element keeps its first place."""
     seen: dict[int, HTMLElement] = {}
     for matcher in parts:
         matcher.reset()

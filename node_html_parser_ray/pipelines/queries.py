@@ -1518,15 +1518,15 @@ def q_extract_interleaved(sf_dir: str):
 
 
 def _count_selectors(sf_dir: str, selectors: list[str]):
-    """Count-only SelectorStage actor pool over synthesized HTML docs:
-    (doc_id, selector, n_matches) rows, every selector counted columnar."""
+    """SelectorStage actor pool over synthesized HTML docs: (doc_id,
+    selector, n_matches) rows, every selector counted columnar."""
     ds = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(_wrap_html_batch, batch_format="pyarrow")
     out = ds.map_batches(
         selector_stage.SelectorStage,
-        fn_constructor_kwargs={"selectors": selectors, "emit_text": False},
+        fn_constructor_kwargs={"selectors": selectors},
         batch_format="pyarrow",
         concurrency=_pool(),
-    ).select_columns(["doc_id", "selector", "n_matches"])
+    )
 
     def widen(batch: pa.Table) -> pa.Table:
         return batch.set_column(

@@ -5,8 +5,8 @@ batch-wide Arrow node table — one row per element reachable from the
 fictive root, in pre-order (text nodes and the root match no selector part,
 so they have no row).  :func:`explode_document` reads them in one scan of
 the tree's pre-order events: an open event adds a row under the row on top
-of its stack, a close pops it, and the repair pass's ``SKIP`` marks (the
-removed elements) add nothing:
+of its stack, a close pops it, and text events and the repair pass's
+``SKIP`` marks (the removed elements) add nothing:
 
     parent, tag, id, classes, @key…
 
@@ -22,9 +22,9 @@ chains find each row's nearest ancestor taking the previous part by
 pointer jumping over the parent pointers (:func:`nearest`), and comma
 parts are OR-ed.  No per-document loop runs, and every selector the
 automaton accepts has a mask whose match *set* equals the automaton's,
-which the parity tests assert (SURVEY.md §2.5 mapping note).
-:func:`columnar_select_order` puts the matched rows in the automaton's
-result order, which is not pre-order; its docstring states the rule.
+which the parity tests assert (SURVEY.md §2.5 mapping note).  The masks
+give the match set only: the automaton's result order, which is not
+pre-order, is stated at ``kernel.selector.select_union``.
 
 Attribute operators (``= != ^= $= *= |= ~=``) are plain ``pyarrow.compute``
 string tests on the key's column, with the automaton's answer for a
@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 
 from ..kernel.dom import attribute_map, id_and_classes
 from ..kernel.jsregex import S as _JS_WS_CLASS
-from ..kernel.parser import SKIP, flat_parse
+from ..kernel.parser import flat_parse
 from ..kernel.selector import Part, selector_chains
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "node_table",
     "columnar_part_mask",
     "columnar_select_mask",
-    "columnar_select_order",
     "nearest",
 ]
 
@@ -111,30 +110,20 @@ def _attr_op_mask(col, op: str, value: str):
     return pc.fill_null(mask, False)
 
 
-def explode_document(html: str, keys=(), texts: bool = False):
+def explode_document(html: str, keys=()):
     """ONE document's element rows, in pre-order, read straight off
     :func:`flat_parse`'s tree (no node objects): the per-document function
     :func:`extract_stage.map_documents` runs, pure args in, plain lists
     ``(parent, tag, id, classes, *values)`` out, with one list per key of
     ``keys`` holding each element's decoded value of it (``None`` when the
     element lacks it).  ``parent[i]`` is the row of element ``i``'s
-    parent, -1 for a top-level element.
-
-    With ``texts``, four more items follow: each row's post-order rank,
-    the ``lo`` and ``hi`` of its ``[lo, hi)`` run in the document's raw
-    texts, and those texts in pre-order; row ``i``'s ``.text`` is
-    ``decode("".join(texts[lo[i]:hi[i]]))``."""
-    tag, val, events, doc_texts, _ = flat_parse(html or "")
+    parent, -1 for a top-level element."""
+    tag, val, events, _, _ = flat_parse(html or "")
     out_par: list[int] = []
     out_tag: list[str] = []
     out_id: list[str] = []
     out_cls: list[str] = []
     out_vals: list[list] = [[] for _ in keys]
-    post: list[int] = []
-    lo: list[int] = []
-    hi: list[int] = []
-    run: list[str] = []
-    closed = 0
     # flat_parse(html) stores no comments: every open event is an element;
     # the stack holds the rows of the open elements over the root's -1
     stack = [-1]
@@ -152,28 +141,15 @@ def explode_document(html: str, keys=(), texts: bool = False):
                 attrs = attribute_map(v)
                 for out, key in zip(out_vals, keys):
                     out.append(attrs.get(key))
-            if texts:
-                post.append(-1)
-                lo.append(len(run))
-                hi.append(-1)
         elif k == -1:
-            row = stack.pop()
-            if texts:
-                post[row] = closed
-                hi[row] = len(run)
-                closed += 1
-        elif texts and k != SKIP:
-            run.append(doc_texts[-k - 2])
-    if texts:
-        return (out_par, out_tag, out_id, out_cls, *out_vals,
-                post, lo, hi, run)
+            stack.pop()
     return (out_par, out_tag, out_id, out_cls, *out_vals)
 
 
 def node_table(docs: list[tuple], keys=()) -> pa.Table:
     """Node table from :func:`explode_document` results (exploded with the
-    same ``keys``; the text items that follow are not read), one doc's
-    rows after another; each doc's parents are offset by its first row.
+    same ``keys``), one doc's rows after another; each doc's parents are
+    offset by its first row.
     Key ``k``'s column is named ``"@" + k``, so no key collides with a
     fixed column."""
     schema = NODE_TABLE_SCHEMA
@@ -245,18 +221,16 @@ def _up(nodes: pa.Table) -> np.ndarray:
     return np.append(np.where(parent >= 0, parent, n), n)
 
 
-def _levels(nodes: pa.Table, up: np.ndarray, chain: list[Part]):
-    """``(consumed_{m-1}, near)`` for a chain ``p0..p{m-1}``:
-    ``consumed_0`` is p0's part mask, ``consumed_k = part_mask_k & (some
-    proper ancestor is in consumed_{k-1})``, and ``near[k]`` is
-    ``nearest(up, consumed_k)`` for k < m - 1."""
+def _levels(nodes: pa.Table, up: np.ndarray, chain: list[Part]) -> np.ndarray:
+    """``consumed_{m-1}`` for a chain ``p0..p{m-1}``: ``consumed_0`` is
+    p0's part mask, and ``consumed_k = part_mask_k & (some proper ancestor
+    is in consumed_{k-1})``."""
     n = len(up) - 1
     consumed = _bool(columnar_part_mask(nodes, chain[0]), n)
-    near = []
     for part in chain[1:]:
-        near.append(nearest(up, consumed))
-        consumed = _bool(columnar_part_mask(nodes, part), n) & (near[-1][:n] < n)
-    return consumed, near
+        consumed = (_bool(columnar_part_mask(nodes, part), n)
+                    & (nearest(up, consumed)[:n] < n))
+    return consumed
 
 
 def columnar_select_mask(nodes: pa.Table, selector: str) -> np.ndarray:
@@ -265,51 +239,12 @@ def columnar_select_mask(nodes: pa.Table, selector: str) -> np.ndarray:
     of :func:`kernel.selector.selector_chains` of each chain's
     ``consumed_{m-1}`` (:func:`_levels`).  Match SET equals the
     per-document automaton (query_selector_all), which the parity tests
-    assert; :func:`columnar_select_order` gives its order.
+    assert.
     """
     up = _up(nodes)
     matched = np.zeros(len(up) - 1, dtype=bool)
     for chain in selector_chains(selector):
         if chain:
-            matched |= _levels(nodes, up, chain)[0]
+            matched |= _levels(nodes, up, chain)
     return matched
 
-
-def columnar_select_order(nodes: pa.Table, selector: str, post: np.ndarray,
-                          doc: np.ndarray) -> np.ndarray:
-    """The rows ``selector`` matches, grouped by document, each document's
-    in the order of the reference's querySelectorAll (and of
-    ``kernel.selector.select_union``).  ``post`` is each row's post-order
-    rank, batch-global (a document's ranks offset by its first row, so
-    they order the documents too), and ``doc`` each row's document.
-
-    The order, which is not pre-order (``div p`` on
-    ``<div><p>1</p><div><p>2</p></div></div>`` gives 2, then 1): the
-    automaton explores a row that takes part k first with the matcher
-    rewound (its subtree, still at part k) and then advanced (part k + 1),
-    src/index.ts:423-451.  So it reaches a match ``x`` of ``p0..p{m-1}``
-    first through its deepest ancestors ``b_0 < … < b_{m-2}`` taking parts
-    0..m-2, found bottom-up: ``b_{m-2}`` is ``x``'s nearest ancestor in
-    ``consumed_{m-2}`` and ``b_k`` the nearest of ``b_{k+1}`` in
-    ``consumed_k``.  And it finishes everything it reaches below a
-    ``b_k`` before that ``b_k``'s advance.  So one chain's matches sort by
-    the post-order ranks of ``b_0``, …, ``b_{m-2}``, then by pre-order.
-    The comma parts follow one another in selector order within each
-    document, and a row keeps its first place (the reference's Set).
-    """
-    up = _up(nodes)
-    found = [np.zeros(0, np.int64)]
-    for chain in selector_chains(selector):
-        if not chain:
-            continue
-        consumed, near = _levels(nodes, up, chain)
-        x = np.flatnonzero(consumed)
-        keys = [x]  # np.lexsort sorts by its last key first
-        b = x
-        for to_ancestor in reversed(near):
-            b = to_ancestor[b]
-            keys.append(post[b])
-        found.append(x[np.lexsort(keys)])
-    rows = np.concatenate(found)
-    rows = rows[np.argsort(doc[rows], kind="stable")]
-    return rows[np.sort(np.unique(rows, return_index=True)[1])]

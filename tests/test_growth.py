@@ -22,11 +22,13 @@ media, through ``extract_batch``'s Arrow assembly (the offset sort, the
 media ordinals and placeholders, the media map).
 
 The controls were near linear already.  Each ``n`` is sized so that a
-quadratic path's ``8n`` case still finishes in about 10 s.  Both
-``SelectorStage`` modes run the selectors ``div div`` and ``section div``,
-so text mode's multi-part order keys are timed too.  The DOM API, the one
-object path, runs the deep valid nestings at ``OBJECT_N``, where a
-quadratic explore of the 2000-deep case takes ~5 s.
+quadratic path's ``8n`` case still finishes in about 10 s.
+``SelectorStage`` and the text mode of ``select_document`` (the reference
+the stage is tested against, whose texts the stage golden pins) run the
+selectors ``div div`` and ``section div``, so the multi-part masks and the
+reference's ``.text`` per match are timed.  The object paths, the DOM API
+and ``select_document``, run the deep valid nestings at ``OBJECT_N``,
+where a quadratic explore of the 2000-deep case takes ~5 s.
 """
 from __future__ import annotations
 
@@ -40,7 +42,10 @@ from node_html_parser_ray.kernel.parser import flat_parse, parse
 from node_html_parser_ray.sources.corpus import INPUT_SCHEMA
 from node_html_parser_ray.stages.classify import BoilerplateClassifier
 from node_html_parser_ray.stages.extract_stage import extract_batch
-from node_html_parser_ray.stages.selector_stage import SelectorStage
+from node_html_parser_ray.stages.selector_stage import (
+    SelectorStage,
+    select_document,
+)
 
 RATIO_LIMIT = 20
 SCALE = 8
@@ -71,14 +76,13 @@ def _batch(html: str) -> pa.Table:
 PATHS = {
     "flat_parse": flat_parse,
     "extract_batch": lambda d: extract_batch(_batch(d)),
-    "count_only": lambda d: SelectorStage(
-        ["div div", "section div"], emit_text=False
-    )(_batch(d)),
-    "text_mode": lambda d: SelectorStage(["div div", "section div"])(_batch(d)),
+    "count_only": lambda d: SelectorStage(["div div", "section div"])(_batch(d)),
+    "text_mode": lambda d: select_document(
+        d, ["div div", "section div"], None, True),
     "classifier": lambda d: BoilerplateClassifier()(_batch(d)),
     "dom_api": lambda d: parse(d).query_selector_all("div div"),
 }
-OBJECT_PATHS = {"dom_api"}
+OBJECT_PATHS = {"dom_api", "text_mode"}
 
 
 def _best(fn, doc: str, runs: int = 3, stop_below: float = 0.0) -> float:

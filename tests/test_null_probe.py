@@ -25,7 +25,7 @@ _PROBE_QUERIES = [
     "decontaminate", "repetition_score", "sequence_packing",
     "stratified_sample", "sample_mod", "doc_stats_by_lang", "token_counts",
     "quality", "lang_id", "exact_dedup", "fingerprints", "pdf_extract",
-    "epoch_shuffle", "distinct_lang_source",
+    "epoch_shuffle", "distinct_lang_source", "partition_metrics",
 ]
 
 _TEXTS = [

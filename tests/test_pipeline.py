@@ -212,7 +212,7 @@ class TestSpanEquality:
         rows = {r.pop("doc_id"): r for r in extract_batch(batch).to_pylist()}
         assert [s["kind"] for s in rows["plain"]["spans"]] == ["text", "image", "text"]
         counts: dict = {}
-        for r in SelectorStage(["img", "p"], emit_text=False)(batch).to_pylist():
+        for r in SelectorStage(["img", "p"])(batch).to_pylist():
             counts.setdefault(r["doc_id"], []).append(r["n_matches"])
         assert counts["plain"] == [1, 2]
         for doc_id in lists:
@@ -1401,12 +1401,12 @@ class TestSelectorStageColumnarRouting:
             '<section><div><img src="/a"><span data-x="1">t</span></div></section>',
             "plain",
         ]
-        # count-only mode counts every selector with the columnar masks,
+        # the stage counts every selector with the columnar masks,
         # including the forms whose text the part grammar skips (">") and
         # the ~= whitespace edges
         selectors = ["div li", ".c", "div span, li", "[src]", '[data-x="1"]',
                      "section > span", '[class~=""]']
-        stage = SelectorStage(selectors, emit_text=False)
+        stage = SelectorStage(selectors)
         assert set(stage.columnar) == set(selectors)
 
         table = pa.Table.from_arrays(
@@ -1419,7 +1419,7 @@ class TestSelectorStageColumnarRouting:
             for r in ray.data.from_arrow(table)
             .map_batches(
                 SelectorStage,
-                fn_constructor_kwargs={"selectors": selectors, "emit_text": False},
+                fn_constructor_kwargs={"selectors": selectors},
                 batch_format="pyarrow", concurrency=1,
             )
             .take_all()

@@ -172,7 +172,7 @@ class TestBatchKernelParity:
         )
         got = {
             (r["doc_id"], r["selector"]): r["n_matches"]
-            for r in SelectorStage(parts, emit_text=False)(table).to_pylist()
+            for r in SelectorStage(parts)(table).to_pylist()
         }
         for i, html in enumerate(htmls):
             root = parse(html)
@@ -183,11 +183,11 @@ class TestBatchKernelParity:
 
     @given(st.lists(st.one_of(nestings(), root_targets()), min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_selector_stage_text_order_fuzz(self, htmls):
-        """Text-mode SelectorStage (the columnar masks, ordered by
-        flat_select.columnar_select_order) gives select_document's rows:
-        counts, texts and their order, on same-tag nestings where the
-        automaton's order is not pre-order."""
+    def test_selector_stage_chain_count_fuzz(self, htmls):
+        """SelectorStage's counts of multi-part and comma selectors equal
+        select_document's on random same-tag nestings, unclosed tags and
+        root repair targets included: the chains' ancestor masks
+        (flat_select.nearest) against the automaton."""
         import pyarrow as pa
 
         from node_html_parser_ray.stages.selector_stage import (
@@ -200,9 +200,10 @@ class TestBatchKernelParity:
         table = pa.table({"doc_id": [str(i) for i in range(len(htmls))],
                           "html": htmls})
         rows = SelectorStage(sels)(table).to_pylist()
-        got = [(r["n_matches"], r["matches"]) for r in rows]
-        want = [(n, texts) for html in htmls
-                for n, texts in select_document(html, sels, None, True)]
+        got = [(r["doc_id"], r["selector"], r["n_matches"]) for r in rows]
+        want = [(str(i), sel, n) for i, html in enumerate(htmls)
+                for sel, (n, _) in zip(sels, select_document(
+                    html, sels, None, False))]
         assert got == want, htmls
 
 

@@ -15,7 +15,7 @@ def _stage_counts(docs: dict, selectors: list) -> dict:
 
     from node_html_parser_ray.stages.selector_stage import SelectorStage
 
-    out = SelectorStage(selectors, emit_text=False)(
+    out = SelectorStage(selectors)(
         pa.table({"doc_id": list(docs), "html": list(docs.values())})
     )
     return {(r["doc_id"], r["selector"]): r["n_matches"]
@@ -589,7 +589,7 @@ class TestAttributeProjection:
         )
         from node_html_parser_ray.stages.selector_stage import SelectorStage
 
-        keys = SelectorStage(self.DOM_QUERY, emit_text=False).keys
+        keys = SelectorStage(self.DOM_QUERY).keys
         assert keys == ["src"]
         html = '<div class="c"><img src="/img/a" alt="x"><img></div>'
         nodes = node_table([explode_document(html, keys)], keys)
@@ -601,26 +601,37 @@ class TestAttributeProjection:
 
 
 class TestSelectorStageInput:
-    @pytest.mark.parametrize("emit_text", [False, True])
-    def test_lone_surrogate_selector_refused(self, emit_text):
+    def test_lone_surrogate_selector_refused(self):
         """A selector the UTF-8 output column cannot hold is refused when
         the stage is built, naming it, instead of failing every batch."""
         from node_html_parser_ray.stages.selector_stage import SelectorStage
 
         with pytest.raises(ValueError, match=r"p\\ud800"):
-            SelectorStage(["p\ud800", "p"], emit_text=emit_text)
+            SelectorStage(["p\ud800", "p"])
         # an encodable non-ASCII selector is kept
         assert _stage_counts({"d": "<p>x</p>"}, ["p", "\ufeff p", "\u00e9"]) \
             == {("d", "p"): 1, ("d", "\ufeff p"): 1, ("d", "\u00e9"): 0}
+
+    def test_text_mode_refused(self):
+        """The stage only counts: asking it for texts is refused when it is
+        built, pointing to select_document, which gives them."""
+        from node_html_parser_ray.stages.selector_stage import SelectorStage
+
+        with pytest.raises(ValueError, match="select_document"):
+            SelectorStage(["p"], emit_text=True)
+        assert SelectorStage(["p"], emit_text=False).selectors == ["p"]
 
 
 class TestCountOnlyParity:
     """SelectorStage counts every selector with the columnar masks; its
     counts must equal select_document's (the automaton) on the
-    tokenizer-golden inputs, plus a handwritten ``ws_edge`` set.  In text
-    mode (the ``-text`` cases) each row's ``(n_matches, matches)`` must
-    equal ``select_document(html, sels, None, True)``, texts and their
-    order included.  The list holds every selector form the columnar path
+    tokenizer-golden inputs, plus a handwritten ``ws_edge`` set.  The
+    ``-text`` cases also check the text half of that reference:
+    ``select_document(html, sels, None, True)``'s texts, read off one walk
+    of the tree, must equal the ``.text`` of each element
+    ``parse(html).query_selector_all`` returns, in its order.  The stage
+    golden pins those texts too, but it was written from select_document
+    itself.  The list holds every selector form the columnar path
     once refused: combinators the part grammar skips, pseudo-classes,
     ``~=`` whitespace edges, BOM-only and empty parts.
 
@@ -670,15 +681,21 @@ class TestCountOnlyParity:
         inputs = ([(f"ws_edge/{i}", h) for i, h in enumerate(self.WS_EDGE_DOCS)]
                   if case_set == "ws_edge" else case_inputs(case_set))
         docs = dict(inputs)
-        stage = SelectorStage(self.SELECTORS, emit_text=emit_text)
+        stage = SelectorStage(self.SELECTORS)
         assert set(stage.columnar) == set(self.SELECTORS)
         out = stage(pa.table({"doc_id": list(docs), "html": list(docs.values())}))
-        got = {(r["doc_id"], r["selector"]): (r["n_matches"], r["matches"])
+        assert out.column_names == ["doc_id", "selector", "n_matches"]
+        got = {(r["doc_id"], r["selector"]): r["n_matches"]
                for r in out.to_pylist()}
         for cid, html in docs.items():
             want = select_document(html, self.SELECTORS, None, emit_text)
+            root = parse(html) if emit_text else None
             for sel, (n, texts) in zip(self.SELECTORS, want):
-                assert got[(cid, sel)] == (n, texts), (cid, sel)
+                assert got[(cid, sel)] == n, (cid, sel)
+                if emit_text:
+                    assert texts == [
+                        el.text for el in root.query_selector_all(sel)
+                    ], (cid, sel)
 
 
 class TestNodeRows:
